@@ -33,7 +33,7 @@ from repro.serialize.payload import (
     encode_batch,
     encode_batch_parts,
 )
-from repro.tfrecord.crc32c import crc32c
+from repro.tfrecord.crc32c import crc32c, crc32c_many, crc32c_reference
 from repro.tfrecord.sharder import pack_example, scan_example_spans
 from repro.tfrecord.writer import frame_record
 
@@ -318,6 +318,71 @@ def test_bench_obs_overhead_sampled(benchmark, tmp_path):
     assert decoded == row or trace_stamped(decoded)
 
 
+# -- CRC-32C: the batch kernel against the byte-wise oracle --------------------
+
+#: CI floor for the kernel on the serve path's shape (8 x 4 KiB records).
+#: Written into the snapshot so ``benchcheck --compare`` can gate an
+#: absolute number with its ratio rule (metric / floor >= 1).
+_CRC_FLOOR_MB_S = 100.0
+
+
+def _crc_spans(records: int, nbytes: int) -> tuple[bytes, list[int], list[int]]:
+    """``records`` framed records of ``nbytes`` payload: the spans a verify
+    pass checksums (8-byte length field + data, per record)."""
+    rng = np.random.default_rng(7)
+    frames = [
+        frame_record(rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes())
+        for _ in range(records)
+    ]
+    starts, ends, pos = [], [], 0
+    for frame in frames:
+        starts += [pos, pos + 12]
+        ends += [pos + 8, pos + 12 + nbytes]
+        pos += len(frame)
+    return b"".join(frames), starts, ends
+
+
+def _crc_mb_per_s(buf, starts, ends, kernel: bool, budget_s: float = 0.2) -> float:
+    spans = list(zip(starts, ends))
+
+    def once():
+        if kernel:
+            return crc32c_many(buf, starts, ends).tolist()
+        return [crc32c_reference(buf[s:e]) for s, e in spans]
+
+    once()  # warm
+    best, spent = float("inf"), 0.0
+    while spent < budget_s:
+        t0 = time.perf_counter()
+        once()
+        dt = time.perf_counter() - t0
+        best, spent = min(best, dt), spent + dt
+    return sum(e - s for s, e in spans) / 1e6 / best
+
+
+def _crc32c_components() -> dict:
+    """MB/s (best round) for the three shapes the read path sees: a served
+    batch, a shard of tiny records, one large buffer."""
+    shapes = {
+        "batch_4k": _crc_spans(8, 4096),
+        "records_64b": _crc_spans(512, 64),
+        "buffer_1m": (bytes(range(256)) * 4096, [0], [1 << 20]),
+    }
+    body: dict[str, float] = {"floor_mb_per_s": _CRC_FLOOR_MB_S}
+    for name, (buf, starts, ends) in shapes.items():
+        want = [crc32c_reference(buf[s:e]) for s, e in zip(starts[:4], ends[:4])]
+        assert crc32c_many(buf, starts[:4], ends[:4]).tolist() == want
+        body[f"{name}_mb_per_s"] = _crc_mb_per_s(buf, starts, ends, kernel=True)
+        body[f"{name}_oracle_mb_per_s"] = _crc_mb_per_s(buf, starts, ends, kernel=False)
+    return {"crc32c": body}
+
+
+def test_bench_crc32c_batch_kernel(benchmark):
+    buf, starts, ends = _crc_spans(8, 4096)
+    out = benchmark(crc32c_many, buf, starts, ends)
+    assert out.tolist() == [crc32c_reference(buf[s:e]) for s, e in zip(starts, ends)]
+
+
 # Raw-transport geometry: frames the size of a bench-loopback ring frame
 # (8-sample SJPG batch ≈ 13.5 KiB framed), enough of them that per-frame
 # costs dominate the socket setup.
@@ -403,6 +468,7 @@ def main() -> int:
     }
     components.update(_payload_schema_components(ops_per_s))
     components.update(_obs_overhead_components())
+    components.update(_crc32c_components())
     # Transport: best of three rounds each (min is the right statistic for
     # a fixed workload — everything above it is scheduler noise).
     mb = _FRAMES * _FRAME_BYTES / 1e6

@@ -218,7 +218,7 @@ class StorageSpec:
 
     ``cache_bytes`` > 0 wraps each daemon's backend in a plan-informed
     hot-set cache of that capacity (block-granular, Belady eviction by
-    next planned use, background prefetch at ``warm()``/epoch start).
+    next planned use, a fetch window running ahead of the serve path).
     ``latency_ms`` emulates per-request round-trip latency on the
     ``objectstore`` backend — the knob that makes a local directory
     behave like a remote range-GET store.

@@ -336,20 +336,26 @@ class EMLIODaemon:
         onward names the exact ``(shard_path, offset, nbytes, count)``
         range this daemon will read, in order.  Tiers without a cache
         accept the plan as a no-op; a
-        :class:`~repro.storage.cache.CachedBackend` starts background
-        prefetch and orders eviction by next planned use.
+        :class:`~repro.storage.cache.CachedBackend` runs its fetch window
+        along it, ahead of the serve path, and orders eviction by next
+        planned use.
         """
-        ranges = [
-            (a.shard_path, a.offset, a.nbytes, a.count)
+        mine = [
+            a
             for a in self.plan.assignments
             if a.epoch >= start_epoch
             and (self.shard_filter is None or a.shard in self.shard_filter)
             and a.node_id not in self._dropped_nodes
         ]
-        return self.backend.schedule_prefetch(ranges)
+        # Serve order, not plan order: every node's list is served at once,
+        # each in dispatch (batch_index) order.
+        mine.sort(key=lambda a: (a.epoch, a.batch_index, a.node_id))
+        return self.backend.schedule_prefetch(
+            (a.shard_path, a.offset, a.nbytes, a.count) for a in mine
+        )
 
     def cache_counters(self) -> tuple[int, int, int]:
-        """``(cache_hits, cache_misses, prefetch_depth)`` for heartbeats."""
+        """``(cache_hits, cache_misses, fetches_in_flight)`` for heartbeats."""
         return self.backend.cache_counters()
 
     def hot_shards(self) -> set[str]:

@@ -128,7 +128,7 @@ class Member:
     rate: float = 0.0  # observed throughput: EWMA of progress deltas per second
     cache_hits: int = 0  # cumulative storage-cache hits, from beats
     cache_misses: int = 0  # cumulative storage-cache misses, from beats
-    prefetch_depth: int = 0  # planned ranges still queued for prefetch
+    prefetch_depth: int = 0  # storage-cache range-GETs in flight, from beats
     decode_ns: int = 0  # mean payload-deserialize ns per batch, from beats
     preprocess_ns: int = 0  # mean decode/augment ns per batch, from beats
     starved_ns: int = 0  # mean consumer-starved ns per batch, from beats

@@ -294,6 +294,10 @@ class EMLIOService:
             "emlio_transport_shm_attaches_total",
             "Shared-memory ring attaches accepted by receivers",
         )
+        reader_errors = registry.counter(
+            "emlio_transport_reader_errors_total",
+            "Receiver socket reader threads that died on an unexpected exception",
+        )
         transport_nodes = registry.gauge(
             "emlio_transport_nodes",
             "Compute nodes per active daemon→receiver transport",
@@ -310,6 +314,11 @@ class EMLIOService:
                 "prefetched", "evictions",
             )
         }
+        prefetch_errors = registry.counter(
+            "emlio_storage_prefetch_errors_total",
+            "Fetch-window range-GETs that failed (fetch or CRC) per tier",
+            labelnames=("tier",),
+        )
         stage_ns = registry.gauge(
             "emlio_pipeline_stage_ns",
             "Mean per-batch consume-pipeline stage cost (nanoseconds)",
@@ -350,6 +359,7 @@ class EMLIOService:
             bytes_read.set(sum(s["bytes_read"] for s in snaps))
             batches_sent.set(sum(s["batches_sent"] for s in snaps))
             shm_attaches.set(sum(r.shm_attaches for r in self.receivers))
+            reader_errors.set(sum(r.pull.reader_errors for r in self.receivers))
             merged: dict[int, str] = {}
             for d in all_daemons:
                 for node_id, transport in d.transports.items():
@@ -362,6 +372,7 @@ class EMLIOService:
             for tier, agg in self.storage_stats()["tiers"].items():
                 for name, counter in tier_counters.items():
                     counter.labels(tier=tier).set(agg[name])
+                prefetch_errors.labels(tier=tier).set(agg["prefetch_errors"])
             stages = self.pipeline_stage_stats()
             for stage in ("decode", "preprocess", "starved"):
                 stage_ns.labels(stage=stage).set(stages[f"{stage}_ns"])
@@ -1312,6 +1323,7 @@ class EMLIOService:
                     "cache_misses": 0,
                     "prefetched": 0,
                     "evictions": 0,
+                    "prefetch_errors": 0,
                 },
             )
             agg["reads"] += snap.get("reads", 0)
@@ -1322,6 +1334,7 @@ class EMLIOService:
                 agg["cache_misses"] += cache.get("misses", 0)
                 agg["prefetched"] += cache.get("prefetched", 0)
                 agg["evictions"] += cache.get("evictions", 0)
+                agg["prefetch_errors"] += cache.get("prefetch_errors", 0)
         return {"daemons": daemons, "tiers": tiers}
 
     def pipeline_stage_stats(self) -> dict:

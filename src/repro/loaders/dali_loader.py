@@ -25,7 +25,7 @@ import numpy as np
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.pipeline import EndOfData, Pipeline
 from repro.loaders.base import LoaderStats
-from repro.tfrecord.reader import _parse_record
+from repro.tfrecord.reader import read_records
 from repro.tfrecord.sharder import ShardedDataset, unpack_example
 
 _END = object()
@@ -94,13 +94,10 @@ class DALIStyleLoader:
                 try:
                     blob = self.storage.read_at(path, offset, nbytes)
                     self.stats.record_read(len(blob))
-                    samples = []
-                    view = memoryview(blob)
-                    pos = 0
-                    for _ in range(len(labels)):
-                        record, pos = _parse_record(view, pos, True)
-                        sample, _label = unpack_example(record)
-                        samples.append(sample)
+                    samples = [
+                        unpack_example(record)[0]
+                        for record in read_records(memoryview(blob), 0, len(labels), True)
+                    ]
                     raw_q.put((samples, labels))
                 except Exception as err:
                     raw_q.put(err)

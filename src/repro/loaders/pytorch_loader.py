@@ -26,7 +26,7 @@ import numpy as np
 from repro.gpu.ops import preprocess_batch  # executed on the CPU in this baseline
 from repro.loaders.base import LoaderStats, epoch_sample_order
 from repro.storage.localfs import LocalStorage
-from repro.tfrecord.reader import _parse_record
+from repro.tfrecord.reader import read_records
 from repro.tfrecord.sharder import ShardedDataset, unpack_example
 
 _END = object()
@@ -65,8 +65,7 @@ class PyTorchStyleLoader:
         entry = shard_ix.entries[record]
         frame = self.storage.read_at(shard_ix.path, entry.offset, entry.size)
         self.stats.record_read(len(frame))
-        data, _next = _parse_record(memoryview(frame), 0, True)
-        return unpack_example(data)
+        return unpack_example(read_records(memoryview(frame), 0, 1, True)[0])
 
     def epoch(self, epoch_index: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield preprocessed (tensors, labels) batches for one epoch."""

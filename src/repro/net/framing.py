@@ -123,6 +123,12 @@ def recv_frame_into(sock: socket.socket, buf: bytearray) -> memoryview:
     high-water capacity across frames, so steady state allocates nothing.
     The view aliases ``buf``: it is invalidated by the next recv into (or
     resize of) the same buffer.
+
+    A ``bytearray`` cannot be resized while anything still exports it — a
+    pooled buffer can come back while views from the previous frame it
+    held are alive.  Then the frame lands in a fresh buffer instead:
+    ``view.obj is not buf`` tells the caller to adopt ``view.obj`` and
+    drop the exported one.
     """
     header = bytearray(4)
     _recv_into(sock, memoryview(header), 4)
@@ -130,7 +136,10 @@ def recv_frame_into(sock: socket.socket, buf: bytearray) -> memoryview:
     if n > MAX_FRAME:
         raise ValueError(f"incoming frame of {n} bytes exceeds MAX_FRAME")
     if len(buf) < n:
-        buf += bytes(n - len(buf))
+        try:
+            buf += bytes(n - len(buf))
+        except BufferError:
+            buf = bytearray(n)
     view = memoryview(buf)[:n]
     if n:
         _recv_into(sock, view, n)

@@ -72,8 +72,9 @@ class Heartbeat:
         Cumulative storage-cache counters (daemons with a tiered cache);
         ``0`` for members without one (or pre-cache publishers).
     prefetch_depth:
-        Planned ranges still queued for background prefetch — a gauge of
-        how far the cache trails the plan.
+        Range-GETs the storage cache has in flight right now (its fetch
+        window's plus any serve-path miss) — at most the fetcher pool
+        size while the window keeps ahead of the serve path.
     decode_ns / preprocess_ns / starved_ns:
         Mean per-batch pipeline stage costs in nanoseconds (receivers with
         a consume pipeline; ``0`` elsewhere) — payload deserialize, decode/

@@ -35,6 +35,7 @@ application-level dedup (see :class:`~repro.core.provider.BatchProvider`).
 from __future__ import annotations
 
 import collections
+import logging
 import queue
 import threading
 import time
@@ -46,6 +47,8 @@ from repro.net.buffers import BufferPool, PooledFrame
 from repro.net.channel import Channel, Listener, connect_channel
 from repro.net.emulation import NetworkProfile
 from repro.net.framing import ConnectionClosed
+
+_log = logging.getLogger(__name__)
 
 _DATA = b"\x00"
 _CREDIT = b"\x01"
@@ -474,6 +477,7 @@ class PullSocket:
         # TCP channels into the same queue); pruned like channels.
         self._rings: list[_shm.RingReceiver] = []
         self._shm_attaches = 0
+        self._reader_errors = 0
         self._closed = False
         self._reader_lock = threading.Lock()
         # bytes_received of pruned (disconnected) channels — reconnect-heavy
@@ -502,6 +506,14 @@ class PullSocket:
                 self._read_loop_pooled(chan)
             else:
                 self._read_loop(chan)
+        except Exception:  # noqa: BLE001 — a reader must not die unseen
+            _log.exception("pull-socket reader died; dropping its connection")
+            with self._reader_lock:
+                self._reader_errors += 1
+            # Sever the link: the pusher sees a dead stream (and, with a
+            # reconnect policy, replays what was unacknowledged) instead
+            # of feeding a socket nobody reads.
+            chan.close()
         finally:
             # Prune the dead channel, folding its count into the retired
             # total so bytes_received stays exact without keeping corpses.
@@ -542,6 +554,10 @@ class PullSocket:
             except (ConnectionClosed, ConnectionError, OSError):
                 buf.release()
                 return
+            if view.obj is not buf.data:
+                # Could not grow in place (an earlier frame's views still
+                # export it): the lease now covers the fresh buffer.
+                buf.data = view.obj
             if view[:1] == _DATA:
                 # The frame owns the buffer lease until the consumer
                 # releases it; the next frame gets its own buffer.
@@ -702,6 +718,15 @@ class PullSocket:
         """
         with self._reader_lock:
             return self._shm_attaches
+
+    @property
+    def reader_errors(self) -> int:
+        """Reader threads that died on an unexpected exception (not a
+        disconnect).  Summed over all receivers into the registry series
+        ``emlio_transport_reader_errors_total``; anything but 0 is a bug.
+        """
+        with self._reader_lock:
+            return self._reader_errors
 
     def close(self) -> None:
         """Release resources — including every outstanding buffer lease.

@@ -16,7 +16,7 @@ contiguous range reads (paper §4.3) — this package provides both sides:
 * :class:`~repro.storage.objectstore.ObjectStoreBackend` — emulated
   range-GET store with configurable request latency.
 * :class:`~repro.storage.cache.CachedBackend` — plan-informed hot-set
-  cache (bounded bytes, background prefetch, next-planned-use eviction)
+  cache (bounded bytes, plan-driven fetch window, next-planned-use eviction)
   in front of any tier.
 * :class:`~repro.storage.localfs.LocalStorage` — instrumented local reads
   (the substrate under the server and the object store).

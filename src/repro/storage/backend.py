@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.storage.localfs import LocalStorage, StorageStats
-from repro.tfrecord.reader import _LEN, TFRecordCorruption, TFRecordReader
-from repro.tfrecord.reader import _parse_record_view
+from repro.tfrecord.reader import _LEN, TFRecordCorruption, TFRecordReader, read_records
 from repro.tfrecord.writer import FOOTER_BYTES, HEADER_BYTES
 
 
@@ -50,18 +49,13 @@ def parse_record_block(
     ordinary use is safe).  Short or corrupt data raises
     :class:`TFRecordCorruption` with the shard and absolute offset named.
     """
-    view = memoryview(buf)
-    out: list[memoryview] = []
-    pos = 0
     try:
-        for _ in range(count):
-            data, pos = _parse_record_view(view, pos, verify)
-            out.append(data)
+        return read_records(memoryview(buf), 0, count, verify)
     except TFRecordCorruption as err:
         raise TFRecordCorruption(
-            f"shard {shard_path!r}: bad range read at byte {offset + pos}: {err}"
+            f"shard {shard_path!r}: bad range read at byte {offset + err.offset}: {err}",
+            offset + err.offset,
         ) from err
-    return out
 
 
 @runtime_checkable
@@ -126,7 +120,7 @@ class StorageBackend:
         return set()
 
     def cache_counters(self) -> tuple[int, int, int]:
-        """``(hits, misses, prefetch_depth)`` for heartbeat reporting."""
+        """``(hits, misses, fetches_in_flight)`` for heartbeat reporting."""
         return (0, 0, 0)
 
     def snapshot(self) -> dict:

@@ -15,45 +15,85 @@ from pathlib import Path
 from types import TracebackType
 from typing import Iterator
 
-from repro.tfrecord.crc32c import masked_crc32c
+from repro.tfrecord.crc32c import first_crc_mismatch
 from repro.tfrecord.writer import FOOTER_BYTES, HEADER_BYTES
 
 _LEN = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
 
+#: Records walked (and checksummed together) per step of a whole-shard pass.
+_WALK_CHUNK = 1024
+
 
 class TFRecordCorruption(ValueError):
-    """Raised when a record's length or data CRC does not verify."""
+    """Raised when a record's length or data CRC does not verify.
 
-
-def _parse_record_view(
-    buf: memoryview, offset: int, verify: bool
-) -> tuple[memoryview, int]:
-    """Parse one record at ``offset``; return ``(data_view, next_offset)``.
-
-    The returned view aliases ``buf`` (the mmap'ed shard) — no copy.
+    ``offset`` is the byte position (in the walked buffer) of the record
+    that failed, when the raiser knows it.
     """
-    if offset + HEADER_BYTES > len(buf):
-        raise TFRecordCorruption(f"truncated header at offset {offset}")
-    (length,) = _LEN.unpack_from(buf, offset)
-    (length_crc,) = _CRC.unpack_from(buf, offset + 8)
-    if verify and masked_crc32c(buf[offset : offset + 8]) != length_crc:
-        raise TFRecordCorruption(f"length CRC mismatch at offset {offset}")
-    data_start = offset + HEADER_BYTES
-    data_end = data_start + length
-    if data_end + FOOTER_BYTES > len(buf):
-        raise TFRecordCorruption(f"truncated record body at offset {offset}")
-    data = buf[data_start:data_end]
-    (data_crc,) = _CRC.unpack_from(buf, data_end)
-    if verify and masked_crc32c(data) != data_crc:
-        raise TFRecordCorruption(f"data CRC mismatch at offset {offset}")
-    return data, data_end + FOOTER_BYTES
+
+    def __init__(self, message: str, offset: int | None = None) -> None:
+        super().__init__(message)
+        self.offset = offset
 
 
-def _parse_record(buf: memoryview, offset: int, verify: bool) -> tuple[bytes, int]:
-    """Parse one record at ``offset``; return ``(data, next_offset)``."""
-    data, next_offset = _parse_record_view(buf, offset, verify)
-    return bytes(data), next_offset
+def _walk_records(
+    buf: memoryview, offset: int, count: int, verify: bool, to_end: bool = False
+) -> tuple[list[tuple[int, int]], TFRecordCorruption | None]:
+    """Walk ``count`` records from ``offset``; checksum them in one batch.
+
+    Returns ``(spans, error)``: the ``(data_start, data_end)`` of every
+    record that is whole and (under ``verify``) passes both CRCs, in
+    order, and the failure that stopped the walk, if any — exactly the
+    record and message a record-by-record walk would have stopped at.
+    ``to_end`` also stops, cleanly, at the end of ``buf``.
+    """
+    size = len(buf)
+    spans: list[tuple[int, int]] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    crcs: list[int] = []
+    error = None
+    pos = offset
+    while len(spans) < count and not (to_end and pos == size):
+        if pos + HEADER_BYTES > size:
+            error = TFRecordCorruption(f"truncated header at offset {pos}", pos)
+            break
+        (length,) = _LEN.unpack_from(buf, pos)
+        data_start = pos + HEADER_BYTES
+        data_end = data_start + length
+        if verify:
+            starts.append(pos)
+            ends.append(pos + 8)
+            crcs.append(_CRC.unpack_from(buf, pos + 8)[0])
+        if data_end + FOOTER_BYTES > size:
+            error = TFRecordCorruption(f"truncated record body at offset {pos}", pos)
+            break
+        if verify:
+            starts.append(data_start)
+            ends.append(data_end)
+            crcs.append(_CRC.unpack_from(buf, data_end)[0])
+        spans.append((data_start, data_end))
+        pos = data_end + FOOTER_BYTES
+    if starts:
+        bad = first_crc_mismatch(buf, starts, ends, crcs)
+        if bad >= 0:
+            record, field = divmod(bad, 2)
+            pos = starts[2 * record]
+            what = "data" if field else "length"
+            error = TFRecordCorruption(f"{what} CRC mismatch at offset {pos}", pos)
+            del spans[record:]
+    return spans, error
+
+
+def read_records(
+    buf: memoryview, offset: int, count: int, verify: bool
+) -> list[memoryview]:
+    """``count`` consecutive records at ``offset`` as views aliasing ``buf``."""
+    spans, error = _walk_records(buf, offset, count, verify)
+    if error is not None:
+        raise error
+    return [buf[start:end] for start, end in spans]
 
 
 class TFRecordReader:
@@ -78,12 +118,23 @@ class TFRecordReader:
         self._view = memoryview(self._mm) if self._mm is not None else memoryview(b"")
         if verify == "open":
             try:
-                pos = 0
-                while pos < len(self._view):
-                    _data, pos = _parse_record_view(self._view, pos, True)
+                for _ in self._walk(True):
+                    pass
             except TFRecordCorruption:
                 self.close()
                 raise
+
+    def _walk(self, verify: bool) -> Iterator[memoryview]:
+        """Every record of the shard in order, checksummed a chunk at a time."""
+        view = self._view
+        pos = 0
+        while pos < len(view):
+            spans, error = _walk_records(view, pos, _WALK_CHUNK, verify, to_end=True)
+            for start, end in spans:
+                yield view[start:end]
+            if error is not None:
+                raise error
+            pos = spans[-1][1] + FOOTER_BYTES
 
     @property
     def nbytes(self) -> int:
@@ -92,8 +143,7 @@ class TFRecordReader:
 
     def read_at(self, offset: int) -> bytes:
         """Read and verify the single record starting at ``offset``."""
-        data, _next = _parse_record(self._view, offset, self.verify)
-        return data
+        return bytes(read_records(self._view, offset, 1, self.verify)[0])
 
     def read_range(self, offset: int, count: int) -> list[bytes]:
         """Read ``count`` consecutive records starting at ``offset``.
@@ -101,12 +151,7 @@ class TFRecordReader:
         This is the daemon's one-slice batch read: a single contiguous
         traversal of the mapped region, no per-record syscalls.
         """
-        out: list[bytes] = []
-        pos = offset
-        for _ in range(count):
-            data, pos = _parse_record(self._view, pos, self.verify)
-            out.append(data)
-        return out
+        return [bytes(v) for v in read_records(self._view, offset, count, self.verify)]
 
     def read_range_views(self, offset: int, count: int) -> list[memoryview]:
         """Zero-copy :meth:`read_range`: record views over the mmap'ed shard.
@@ -115,12 +160,7 @@ class TFRecordReader:
         stay valid until :meth:`close`; the daemon keeps readers open for
         its lifetime, so batches sliced here can go straight to the wire.
         """
-        out: list[memoryview] = []
-        pos = offset
-        for _ in range(count):
-            data, pos = _parse_record_view(self._view, pos, self.verify)
-            out.append(data)
-        return out
+        return read_records(self._view, offset, count, self.verify)
 
     def raw_slice(self, offset: int, nbytes: int) -> memoryview:
         """Zero-copy view of ``nbytes`` of the mapped file (transfer path)."""
@@ -131,10 +171,8 @@ class TFRecordReader:
         return self._view[offset : offset + nbytes]
 
     def __iter__(self) -> Iterator[bytes]:
-        pos = 0
-        while pos < len(self._view):
-            data, pos = _parse_record(self._view, pos, self.verify)
-            yield data
+        for data in self._walk(self.verify):
+            yield bytes(data)
 
     def close(self) -> None:
         """Release resources."""

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.serialize.msgpack import packb, unpackb
-from repro.tfrecord.crc32c import masked_crc32c
+from repro.tfrecord.crc32c import first_crc_mismatch
 from repro.tfrecord.index import RecordEntry, ShardIndex, load_shard_indexes
 from repro.tfrecord.writer import FOOTER_BYTES, HEADER_BYTES, TFRecordWriter
 
@@ -100,24 +100,60 @@ def scan_example_spans(
     per-record decode, so unusual-but-valid records degrade, not break.
     """
     buf = memoryview(region)
+    if len(buf) > 0xFFFFFFFF:
+        raise ValueError(f"region too large for u32 offsets: {len(buf)} bytes")
     offsets = np.empty(2 * count, dtype=np.uint32)
     labels: list[int] = []
+    # Span and stored masked CRC of every length/data field met, in walk
+    # order; checked in one batch before any other complaint is let out,
+    # so the failure reported is the one a record-by-record walk reports.
+    fields: tuple[list[int], list[int], list[int]] | None = ([], [], []) if verify else None
+    try:
+        _scan_layout(buf, count, offsets, labels, fields)
+    except ValueError:
+        _check_fields(buf, fields)
+        raise
+    _check_fields(buf, fields)
+    return offsets, labels
+
+
+def _check_fields(buf: memoryview, fields) -> None:
+    if not fields or not fields[0]:
+        return
+    starts, ends, crcs = fields
+    bad = first_crc_mismatch(buf, starts, ends, crcs)
+    if bad >= 0:
+        what = "data" if bad % 2 else "length"  # fields alternate per record
+        raise ValueError(f"{what} CRC mismatch at offset {starts[bad - bad % 2]}")
+
+
+def _scan_layout(
+    buf: memoryview,
+    count: int,
+    offsets: np.ndarray,
+    labels: list[int],
+    fields: tuple[list[int], list[int], list[int]] | None,
+) -> None:
+    if fields is not None:
+        starts, ends, crcs = fields
     pos = 0
     end = len(buf)
-    if end > 0xFFFFFFFF:
-        raise ValueError(f"region too large for u32 offsets: {end} bytes")
     for i in range(count):
         if pos + HEADER_BYTES > end:
             raise ValueError(f"truncated record header at offset {pos}")
         (length,) = _LEN.unpack_from(buf, pos)
-        if verify and masked_crc32c(buf[pos : pos + 8]) != _CRC.unpack_from(buf, pos + 8)[0]:
-            raise ValueError(f"length CRC mismatch at offset {pos}")
+        if fields is not None:
+            starts.append(pos)
+            ends.append(pos + 8)
+            crcs.append(_CRC.unpack_from(buf, pos + 8)[0])
         data_start = pos + HEADER_BYTES
         data_end = data_start + length
         if data_end + FOOTER_BYTES > end:
             raise ValueError(f"truncated record data at offset {pos}")
-        if verify and masked_crc32c(buf[data_start:data_end]) != _CRC.unpack_from(buf, data_end)[0]:
-            raise ValueError(f"data CRC mismatch at offset {pos}")
+        if fields is not None:
+            starts.append(data_start)
+            ends.append(data_end)
+            crcs.append(_CRC.unpack_from(buf, data_end)[0])
         # pack_example layout: fixmap{2} "x" <bin> "y" <int>
         if length < 7 or buf[data_start] != 0x82 or bytes(buf[data_start + 1 : data_start + 3]) != b"\xa1x":
             raise ValueError(f"record at offset {pos} is not a pack_example payload")
@@ -143,7 +179,6 @@ def scan_example_spans(
         pos = data_end + FOOTER_BYTES
     if pos != end:
         raise ValueError(f"region holds more than {count} records ({end - pos} bytes left)")
-    return offsets, labels
 
 
 @dataclass(frozen=True)

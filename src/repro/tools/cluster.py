@@ -11,6 +11,10 @@ Two modes:
   :meth:`~repro.core.service.EMLIOService.cluster_status` — members plus
   batch/shard ownership (endpoints, storage roots, failover counters).
 
+Columns: ``HIT%`` is the daemon's storage-cache hit rate (``-`` without a
+cache); ``--json`` also carries ``prefetch_depth``, the range-GETs that
+cache has in flight (the fetch window's concurrency, not a backlog).
+
 Usage::
 
     python -m repro.tools.cluster --watch 3 [--port P] [--interval S]

@@ -113,6 +113,22 @@ def test_recv_frame_into_reuses_and_grows_buffer():
     a.close(), b.close()
 
 
+def test_recv_frame_into_leaves_an_exported_buffer_alone():
+    # A bytearray cannot be resized while a view exports it (a pooled
+    # buffer handed back while the previous batch's samples still alias
+    # it): the frame must land in a fresh buffer, not kill the reader.
+    a, b = socket_pair()
+    buf = bytearray(b"old-frame")
+    lingering = memoryview(buf)
+    big = b"n" * 1000
+    send_frame(a, big)
+    view = recv_frame_into(b, buf)
+    assert bytes(view) == big
+    assert view.obj is not buf  # the caller adopts view.obj
+    assert bytes(lingering) == b"old-frame"  # and the old views stay valid
+    a.close(), b.close()
+
+
 def test_recv_frame_into_empty_frame():
     a, b = socket_pair()
     send_frame(a, b"")

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from repro.net.channel import Listener, connect_channel
-from repro.net.mq import PullSocket, PushSocket
+from repro.net.buffers import BufferPool
+from repro.net.channel import Channel, Listener, connect_channel
+from repro.net.mq import PullSocket, PushSocket, ReconnectPolicy
 
 
 @pytest.fixture
@@ -285,6 +286,59 @@ def test_pooled_pull_recv_frame_zero_copy():
     while pull.pool.hits == 0 and time.monotonic() < deadline:
         time.sleep(0.01)
     assert pull.pool.hits >= 1
+    push.close()
+    pull.close()
+
+
+def test_pooled_pull_outgrows_a_buffer_that_is_still_exported():
+    """Regression (bench defect a): a pooled buffer released while views
+    of its last frame are alive cannot grow in place; the reader thread
+    used to die on the BufferError and the epoch stalled."""
+    pool = BufferPool(max_buffers=4, initial_size=64)
+    pull = PullSocket(hwm=8, pooled=True, pool=pool)
+    push = PushSocket([pull.address], hwm=8)
+    push.send(b"a" * 32)
+    first = pull.recv_frame(timeout=5)
+    lingering = first.data[:8]  # e.g. a sample view nobody dropped yet
+    first.release()  # back in the pool, still exported
+    # The reader already holds a second buffer for the next frame; the
+    # one after that comes out of the pool — the exported one.
+    push.send(b"b" * 32)
+    pull.recv_frame(timeout=5).release()
+    big = bytes(range(256)) * 8
+    push.send(big)
+    frame = pull.recv_frame(timeout=5)
+    assert frame.data == big
+    assert lingering == b"a" * 8
+    assert pull.reader_errors == 0
+    frame.release()
+    push.send(b"c" * 16)  # and the stream goes on
+    assert pull.recv(timeout=5) == b"c" * 16
+    push.close()
+    pull.close()
+
+
+def test_reader_death_is_counted_and_drops_the_connection(monkeypatch, caplog):
+    pull = PullSocket(hwm=8, pooled=True)
+    real = Channel.recv_into
+    armed = [True]
+
+    def recv_into(self, buf):
+        if armed[0]:
+            armed[0] = False
+            raise RuntimeError("reader bug")
+        return real(self, buf)
+
+    monkeypatch.setattr(Channel, "recv_into", recv_into)
+    push = PushSocket([pull.address], hwm=8, reconnect=ReconnectPolicy())
+    deadline = time.monotonic() + 5
+    while pull.reader_errors == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pull.reader_errors == 1
+    assert "reader died" in caplog.text
+    # The pusher sees the drop, reconnects, and delivery carries on.
+    push.send(b"after")
+    assert pull.recv(timeout=5) == b"after"
     push.close()
     pull.close()
 

@@ -106,3 +106,39 @@ def test_zero_copy_path_allocates_less_than_legacy():
     legacy_peak = peak_bytes(legacy_round)
     zero_copy_peak = peak_bytes(zero_copy_round)
     assert zero_copy_peak < legacy_peak / 2, (zero_copy_peak, legacy_peak)
+
+
+def test_frames_above_the_pool_buffer_size_deliver_a_full_epoch(tmp_path):
+    """Regression (bench defect a): 32 x 2 KiB token records make ~66 KiB
+    frames — above ``BufferPool.initial_size`` — whose sizes differ by a
+    few bytes (msgpack label widths), so pooled buffers keep having to grow
+    while the previous batch's samples may still alias them.  On TCP with
+    ``verify_reads="open"`` the reader thread used to die on the
+    BufferError and the epoch stalled; it must deliver exactly once."""
+    from collections import Counter
+
+    from repro.api import EMLIO, ClusterSpec
+    from repro.api.spec import NetworkSpec, PipelineSpec, ReceiverSpec, StorageSpec
+    from repro.data.text import SyntheticTokenDataset
+    from repro.tfrecord.sharder import write_shards
+
+    tokens = SyntheticTokenDataset(2048, context_len=512, vocab_size=32_000, seed=3)
+    dataset = write_shards(iter(tokens), tmp_path / "tokens", records_per_shard=256)
+    spec = ClusterSpec(
+        name="big-frames",
+        pipeline=PipelineSpec(
+            batch_size=32, epochs=1, hwm=16, streams_per_node=2, workers=1,
+            seed=3, codec="tokens",
+        ),
+        storage=StorageSpec(verify_reads="open"),
+        receivers=ReceiverSpec(stall_timeout_s=5.0),
+        network=NetworkSpec(transport="tcp"),
+    )
+    delivered: Counter = Counter()
+    with EMLIO.deploy(spec, dataset=dataset) as deployment:
+        for _tensors, labels in deployment.epoch(0):
+            delivered.update(labels.tolist())
+        reader_errors = sum(r.pull.reader_errors for r in deployment.service.receivers)
+    expected = Counter(y for shard in dataset.labels().values() for y in shard)
+    assert delivered == expected
+    assert reader_errors == 0
