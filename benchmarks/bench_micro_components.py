@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.codec.sjpg import sjpg_decode, sjpg_encode
+from repro.codec.sjpg import sjpg_decode, sjpg_decode_batch, sjpg_encode
 from repro.core.config import EMLIOConfig
 from repro.core.planner import Planner
 from repro.data.samples import smooth_image
+from repro.gpu.ops import preprocess_batch
 from repro.net.buffers import ColumnarSamples
 from repro.serialize.msgpack import packb, unpackb
 from repro.serialize.payload import (
@@ -92,6 +93,56 @@ def test_bench_sjpg_encode(benchmark, sample_image):
 def test_bench_sjpg_decode(benchmark, encoded_image, sample_image):
     img = benchmark(sjpg_decode, encoded_image)
     assert img.shape == sample_image.shape
+
+
+def _sjpg_batch() -> list[bytes]:
+    """The headline workload's preprocess input: 8 x 64x64 q75 SJPG images."""
+    rng = np.random.default_rng(0)
+    return [sjpg_encode(smooth_image(rng, 64, 64), quality=75) for _ in range(8)]
+
+
+def _sjpg_preprocess_component() -> dict:
+    """The image path's batch kernels on the headline geometry (8 x 64x64
+    q75 → 32x32): median µs per call of the batch decode and of the fused
+    preprocess, and the preprocess's traced allocation peak after warm-up
+    — a count, not a timing, so runner noise cannot move it."""
+    import statistics
+    import tracemalloc
+
+    batch = _sjpg_batch()
+    rng = np.random.default_rng(1)
+
+    def median_us(fn, rounds: int = 200) -> float:
+        for _ in range(5):
+            fn()
+        times = []
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return statistics.median(times) * 1e6
+
+    decode_us = median_us(lambda: sjpg_decode_batch(batch))
+    preprocess_us = median_us(lambda: preprocess_batch(batch, (32, 32), rng))
+    tracemalloc.start()
+    try:
+        preprocess_batch(batch, (32, 32), rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "sjpg_preprocess": {
+            "decode_us": decode_us,
+            "preprocess_us": preprocess_us,
+            "alloc_peak_kib": peak / 1024,
+        }
+    }
+
+
+def test_bench_sjpg_preprocess(benchmark):
+    batch = _sjpg_batch()
+    out = benchmark(preprocess_batch, batch, (32, 32), np.random.default_rng(0))
+    assert out.shape == (8, 3, 32, 32)
 
 
 def test_bench_planner(benchmark, small_imagenet_ds):
@@ -466,6 +517,7 @@ def main() -> int:
         "sjpg_encode": {"ops_per_s": ops_per_s(lambda: sjpg_encode(img, 80), rounds=10)},
         "sjpg_decode": {"ops_per_s": ops_per_s(lambda: sjpg_decode(enc), rounds=10)},
     }
+    components.update(_sjpg_preprocess_component())
     components.update(_payload_schema_components(ops_per_s))
     components.update(_obs_overhead_components())
     components.update(_crc32c_components())

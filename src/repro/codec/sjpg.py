@@ -16,16 +16,29 @@ Wire format::
     u32     number of RLE tokens
     bytes   varint-packed RLE token stream
 
-The codec is lossy; tests bound reconstruction PSNR instead of asserting
-bit-exactness.
+Each channel's tokens are ``(zero run, value)`` pairs over its zigzag-ordered
+coefficients, closed by a ``(trailing zeros, 0)`` terminator.  A negative run
+would move the write cursor back over written coefficients: it is malformed
+and rejected.
+
+One batch kernel decodes, :func:`sjpg_decode_planes`; :func:`sjpg_decode` is
+a batch of one, so an image decodes to the same pixels alone or in any batch.
+It unpacks every varint of the batch at once, places every pair with one
+cumulative sum, scatters the values still zigzag-ordered into ``(blocks, 64)``
+and inverts the DCT as one GEMM, whose 64×64 matrix also undoes zigzag and
+quantization.  The codec is lossy; tests bound reconstruction PSNR.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import struct
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn
+
+from repro.util.arena import Arena, scratch_arena
 
 _MAGIC = b"SJPG"
 _VERSION = 1
@@ -69,7 +82,6 @@ def _zigzag_order() -> np.ndarray:
 
 
 _ZIGZAG = _zigzag_order()
-_UNZIGZAG = np.argsort(_ZIGZAG)
 
 
 def _to_blocks(channel: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -84,18 +96,25 @@ def _to_blocks(channel: np.ndarray) -> tuple[np.ndarray, int, int]:
     return np.ascontiguousarray(blocks), hh // 8, ww // 8
 
 
-def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    nby, nbx = blocks.shape[:2]
-    full = blocks.transpose(0, 2, 1, 3).reshape(nby * 8, nbx * 8)
-    return full[:h, :w]
+@functools.lru_cache(maxsize=None)  # one per quality level: at most 100
+def _idct_matrix(quality: int) -> np.ndarray:
+    """The (64, 64) float32 ``M`` with ``block_pixels = zigzag_coeffs @ M``.
+
+    Row ``z`` is the orthonormal 2-D DCT basis image of the coefficient at
+    zigzag position ``z``, times its quantization step: un-zigzag, dequantize
+    and inverse DCT in one matrix (the level shift is left to the caller).
+    """
+    k = np.arange(8)
+    dct = np.sqrt(2 / 8) * np.cos(np.pi * (2 * k[None, :] + 1) * k[:, None] / 16)
+    dct[0] /= np.sqrt(2)  # dct[u, x]: scipy's orthonormal DCT-II matrix
+    basis = np.kron(dct, dct)  # basis[u*8 + v, x*8 + y] = dct[u, x] * dct[v, y]
+    q = _quant_table(quality).ravel()
+    m = (q[_ZIGZAG, None] * basis[_ZIGZAG]).astype(np.float32)
+    m.setflags(write=False)
+    return m
 
 
-# -- RLE + varint entropy stage ----------------------------------------------
-
-
-def _zigzag_int(v: int) -> int:
-    """Map signed to unsigned for varints (protobuf-style zigzag)."""
-    return (v << 1) ^ (v >> 63)
+# -- RLE + varint entropy stage (encoder) ----------------------------------------
 
 
 def _rle_encode(flat: np.ndarray) -> np.ndarray:
@@ -116,29 +135,6 @@ def _rle_encode(flat: np.ndarray) -> np.ndarray:
     return tokens
 
 
-def _rle_decode(tokens: np.ndarray, n: int) -> np.ndarray:
-    """Expand (run, value) pairs into a dense array, vectorized.
-
-    Nonzero positions are a cumsum-scatter: after the first i pairs the
-    write cursor sits at ``sum(runs[:i]) + i`` (each value advances it by
-    one).  The first zero value terminates the stream.
-    """
-    flat = np.zeros(n, dtype=np.int64)
-    runs = tokens[0::2]
-    values = tokens[1::2]
-    pairs = min(len(runs), len(values))
-    runs = runs[:pairs]
-    values = values[:pairs]
-    zeros = np.flatnonzero(values == 0)
-    k = int(zeros[0]) if len(zeros) else pairs  # pairs before the terminator
-    if k:
-        positions = np.cumsum(runs[:k]) + np.arange(k)
-        if int(positions.max()) >= n or int(positions.min()) < 0:
-            raise ValueError("RLE stream overruns coefficient array")
-        flat[positions] = values[:k]
-    return flat
-
-
 def _varint_pack(tokens: np.ndarray) -> bytes:
     """Pack int64 tokens as LEB128 varints of their zigzag mapping."""
     out = bytearray()
@@ -155,41 +151,6 @@ def _varint_pack(tokens: np.ndarray) -> bytes:
     return bytes(out)
 
 
-def _varint_unpack(data: bytes | memoryview, count: int) -> np.ndarray:
-    """Unpack ``count`` LEB128 zigzag varints, vectorized.
-
-    Terminal bytes (continuation bit clear) mark token boundaries, so one
-    ``flatnonzero`` finds every token at once; payload bytes then
-    accumulate per 7-bit position (at most 10 for a 64-bit value).
-    """
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if count == 0:
-        if arr.size:
-            raise ValueError(f"{arr.size} trailing bytes in varint stream")
-        return np.empty(0, dtype=np.int64)
-    ends = np.flatnonzero((arr & 0x80) == 0)
-    if len(ends) < count:
-        raise ValueError("truncated varint stream")
-    last = int(ends[count - 1])
-    if last + 1 != arr.size:
-        raise ValueError(f"{arr.size - last - 1} trailing bytes in varint stream")
-    ends = ends[:count]
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lens = ends - starts + 1
-    maxlen = int(lens.max())
-    if maxlen > 10:  # a 64-bit zigzag value is at most 10 LEB128 bytes
-        raise ValueError("varint exceeds 64 bits")
-    u = np.zeros(count, dtype=np.uint64)
-    payload = (arr & 0x7F).astype(np.uint64)
-    for j in range(maxlen):
-        mask = lens > j
-        u[mask] |= payload[starts[mask] + j] << np.uint64(7 * j)
-    # Zigzag decode: (u >> 1) ^ -(u & 1), in int64 space.
-    return (u >> np.uint64(1)).astype(np.int64) ^ -((u & np.uint64(1)).astype(np.int64))
-
-
 # -- public API ----------------------------------------------------------------
 
 
@@ -202,7 +163,7 @@ def sjpg_encode(image: np.ndarray, quality: int = 75) -> bytes:
     if image.ndim != 3:
         raise ValueError(f"image must be HxW or HxWxC, got shape {image.shape}")
     h, w, channels = image.shape
-    if h == 0 or w == 0:
+    if h == 0 or w == 0 or channels == 0:
         raise ValueError(f"image must be non-empty, got shape {image.shape}")
     q = _quant_table(quality)
 
@@ -219,7 +180,7 @@ def sjpg_encode(image: np.ndarray, quality: int = 75) -> bytes:
     return header + body
 
 
-def _parse_header(data: bytes) -> tuple[int, int, int, int, int]:
+def _parse_header(data) -> tuple[int, int, int, int, int]:
     if len(data) < _HDR.size:
         raise ValueError("SJPG data too short for header")
     magic, version, quality, h, w, channels, ntok = _HDR.unpack_from(data)
@@ -236,144 +197,181 @@ def sjpg_decode_shape(data: bytes) -> tuple[int, int, int]:
     return h, w, channels
 
 
-def sjpg_decode(data: bytes) -> np.ndarray:
-    """Decode SJPG bytes back to an HxWxC uint8 image.
+def sjpg_decode_planes(datas, arena: Arena) -> tuple[list[tuple], np.ndarray]:
+    """Decode a batch of SJPG images into padded planar uint8 pixels.
 
-    All channels share one inverse DCT: the per-channel coefficient grids
-    are stacked into a single (C, nby, nbx, 8, 8) array so scipy is
-    entered once per image instead of once per channel, in float32 — the
-    transform is exact to well past quantization precision, so the round
-    +clip at the end lands on the same pixels.
+    Returns each image's header ``(quality, height, width, channels,
+    tokens)`` and one flat uint8 array holding, image after image and
+    channel after channel, a row-major ``8⌈h/8⌉ × 8⌈w/8⌉`` plane (the
+    image's pixels top-left, the decoded block padding right and below).
+    The array lives in ``arena`` and is valid until the arena is next used.
+    Raises ``ValueError`` on any malformed image.
     """
-    quality, h, w, channels, ntok = _parse_header(data)
-    q = _quant_table(quality).astype(np.float32)
-    tokens = _varint_unpack(data[_HDR.size :], ntok)
+    views = [memoryview(d).cast("B") for d in datas]
+    heads = [_parse_header(v) for v in views]
+    for _q, h, w, c, _n in heads:
+        if not (h and w and c):
+            raise ValueError(f"SJPG image has no pixels: {h}x{w}x{c}")
+    lens = [len(v) - _HDR.size for v in views]
+    channels, ntoks = [hd[3] for hd in heads], [hd[4] for hd in heads]
+    # One past each plane's last coefficient.
+    plane_ends = list(itertools.accumulate(
+        -(-h // 8) * -(-w // 8) * 64 for _q, h, w, c, _n in heads for _ in range(c)
+    ))
+    if not plane_ends:
+        return heads, np.empty(0, dtype=np.uint8)
+    ncoef = plane_ends[-1]
 
-    nby = (h + 7) // 8
-    nbx = (w + 7) // 8
-    per_channel = nby * nbx * 64
+    # 1. Varints.  Bodies go end to end into one buffer; every token ends at
+    # a byte with the continuation bit clear, so image i's bytes must hold
+    # exactly ntoks[i] such bytes, the last one final.
+    nbytes, ntok = sum(lens), sum(ntoks)
+    buf = arena.get("sjpg.bytes", nbytes, np.uint8)
+    ends = list(itertools.accumulate(lens))
+    for v, n, end in zip(views, lens, ends):
+        buf[end - n : end] = v[_HDR.size :]
+    cont = arena.get("sjpg.cont", nbytes, np.bool_)
+    np.greater_equal(buf, 0x80, out=cont)
+    cont_at = np.flatnonzero(cont)
+    before = 0
+    for n, end, count, cut in zip(lens, ends, ntoks, np.searchsorted(cont_at, ends).tolist()):
+        if n - (cut - before) != count or (n and cont[end - 1]):
+            finals = np.flatnonzero(buf[end - n : end] < 0x80)
+            if len(finals) < count:
+                raise ValueError("truncated varint stream")
+            last = int(finals[count - 1]) if count else -1
+            raise ValueError(f"{n - last - 1} trailing bytes in varint stream")
+        before = cut
+    # Continuation byte k belongs to token cont_at[k] - k (the number of
+    # terminal bytes before it).  LEB128 is little-endian: the terminal byte
+    # holds a token's top 7 bits, so a token is rebuilt from there down,
+    # shifting in one continuation byte per level, nearest first.
+    tok_of = cont_at - np.arange(len(cont_at))
+    levels = []
+    level = np.flatnonzero(~cont[cont_at + 1])  # every token's last continuation byte
+    while len(level):
+        levels.append(level)
+        if len(levels) == 10:  # a 64-bit zigzag value is at most 10 LEB128 bytes
+            raise ValueError("varint exceeds 64 bits")
+        level = level[level > 0] - 1
+        level = level[tok_of[level] == tok_of[level + 1]]
+    wide = np.uint32 if len(levels) < 4 else np.uint64
+    u = arena.get("sjpg.u", ntok, wide)
+    np.copyto(u, buf[np.logical_not(cont, out=cont)] if levels else buf)
+    if levels:
+        payload = (buf[cont_at] & 0x7F).astype(wide)
+        for level in levels:
+            tok = tok_of[level]
+            u[tok] = (u[tok] << 7) | payload[level]
+    # Zigzag decode in place: (u >> 1) ^ -(u & 1), read back as signed.
+    low = arena.get("sjpg.low", ntok, wide)
+    np.bitwise_and(u, 1, out=low)
+    np.negative(low, out=low)
+    np.right_shift(u, 1, out=u)
+    np.bitwise_xor(u, low, out=u)
+    tokens = u.view(np.int32 if wide is np.uint32 else np.int64)
 
-    # Split the token stream back per channel at terminator boundaries.
-    terminators = np.flatnonzero(tokens[1::2] == 0)
-    if len(terminators) < channels:
-        raise ValueError("token stream is missing channel terminators")
-    quantized = np.empty((channels, nby, nbx, 8, 8), dtype=np.int64)
-    start = 0
-    for ch in range(channels):
-        end = 2 * (int(terminators[np.searchsorted(terminators, start // 2)]) + 1)
-        chunk = tokens[start:end]
-        start = end
-        flat = _rle_decode(chunk, per_channel)
-        quantized[ch] = flat.reshape(-1, 64)[:, _UNZIGZAG].reshape(nby, nbx, 8, 8)
-    coeffs = quantized.astype(np.float32) * q
-    blocks = idctn(coeffs, axes=(-2, -1), norm="ortho")
-    full = blocks.transpose(0, 1, 3, 2, 4).reshape(channels, nby * 8, nbx * 8)
-    pixels = np.clip(np.round(full[:, :h, :w] + 128.0), 0, 255).astype(np.uint8)
-    return np.ascontiguousarray(pixels.transpose(1, 2, 0))
-
-
-def sjpg_decode_batch(datas: list[bytes]) -> list[np.ndarray]:
-    """Decode many SJPG images, amortizing every stage across the batch.
-
-    When all images share one geometry and quality — the common case for a
-    training batch — the byte streams concatenate into a single varint
-    parse, the RLE chunks expand through one segment-cumsum scatter, and
-    all coefficient grids stack into a single (N*C, nby, nbx, 8, 8)
-    inverse DCT.  Per-image numpy dispatch overhead, which dominates at
-    thumbnail sizes, is paid once per batch instead of N*C times.  Mixed
-    or structurally unusual batches fall back to per-image
-    :func:`sjpg_decode`; output pixels are identical either way.
-    """
-    if not datas:
-        return []
-    headers = [_parse_header(d) for d in datas]
-    if len({hdr[:4] for hdr in headers}) != 1:
-        return [sjpg_decode(d) for d in datas]
-    quality, h, w, channels, _ = headers[0]
-    ntoks = np.array([hdr[4] for hdr in headers], dtype=np.int64)
-    if np.any(ntoks % 2) or np.any(ntoks == 0):
-        return [sjpg_decode(d) for d in datas]  # let the scalar path diagnose
-    n = len(datas)
-
-    # One varint parse over the concatenated bodies.  Streams never blend:
-    # a well-formed stream's last byte has the continuation bit clear, and
-    # the per-image boundary check below rejects anything else.
-    arr = np.frombuffer(
-        b"".join(d[_HDR.size :] for d in datas) if n > 1 else datas[0][_HDR.size :],
-        dtype=np.uint8,
-    )
-    total = int(ntoks.sum())
-    ends = np.flatnonzero((arr & 0x80) == 0)
-    if len(ends) < total:
-        raise ValueError("truncated varint stream")
-    ends = ends[:total]
-    byte_bounds = np.cumsum(np.array([len(d) - _HDR.size for d in datas], dtype=np.int64))
-    tok_bounds = np.cumsum(ntoks)
-    # Each image's ntok-th terminal byte must be its last body byte.
-    if not np.array_equal(ends[tok_bounds - 1], byte_bounds - 1):
-        return [sjpg_decode(d) for d in datas]
-    starts = np.empty(total, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lens = ends - starts + 1
-    maxlen = int(lens.max())
-    if maxlen > 10:
-        raise ValueError("varint exceeds 64 bits")
-    u = np.zeros(total, dtype=np.uint64)
-    payload = (arr & 0x7F).astype(np.uint64)
-    for j in range(maxlen):
-        mask = lens > j
-        u[mask] |= payload[starts[mask] + j] << np.uint64(7 * j)
-    tokens = (u >> np.uint64(1)).astype(np.int64) ^ -((u & np.uint64(1)).astype(np.int64))
-
-    # One scatter for every (image, channel) RLE chunk.  Terminator pairs
-    # (value == 0) must partition the pair stream into exactly N*C chunks
-    # aligned to image boundaries — the structure the encoder always
-    # emits; anything else falls back to the scalar path.
-    runs = tokens[0::2]
-    values = tokens[1::2]
-    npairs = total // 2
-    term = values == 0
-    term_idx = np.flatnonzero(term)
-    if len(term_idx) != n * channels or not np.array_equal(
-        term_idx[channels - 1 :: channels], tok_bounds // 2 - 1
-    ):
-        return [sjpg_decode(d) for d in datas]
-    nby = (h + 7) // 8
-    nbx = (w + 7) // 8
-    per_channel = nby * nbx * 64
-    chunk_id = np.cumsum(term) - term  # terminators strictly before each pair
-    chunk_start = np.zeros(npairs, dtype=np.int64)
-    chunk_base = np.zeros(npairs, dtype=np.int64)
-    csum = np.cumsum(runs)
-    later = chunk_id > 0  # pairs in chunk 0 start at offset 0 with base 0
-    prev_term = term_idx[chunk_id[later] - 1]
-    chunk_start[later] = prev_term + 1
-    chunk_base[later] = csum[prev_term]
-    # Inclusive run-cumsum within the chunk, plus the pair's chunk-local
-    # index: the same position law _rle_decode applies per chunk.
-    pos = csum - chunk_base + (np.arange(npairs) - chunk_start)
-    keep = ~term
-    pos = pos[keep]
-    if len(pos) and (int(pos.max()) >= per_channel or int(pos.min()) < 0):
+    # 2. Positions.  Exactly one terminator per channel, the last closing
+    # its image's stream; then one cumsum places every pair.
+    runs, values = tokens[0::2], tokens[1::2]
+    npairs = ntok // 2
+    is_term = arena.get("sjpg.term", npairs, np.bool_)
+    np.equal(values, 0, out=is_term)
+    term_at = np.flatnonzero(is_term)
+    last_term = np.cumsum(channels) - 1
+    pair_ends = np.cumsum(ntoks) // 2
+    if (any(n % 2 for n in ntoks) or len(term_at) != len(plane_ends)
+            or not np.array_equal(term_at[last_term], pair_ends - 1)):
+        start = 0
+        for n, c in zip(ntoks, channels):
+            end = start + n // 2
+            found = int(np.count_nonzero((term_at >= start) & (term_at < end)))
+            if found < c:
+                raise ValueError("token stream is missing channel terminators")
+            if found > c or n % 2 or term_at[term_at < end].max() != end - 1:
+                raise ValueError("token stream continues past its last channel terminator")
+            start = end
+    if runs.min() < 0:
+        raise ValueError("negative RLE run")
+    if runs.max() > ncoef:
         raise ValueError("RLE stream overruns coefficient array")
-    flat = np.zeros(n * channels * per_channel, dtype=np.int64)
-    flat[chunk_id[keep] * per_channel + pos] = values[keep]
+    pos = arena.get("sjpg.pos", npairs, np.intp)
+    np.add(runs, 1, out=pos)
+    pos[term_at] -= 1  # a terminator's run is its channel's trailing zeros
+    pos[0] -= 1  # 0-based: a pair's value lands at pos[k] after the cumsum
+    np.cumsum(pos, out=pos)
+    plane_last = np.array(plane_ends) - 1
+    ends_at = pos[term_at]
+    if not np.array_equal(ends_at, plane_last):
+        bad = np.flatnonzero(ends_at != plane_last)[0]
+        if ends_at[bad] > plane_last[bad]:
+            raise ValueError("RLE stream overruns coefficient array")
+        raise ValueError("RLE stream ends short of its channel's coefficients")
+    pos[term_at] = ncoef  # terminators write their 0 into the zero pad block
 
-    q = _quant_table(quality).astype(np.float32)
-    quantized = flat.reshape(-1, 64)[:, _UNZIGZAG].reshape(n * channels, nby, nbx, 8, 8)
-    coeffs = quantized.astype(np.float32) * q
-    blocks = idctn(coeffs, axes=(-2, -1), norm="ortho")
-    # Level-shift, round, clip in place on the float output, then drop to
-    # uint8 *before* the layout shuffles so the two forced copies move a
-    # quarter of the bytes.
-    blocks += 128.0
-    np.rint(blocks, out=blocks)
-    np.clip(blocks, 0, 255, out=blocks)
-    bytes8 = blocks.astype(np.uint8)
-    full = bytes8.transpose(0, 1, 3, 2, 4).reshape(n, channels, nby * 8, nbx * 8)
-    nhwc = np.ascontiguousarray(full[:, :, :h, :w].transpose(0, 2, 3, 1))
-    return list(nhwc)
+    # 3. Scatter, in zigzag order, into (blocks + 1 zero pad block, 64).
+    coef = arena.get("sjpg.coef", ncoef + 64, np.float32)
+    coef.fill(0)
+    vals = arena.get("sjpg.vals", npairs, np.float32)
+    np.copyto(vals, values, casting="same_kind")
+    coef[pos] = vals
+
+    # 4. One GEMM per run of equal quality (one for a training batch).  A
+    # one-row product would take BLAS's gemv path, which rounds differently
+    # from gemm: every product gets at least two rows, the pad block if
+    # need be, so an image decodes to the same pixels in any batch.
+    blocks = coef.reshape(-1, 64)
+    pix = arena.get("sjpg.pix", ncoef + 64, np.float32).reshape(-1, 64)
+    b0 = 0
+    for quality, group in itertools.groupby(heads, key=lambda hd: hd[0]):
+        b1 = b0 + sum(c * -(-h // 8) * -(-w // 8) for _q, h, w, c, _n in group)
+        top = max(b1, b0 + 2)
+        np.matmul(blocks[b0:top], _idct_matrix(quality), out=pix[b0:top])
+        b0 = b1
+
+    # 5. Round, clip to int8, +128 as a bit flip, then blocks to planes: an
+    # 8-pixel block row is one 8-byte word, so that is a shuffle of words.
+    flat = pix.reshape(-1)[:ncoef]
+    np.rint(flat, out=flat)
+    np.clip(flat, -128, 127, out=flat)
+    blk = arena.get("sjpg.blocks", ncoef, np.int8)
+    np.copyto(blk, flat, casting="unsafe")
+    words = blk.view(np.uint64)
+    np.bitwise_xor(words, np.uint64(0x8080808080808080), out=words)
+    planes = arena.get("sjpg.planes", ncoef, np.uint8)
+    rows = planes.view(np.uint64)
+    w0 = 0
+    for (h, w), group in itertools.groupby(heads, key=lambda hd: hd[1:3]):
+        nbx = -(-w // 8)
+        w1 = w0 + sum(c for *_, c, _n in group) * -(-h // 8) * nbx * 8
+        rows[w0:w1].reshape(-1, 8, nbx)[...] = words[w0:w1].reshape(-1, nbx, 8).transpose(0, 2, 1)
+        w0 = w1
+    return heads, planes
+
+
+def sjpg_decode_batch(datas) -> list[np.ndarray]:
+    """Decode many SJPG images to HxWxC uint8 arrays in one kernel pass.
+
+    Images may differ in size, channels and quality; each decodes to the
+    same pixels as :func:`sjpg_decode` would give it alone.  Consecutive
+    images of one geometry are copied out of the planes in one transpose.
+    """
+    images: list[np.ndarray] = []
+    with scratch_arena() as arena:
+        heads, planes = sjpg_decode_planes(datas, arena)
+        p0 = 0
+        for (h, w, c), group in itertools.groupby(heads, key=lambda hd: hd[1:4]):
+            k = len(list(group))
+            hh, ww = -(-h // 8) * 8, -(-w // 8) * 8
+            p1 = p0 + k * c * hh * ww
+            images.extend(planes[p0:p1].reshape(k, c, hh, ww).transpose(0, 2, 3, 1)[:, :h, :w].copy())
+            p0 = p1
+    return images
+
+
+def sjpg_decode(data: bytes) -> np.ndarray:
+    """Decode SJPG bytes back to an HxWxC uint8 image (a batch of one)."""
+    return sjpg_decode_batch([data])[0]
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -23,6 +23,7 @@ can persist progress and resume later.
 from __future__ import annotations
 
 import collections
+import logging
 import queue
 import threading
 import time
@@ -40,6 +41,8 @@ from repro.net.emulation import NetworkProfile
 from repro.net.mq import PullSocket
 from repro.serialize.payload import decode_batch, trace_stamped
 from repro.util.logging import TimestampLogger
+
+_log = logging.getLogger(__name__)
 
 #: Bound on the remembered trace-sampled delivery keys (epoch, seq) —
 #: recv-side bookkeeping between the socket thread and the consume loop.
@@ -111,8 +114,12 @@ class EMLIOReceiver:
                 "emlio_preprocess_seconds",
                 "Per-batch pipeline preprocess (decode/augment) time",
             )
+            self._warm_errors = telemetry.registry.counter(
+                "emlio_receiver_warm_errors_total",
+                "Receivers whose preprocess warm-up batch raised",
+            )
         else:
-            self._decode_hist = self._preproc_hist = None
+            self._decode_hist = self._preproc_hist = self._warm_errors = None
         # (epoch, seq) keys of trace-sampled payloads, noted by the socket
         # thread and popped by the consume loop (preprocess/consume spans).
         self._sampled_keys: collections.OrderedDict = collections.OrderedDict()
@@ -188,7 +195,11 @@ class EMLIOReceiver:
                     modeled_s=0.0,
                 )
         except Exception:  # noqa: BLE001 - warming is best-effort, never fatal
-            pass
+            # ...but never silent: a kernel that cannot run one synthetic
+            # batch will fail the first real one too.
+            _log.exception("receiver %d: preprocess warm-up failed", self.node_id)
+            if self._warm_errors is not None:
+                self._warm_errors.inc()
 
     @property
     def address(self) -> tuple[str, int]:

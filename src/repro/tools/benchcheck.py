@@ -40,8 +40,9 @@ one JSON object per line: ``{"pr": ..., "snapshot": <filename>,
     python -m repro.tools.benchcheck --check-history PATH [PATH ...]
 
 ``--append-history`` extracts every tracked metric from each snapshot and
-appends it, refusing (exit 1) when a value regresses more than 10% below
-the last recorded entry for the same ``(snapshot, metric)`` series.
+appends it, refusing (exit 1) when a value regresses more than 10% past
+the last recorded entry for the same ``(snapshot, metric)`` series (below
+it for throughputs, above it for ``_us`` / ``_kib`` costs).
 ``--check-history`` is the CI side: it verifies each file's current
 metrics against the latest history entries without writing anything.
 """
@@ -252,8 +253,8 @@ HISTORY_TOLERANCE = 0.10
 HISTORY_PATH = Path("benchmarks/results/history.jsonl")
 
 
-#: Component fields where *lower* is better — excluded from the history,
-#: whose drop-gate assumes higher-is-better metrics (throughputs, ratios).
+#: Raw wall-time component fields — excluded from the history: their
+#: throughput twins carry the same information.
 _UNTRACKED_FIELDS = frozenset({"seconds", "wall_s"})
 
 #: Registry-derived per-stage latency fields (``decode_ms_p95``, ...).
@@ -262,10 +263,21 @@ _UNTRACKED_FIELDS = frozenset({"seconds", "wall_s"})
 #: the 10% rule would gate the wrong direction.
 _LATENCY_SUFFIXES = ("_ms_p50", "_ms_p95", "_ms_p99")
 
+#: Component fields gated the other way round: a per-op cost in
+#: microseconds or an allocation peak in KiB regresses when it *rises*
+#: more than the tolerance above its last entry.
+_LOWER_IS_BETTER_SUFFIXES = ("_us", "_kib")
 
-def _drop_gated(metric: str) -> bool:
-    """Whether the 10%-drop rule applies to this tracked metric."""
-    return not metric.endswith(_LATENCY_SUFFIXES)
+
+def _regression(metric: str, value: float, prev: float) -> str | None:
+    """How ``value`` regressed against the series' last entry, if it did."""
+    if metric.endswith(_LATENCY_SUFFIXES):
+        return None
+    if metric.endswith(_LOWER_IS_BETTER_SUFFIXES):
+        rose = value > (1.0 + HISTORY_TOLERANCE) * prev
+        return f">{HISTORY_TOLERANCE:.0%} rise" if rose else None
+    dropped = value < (1.0 - HISTORY_TOLERANCE) * prev
+    return f">{HISTORY_TOLERANCE:.0%} drop" if dropped else None
 
 
 def tracked_metrics(obj: dict) -> dict[str, float]:
@@ -274,9 +286,9 @@ def tracked_metrics(obj: dict) -> dict[str, float]:
     E2e envelopes track EMLIO throughput plus any registry-derived
     ``emlio.*_ms_p50/p95/p99`` latency fields (trend-recorded, not
     drop-gated — see :data:`_LATENCY_SUFFIXES`); micro envelopes track
-    every higher-is-better ``components.<name>.<field>`` number (raw
-    wall times are skipped — their throughput twins carry the same
-    information with the right gate direction).
+    every ``components.<name>.<field>`` number — higher-is-better except
+    the ``_us`` / ``_kib`` costs, which are gated on rises — but raw wall
+    times, whose throughput twins carry the same information.
     """
     if "components" in obj:
         out: dict[str, float] = {}
@@ -325,9 +337,9 @@ def append_history(
 ) -> list[str]:
     """Record each snapshot's tracked metrics as new history entries.
 
-    Nothing is written if any snapshot is unusable or any metric falls
-    more than :data:`HISTORY_TOLERANCE` below its series' last entry —
-    a regressed number must never extend the trajectory.
+    Nothing is written if any snapshot is unusable or any metric regresses
+    more than :data:`HISTORY_TOLERANCE` past its series' last entry — a
+    regressed number must never extend the trajectory.
     """
     latest, problems = _load_history(history_path)
     entries: list[dict] = []
@@ -342,11 +354,11 @@ def append_history(
         name = Path(path).name
         for metric, value in sorted(metrics.items()):
             prev = latest.get((name, metric))
-            if (prev is not None and _drop_gated(metric)
-                    and value < (1.0 - HISTORY_TOLERANCE) * prev):
+            how = None if prev is None else _regression(metric, value, prev)
+            if how is not None:
                 problems.append(
                     f"{path}: {metric} regressed — {value:.1f} vs last history "
-                    f"entry {prev:.1f} (>{HISTORY_TOLERANCE:.0%} drop)"
+                    f"entry {prev:.1f} ({how})"
                 )
             entries.append(
                 {"pr": pr_id, "snapshot": name, "metric": metric, "value": value}
@@ -363,9 +375,9 @@ def append_history(
 def check_history(paths: list[str], history_path: Path = HISTORY_PATH) -> list[str]:
     """CI gate: each snapshot's current metrics vs the recorded trajectory.
 
-    A metric more than :data:`HISTORY_TOLERANCE` below the latest history
-    entry of its ``(snapshot, metric)`` series fails; metrics with no
-    recorded series pass (they join the history at the next append).
+    A metric regressed more than :data:`HISTORY_TOLERANCE` past the latest
+    history entry of its ``(snapshot, metric)`` series fails; metrics with
+    no recorded series pass (they join the history at the next append).
     """
     latest, problems = _load_history(history_path)
     for path in paths:
@@ -376,11 +388,11 @@ def check_history(paths: list[str], history_path: Path = HISTORY_PATH) -> list[s
         name = Path(path).name
         for metric, value in sorted(tracked_metrics(obj).items()):
             prev = latest.get((name, metric))
-            if (prev is not None and _drop_gated(metric)
-                    and value < (1.0 - HISTORY_TOLERANCE) * prev):
+            how = None if prev is None else _regression(metric, value, prev)
+            if how is not None:
                 problems.append(
                     f"{path}: {metric} regressed — {value:.1f} vs history "
-                    f"{prev:.1f} (>{HISTORY_TOLERANCE:.0%} drop)"
+                    f"{prev:.1f} ({how})"
                 )
     return problems
 

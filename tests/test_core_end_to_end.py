@@ -145,6 +145,32 @@ def test_receiver_rejects_foreign_batch(small_imagenet, config):
     receiver.pull.close()
 
 
+def test_receiver_warm_up_failure_is_logged_and_counted(small_imagenet, config, monkeypatch, caplog):
+    """Warm-up stays best-effort — the receiver still starts — but a
+    preprocess kernel that cannot run its synthetic batch is reported
+    once, with its traceback, and counted in the registry."""
+    import logging
+
+    import repro.gpu.ops
+    from repro.core.receiver import EMLIOReceiver
+    from repro.obs import Telemetry
+
+    def broken(samples, out_hw, rng):
+        raise RuntimeError("kernel broke")
+
+    monkeypatch.setattr(repro.gpu.ops, "preprocess_batch", broken)
+    telemetry = Telemetry()
+    plan = Planner(small_imagenet, num_nodes=1, config=config).plan()
+    with caplog.at_level(logging.ERROR, logger="repro.core.receiver"):
+        receiver = EMLIOReceiver(node_id=0, plan=plan, config=config, telemetry=telemetry)
+    try:
+        assert [r.getMessage() for r in caplog.records] == ["receiver 0: preprocess warm-up failed"]
+        assert "kernel broke" in caplog.text
+        assert telemetry.registry.counter("emlio_receiver_warm_errors_total").value == 1
+    finally:
+        receiver.close()
+
+
 def test_timeline_logging(small_imagenet, config):
     with EMLIOService(config, small_imagenet) as svc:
         collect_epoch(svc)

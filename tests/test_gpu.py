@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.codec.raw import raw_encode
-from repro.codec.sjpg import sjpg_encode
+from repro.codec.sjpg import sjpg_decode_batch, sjpg_encode
 from repro.data.samples import smooth_image
 from repro.energy.power_models import BusyWindowTracker, UtilizationGauges
 from repro.gpu.device import GpuCostModel, SimulatedGPU
@@ -18,6 +18,7 @@ from repro.gpu.ops import (
     preprocess_batch,
     random_crop,
     resize_bilinear,
+    resize_bilinear_batch,
 )
 from repro.gpu.pipeline import EndOfData, Pipeline
 
@@ -158,6 +159,67 @@ def test_preprocess_batch_end_to_end(rng):
     samples = [sjpg_encode(smooth_image(rng, 20 + i, 24)) for i in range(3)]
     out = preprocess_batch(samples, (16, 16), rng)
     assert out.shape == (3, 3, 16, 16)
+
+
+def _unfused_preprocess(samples, out_hw, rng):
+    """The public steps the fused kernel replaces, composed one by one."""
+    out_h, out_w = out_hw
+    images = sjpg_decode_batch(samples)
+    images = [np.repeat(img, 3, axis=2) if img.shape[2] == 1 else img for img in images]
+    h, w, _c = images[0].shape
+    crops = [random_crop(img, min(h, out_h * 2), min(w, out_w * 2), rng) for img in images]
+    return normalize_batch(resize_bilinear_batch(np.stack(crops), out_h, out_w))
+
+
+@pytest.mark.parametrize(
+    "hw, channels, out_hw",
+    [
+        ((96, 80), 3, (32, 32)),  # crop smaller than the image: random offsets
+        ((64, 64), 3, (32, 32)),  # crop equal to the image (the bench's geometry)
+        ((16, 16), 3, (32, 32)),  # image smaller than the output: upscale
+        ((37, 53), 1, (8, 20)),  # gray, non-multiple-of-8, non-square output
+        ((256, 256), 3, (128, 128)),  # past the plan's budget: broadcast weights
+    ],
+)
+def test_fused_preprocess_is_bitwise_the_unfused_composition(hw, channels, out_hw):
+    enc = np.random.default_rng(3)
+    samples = [
+        sjpg_encode(smooth_image(enc, *hw, channels=channels), quality=q) for q in (30, 75, 75, 95, 60)
+    ]
+    fused_rng, unfused_rng = np.random.default_rng(11), np.random.default_rng(11)
+    fused = preprocess_batch(samples, out_hw, fused_rng)
+    unfused = _unfused_preprocess(samples, out_hw, unfused_rng)
+    assert fused.dtype == np.float32 and fused.flags.c_contiguous
+    assert fused.shape == unfused.shape == (5, 3, *out_hw)
+    assert np.array_equal(fused, unfused)
+    # Same draws in the same order: the generators end in the same state.
+    assert fused_rng.bit_generator.state == unfused_rng.bit_generator.state
+
+
+def test_preprocess_batch_steady_state_allocates_only_its_output(rng):
+    """After warm-up, one 8 x 64x64 -> 32x32 batch allocates its 96 KiB
+    output and little else (decode → crop → resize → normalize as separate
+    steps peaks at ~5.4 MB), and no output aliases scratch that the next
+    call reuses."""
+    import tracemalloc
+
+    samples = [sjpg_encode(smooth_image(rng, 64, 64), quality=75) for _ in range(8)]
+    for _ in range(3):
+        preprocess_batch(samples, (32, 32), rng)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):  # the least of three: another thread's allocation is not ours
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            first = preprocess_batch(samples, (32, 32), rng)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert min(peaks) <= 512 * 1024
+    second = preprocess_batch(samples, (32, 32), rng)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)  # crop = whole image: rng-independent
 
 
 def test_batch_megapixels(rng):

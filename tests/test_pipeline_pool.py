@@ -63,6 +63,27 @@ def test_pool_matches_own_rerun_deterministically():
         np.testing.assert_array_equal(la, lb)
 
 
+def test_pool_matches_single_worker_on_whole_image_crops():
+    """64x64 images to 32x32 crop the whole image, so the pool's per-batch
+    rngs and the single worker's shared one draw offsets that cannot
+    differ: four workers sharing the preprocess scratch pool must produce
+    bit-identical tensors to one.  A short switch interval makes the
+    threads interleave inside the kernels."""
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        one = _drain(Pipeline(_source(24, batch_size=8, hw=64), workers=1, output_hw=(32, 32)))
+        four = _drain(Pipeline(_source(24, batch_size=8, hw=64), workers=4, output_hw=(32, 32)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(one) == len(four) == 24
+    for (ta, la), (tb, lb) in zip(one, four):
+        np.testing.assert_array_equal(ta, tb)
+        np.testing.assert_array_equal(la, lb)
+
+
 def test_pool_source_error_reaches_consumer():
     state = {"i": 0}
 

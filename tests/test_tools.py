@@ -343,6 +343,36 @@ def test_benchcheck_history_tracks_micro_components(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_benchcheck_history_gates_costs_on_rises(tmp_path, capsys):
+    """``_us`` / ``_kib`` component fields are costs: an improvement (a
+    fall) passes, a rise past the tolerance is the regression."""
+    import json
+
+    from repro.tools.benchcheck import main as benchcheck_main
+
+    snap = tmp_path / "BENCH_micro_components.json"
+
+    def write(us: float, kib: float) -> None:
+        body = {"bench": "micro_components",
+                "components": {"kernel": {"preprocess_us": us, "alloc_peak_kib": kib}}}
+        snap.write_text(json.dumps(body))
+
+    hist = tmp_path / "history.jsonl"
+    write(1000.0, 100.0)
+    assert benchcheck_main(
+        ["--append-history", "baseline", str(snap), "--history-path", str(hist)]
+    ) == 0
+    check = ["--check-history", str(snap), "--history-path", str(hist)]
+    write(500.0, 50.0)  # twice as fast, half the memory
+    assert benchcheck_main(check) == 0
+    write(1101.0, 100.0)
+    assert benchcheck_main(check) == 1
+    assert ">10% rise" in capsys.readouterr().err
+    write(1000.0, 111.0)
+    assert benchcheck_main(check) == 1
+    capsys.readouterr()
+
+
 def test_benchcheck_history_flags_malformed_lines(tmp_path, capsys):
     from repro.tools.benchcheck import main as benchcheck_main
 
