@@ -1,8 +1,12 @@
 """EMLIO Daemon — the storage-side service (Algorithm 2 lines 6–8 + SendWorker).
 
-One daemon runs next to each storage node's shards.  Per epoch and target
-compute node it launches ``T`` SendWorker threads; each worker walks its
-split of the batch plan, and for every assignment:
+One daemon runs next to each storage node's shards and keeps one PUSH
+stream per compute node for as long as it lives: opened on first serve,
+reused by every later epoch, closed when the node is dropped, the daemon
+is killed or closed, or a send on it fails (the next epoch reconnects).
+Per epoch and target node it splits the node's batch plan into ``T``
+SendWorker work lists — a single list runs inline on the calling thread —
+and each worker, for every assignment:
 
 1. range-reads the ``count`` consecutive records at ``offset`` through
    its storage tier (:mod:`repro.storage.backend` — the local tier
@@ -31,6 +35,7 @@ dropped, exactly like a crash.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from collections import Counter, OrderedDict
@@ -53,6 +58,7 @@ from repro.util.clock import MonotonicClock
 from repro.util.logging import TimestampLogger
 
 _KILL_POLL_S = 0.002  # back-off while a killable send waits for HWM room
+_CLOSE_FLUSH_S = 5.0  # close()'s bound on flushing the streams
 
 
 @dataclass
@@ -189,6 +195,16 @@ class EMLIODaemon:
         self._killed = threading.Event()
         self._hung = threading.Event()
         self._dropped_nodes: set[int] = set()
+        self._serving = False
+        # node_id -> the long-lived PUSH stream to it (see module docstring).
+        self._pushes: dict[int, PushSocket | ShmPushSocket] = {}
+        self._pushes_lock = threading.Lock()
+        # Serve order of the whole plan, cached per (shard filter, dropped
+        # nodes): ranges plus each one's epoch, so an epoch's remainder is
+        # one bisect and one slice.
+        self._order_key: tuple | None = None
+        self._order_epochs: list[int] = []
+        self._order_ranges: list[tuple[str, int, int, int]] = []
         # node_id -> "shm" | "tcp": the transport the last connect actually
         # used (shm attach can fall back to TCP; observability needs truth).
         self.transports: dict[int, str] = {}
@@ -218,15 +234,24 @@ class EMLIODaemon:
         """Whether :meth:`kill` was invoked."""
         return self._killed.is_set()
 
+    @property
+    def serving(self) -> bool:
+        """Whether a :meth:`serve_epoch` call is running (heartbeat state)."""
+        return self._serving
+
     def kill(self) -> None:
         """Declare this daemon dead, abruptly.
 
         Send workers abort at their next batch (or mid-backpressure wait)
-        with :class:`DaemonKilled`; queued-but-unsent messages are dropped —
-        the transport-level signature of a crashed storage node.  Recovery
-        of the undelivered batches is the FailoverCoordinator's job.
+        with :class:`DaemonKilled`; every stream closes without a flush —
+        here when idle, else as the serve call unwinds — so queued-but-
+        unsent messages are dropped: the transport-level signature of a
+        crashed storage node.  Recovery of the undelivered batches is the
+        FailoverCoordinator's job.
         """
         self._killed.set()
+        if not self._serving:
+            self.close_streams()
 
     @property
     def hung(self) -> bool:
@@ -276,12 +301,59 @@ class EMLIODaemon:
         Workers skip the node's remaining assignments, abandon sends stuck
         waiting for its credits, and treat its transport errors as expected
         — the control plane re-targets the node's undelivered batches, so
-        losing them here is not a failure of *this* daemon.
+        losing them here is not a failure of *this* daemon.  The stream to
+        the node closes without a flush.
         """
-        self._dropped_nodes.add(node_id)
+        with self._pushes_lock:
+            self._dropped_nodes.add(node_id)
+            push = self._pushes.pop(node_id, None)
+        if push is not None:
+            push.close(timeout=0.0)
 
     def _is_dropped(self, node_id: int) -> bool:
         return node_id in self._dropped_nodes
+
+    def close_streams(self, timeout: float = 0.0) -> None:
+        """Close every stream, flushing each for at most ``timeout`` s."""
+        with self._pushes_lock:
+            pushes = list(self._pushes.values())
+            self._pushes.clear()
+        for push in pushes:
+            push.close(timeout=timeout)
+
+    def _stream(self, node_id: int) -> PushSocket | ShmPushSocket | None:
+        """The node's long-lived stream, connected on first use.
+
+        A cached stream that died since its last send (the peer closed it
+        and no reconnect policy healed it) is replaced by a fresh connect.
+        ``None`` when the node is dropped before the connect lands;
+        raises :class:`NodeUnreachable` / :class:`DaemonKilled` like
+        :meth:`_connect_push`.
+        """
+        with self._pushes_lock:
+            push = self._pushes.get(node_id)
+            stale = push is not None and not push.alive
+            if stale:
+                del self._pushes[node_id]
+        if stale:
+            push.close(timeout=0.0)
+        elif push is not None:
+            return push
+        host, port = self.node_endpoints[node_id]
+        push = self._connect_push(host, port, node_id)
+        if push is None:
+            return None
+        # A kill or drop racing the connect must not leave a stream behind.
+        with self._pushes_lock:
+            keep = not (self._killed.is_set() or node_id in self._dropped_nodes)
+            if keep:
+                self._pushes[node_id] = push
+        if keep:
+            return push
+        push.close(timeout=0.0)
+        if self._killed.is_set():
+            raise DaemonKilled(f"daemon killed connecting to node {node_id}")
+        return None
 
     def _evict_readers_locked(self, keep: str = "") -> None:
         """Close least-recently-used idle handles beyond ``max_open_shards``."""
@@ -339,20 +411,31 @@ class EMLIODaemon:
         :class:`~repro.storage.cache.CachedBackend` runs its fetch window
         along it, ahead of the serve path, and orders eviction by next
         planned use.
+
+        The serve order is computed once per (shard filter, dropped nodes)
+        and sliced per epoch; tiers without a cache are not walked at all.
         """
-        mine = [
-            a
-            for a in self.plan.assignments
-            if a.epoch >= start_epoch
-            and (self.shard_filter is None or a.shard in self.shard_filter)
-            and a.node_id not in self._dropped_nodes
-        ]
-        # Serve order, not plan order: every node's list is served at once,
-        # each in dispatch (batch_index) order.
-        mine.sort(key=lambda a: (a.epoch, a.batch_index, a.node_id))
-        return self.backend.schedule_prefetch(
-            (a.shard_path, a.offset, a.nbytes, a.count) for a in mine
+        if type(self.backend).schedule_prefetch is StorageBackend.schedule_prefetch:
+            return 0
+        key = (
+            None if self.shard_filter is None else frozenset(self.shard_filter),
+            frozenset(self._dropped_nodes),
         )
+        if key != self._order_key:
+            mine = [
+                a
+                for a in self.plan.assignments
+                if (self.shard_filter is None or a.shard in self.shard_filter)
+                and a.node_id not in self._dropped_nodes
+            ]
+            # Serve order, not plan order: every node's list is served at
+            # once, each in dispatch (batch_index) order.
+            mine.sort(key=lambda a: (a.epoch, a.batch_index, a.node_id))
+            self._order_epochs = [a.epoch for a in mine]
+            self._order_ranges = [(a.shard_path, a.offset, a.nbytes, a.count) for a in mine]
+            self._order_key = key
+        start = bisect.bisect_left(self._order_epochs, start_epoch)
+        return self.backend.schedule_prefetch(self._order_ranges[start:])
 
     def cache_counters(self) -> tuple[int, int, int]:
         """``(cache_hits, cache_misses, fetches_in_flight)`` for heartbeats."""
@@ -477,13 +560,18 @@ class EMLIODaemon:
         Returns False when the target node was dropped mid-wait (its batch
         is abandoned for the control plane to re-target).  Raises
         :class:`NodeUnreachable` when every stream to a still-wanted node
-        is dead.
+        is dead.  A send on a stream that :meth:`kill` or :meth:`drop_node`
+        closed under us raises RuntimeError; so does a bug, which stays one.
         """
         while True:
             try:
                 if push.try_send_parts(parts):
                     return True
-            except ConnectionError as err:
+            except (ConnectionError, RuntimeError) as err:
+                if not (isinstance(err, ConnectionError) or push.closed):
+                    raise
+                if self._killed.is_set():
+                    raise DaemonKilled("daemon killed while sending") from err
                 if self._is_dropped(node_id):
                     return False
                 raise NodeUnreachable(node_id, f"node {node_id}: {err}") from err
@@ -625,64 +713,70 @@ class EMLIODaemon:
     ) -> None:
         """Send every assigned batch of one epoch to all compute nodes.
 
-        Blocks until the epoch is fully pushed (and flushed).  Algorithm 2
-        lines 6–8: per node, split into T thread work lists and run them on
-        a thread pool.
+        Returns once every batch has been handed to its node's stream; the
+        receiver's provider, not a flush here, is the epoch barrier.
+        Algorithm 2 lines 6–8: per node, split into T work lists; a single
+        list runs inline on the calling thread, several run on threads.
 
         ``skip`` holds ``(epoch, node_id, seq)`` delivery keys to omit —
         the resume/failover path sends only what a ledger says is still
-        owed.  A single worker failure is re-raised as-is; multiple worker
-        failures are aggregated into one :class:`EpochServeError` so no
-        diagnosis is lost.
+        owed.  A failed node's stream is closed, so the next epoch
+        reconnects.  A single worker failure is re-raised as-is; multiple
+        worker failures are aggregated into one :class:`EpochServeError`
+        so no diagnosis is lost.
         """
         cfg = self.config
         self.logger.log("epoch_start", epoch=epoch)
-        # Re-feed the plan from this epoch forward: prefetch runs ahead of
-        # the serve loop and eviction lookahead stays aligned with reality.
-        self.schedule_prefetch(start_epoch=epoch)
-        pushes: list[tuple[int, PushSocket]] = []
-        threads: list[threading.Thread] = []
-        errors: list[BaseException] = []
-        err_lock = threading.Lock()
+        self._serving = True
         try:
-            for node_id, (host, port) in self.node_endpoints.items():
+            # Re-feed the plan from this epoch forward: prefetch runs ahead
+            # of the serve loop and eviction lookahead stays aligned.
+            self.schedule_prefetch(start_epoch=epoch)
+            work: list[tuple[int, list[BatchAssignment], PushSocket | ShmPushSocket]] = []
+            errors: list[tuple[int, BaseException]] = []
+            for node_id in list(self.node_endpoints):
                 if self._is_dropped(node_id):
                     continue
                 assignments = self._my_assignments(epoch, node_id)
                 if not assignments:
                     continue
                 try:
-                    push = self._connect_push(host, port, node_id)
+                    push = self._stream(node_id)
                 except NodeUnreachable as err:
-                    with err_lock:
-                        errors.append(err)
+                    errors.append((node_id, err))
                     continue
-                if push is None:  # node dropped (or daemon killed) meanwhile
+                if push is None:  # node dropped meanwhile
                     continue
-                pushes.append((node_id, push))
-                splits = [assignments[t :: cfg.daemon_threads] for t in range(cfg.daemon_threads)]
+                for t in range(cfg.daemon_threads):
+                    split = assignments[t :: cfg.daemon_threads]
+                    if split:
+                        work.append((node_id, split, push))
 
-                def run(split=None, sock=push):
-                    try:
-                        self._send_worker(split, sock, skip=skip)
-                    except BaseException as err:  # noqa: BLE001 - propagate to caller
-                        with err_lock:
-                            errors.append(err)
+            def run(node_id, split, push) -> None:
+                try:
+                    self._send_worker(split, push, skip=skip)
+                except BaseException as err:  # noqa: BLE001 - propagate to caller
+                    errors.append((node_id, err))  # list.append is atomic
 
-                for split in splits:
-                    if not split:
-                        continue
-                    t = threading.Thread(target=run, kwargs={"split": split}, daemon=True)
+            if len(work) == 1:
+                run(*work[0])
+            else:
+                threads = [threading.Thread(target=run, args=w, daemon=True) for w in work]
+                for t in threads:
                     t.start()
-                    threads.append(t)
-            for t in threads:
-                t.join()
+                for t in threads:
+                    t.join()
         finally:
-            # A killed daemon crashes: drop in-flight instead of flushing,
-            # and a dropped node's backlog is never flushable — don't wait.
-            for node_id, push in pushes:
-                crashed = self._killed.is_set() or self._is_dropped(node_id)
-                push.close(timeout=0.0 if crashed else 30.0)
+            self._serving = False
+            if self._killed.is_set():  # kill() left the streams to us
+                self.close_streams()
+        # A stream that failed a send reconnects next epoch.
+        for node_id in {node_id for node_id, _err in errors}:
+            with self._pushes_lock:
+                push = self._pushes.pop(node_id, None)
+            if push is not None:
+                push.close(timeout=0.0)
+        errors = [err for _node, err in errors]
         # A dropped node's unreachability is expected, not a daemon fault
         # (checked post-join: the drop may land after the error was raised).
         errors = [
@@ -704,7 +798,9 @@ class EMLIODaemon:
             self.serve_epoch(epoch)
 
     def close(self) -> None:
-        """Release resources."""
+        """Release resources: flush the streams (bounded), then close them,
+        the shard handles and the storage tier."""
+        self.close_streams(timeout=_CLOSE_FLUSH_S)
         with self._readers_lock:
             for reader in self._readers.values():
                 reader.close()

@@ -16,7 +16,8 @@ Failure detection covers three distinct signatures:
   ``miss_threshold`` silent intervals the member is SUSPECT; after
   ``dead_threshold`` it is DEAD.
 * **hang** — beats keep arriving with ``state == "serving"`` but the
-  progress counter is frozen for longer than ``hung_after_s``.  A hung
+  progress counter is frozen for longer than ``hung_after_s`` (counted
+  from the last advance or the last switch into ``serving``).  A hung
   serve thread is alive, error-free, and utterly useless; thread-state
   polling can never see this.
 * **partition** — indistinguishable from a crash on this side of the
@@ -259,6 +260,10 @@ class ClusterView:
                 m.rate += RATE_EWMA_ALPHA * (inst - m.rate)
             m.beats += 1
             m.last_seen = now
+            if hb.state == STATE_SERVING and m.state != STATE_SERVING:
+                # The hang clock starts when serving does: progress frozen
+                # while idle (e.g. a daemon between epochs) is not a hang.
+                m.progress_changed = now
             m.state = hb.state
             m.queue_depth = hb.queue_depth
             m.cache_hits = hb.cache_hits

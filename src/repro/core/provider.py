@@ -53,7 +53,9 @@ class BatchProvider:
     Parameters
     ----------
     source_queue:
-        Shared queue the receiver thread fills with :class:`BatchPayload`.
+        Shared queue the receiver thread fills with :class:`BatchPayload`
+        (or, if that thread dies, with its exception — which fails the
+        epoch at once).
     expected_batches:
         Number of *new* batches this node expects for the epoch (planned
         minus any already in the ledger); after that many, the provider
@@ -171,6 +173,11 @@ class BatchProvider:
                     )
                 if payload is _WAKE:
                     continue  # expectation may have shrunk; re-check the loop
+                if isinstance(payload, BaseException):
+                    # The receive thread died with this error: nothing more
+                    # arrives.  Left queued so later epochs fail fast too.
+                    self.source_queue.put(payload)
+                    raise RuntimeError(f"receive thread died: {payload!r}") from payload
             if self.epoch is not None and payload.epoch > self.epoch:
                 # Daemons pipelining the next epoch: park it for the next
                 # epoch's provider rather than mislabeling it stale.

@@ -38,6 +38,7 @@ from repro.core.recovery import DeliveryLedger
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.pipeline import EndOfData, Pipeline, PipelineStats
 from repro.net.emulation import NetworkProfile
+from repro.net.framing import ConnectionClosed
 from repro.net.mq import PullSocket
 from repro.serialize.payload import decode_batch, trace_stamped
 from repro.util.logging import TimestampLogger
@@ -318,10 +319,22 @@ class EMLIOReceiver:
             return self._sampled_keys.pop((epoch, seq), None) is not None
 
     def _zmq_receiver(self) -> None:
+        try:
+            self._receive_loop()
+        except BaseException as err:  # noqa: BLE001 - handed to the provider
+            # Nothing will reach the payload queue any more: fail the
+            # active epoch (and every later one) now, not at its stall
+            # timeout.  The provider re-raises this marker.
+            _log.exception("receiver %d: receive thread died", self.node_id)
+            self._payload_q.put(err)
+
+    def _receive_loop(self) -> None:
         tracer = self._tracer
         while not self._stop.is_set():
             try:
                 frame = self.pull.recv_frame(timeout=0.2)
+            except ConnectionClosed:
+                return  # close()/kill() closed the socket
             except queue.Empty:
                 # Starved *and* nothing backed up for the pipeline: the
                 # node is healthy-but-waiting, so liveness progress ticks.
@@ -498,7 +511,8 @@ class EMLIOReceiver:
             )
 
     def close(self) -> None:
-        """Line 11: teardown sockets and threads."""
+        """Line 11: teardown sockets and threads.  Closing the socket wakes
+        the receive thread at once (no poll to wait out)."""
         self._stop.set()
-        self._receiver_thread.join(timeout=10.0)
         self.pull.close()
+        self._receiver_thread.join(timeout=10.0)

@@ -33,6 +33,16 @@ recovering while any reachable root and any live receiver survive.  A
 restarted service with the same config and ledger path resumes mid-epoch;
 completed epochs are compacted to one checkpoint line each.
 
+The data path lives as long as the deployment: each daemon keeps one
+stream per receiver across epochs (see :mod:`repro.core.daemon`), and the
+monitor thread and the daemons' heartbeat publishers start once.  A
+daemon beats ``serving`` during its epochs and ``idle`` between them, so
+frozen progress between epochs is not a hang, and ``failed`` once killed,
+so a kill after its serve call returned still fails over what its
+streams held.  Between epochs the monitor
+only records what the next epoch start acts on (dead receivers, joins,
+daemons declared dead); failover itself happens within an epoch.
+
 The monitor consumes ``joined`` events too (elastic scale-out): a
 receiver or daemon registered via :meth:`EMLIOService.add_receiver` /
 :meth:`EMLIOService.add_daemon` is admitted when its first beat arrives,
@@ -70,6 +80,7 @@ from repro.energy.power_models import BusyWindowTracker
 from repro.gpu.device import SimulatedGPU
 from repro.net.emulation import NetworkProfile
 from repro.net.heartbeat import (
+    STATE_FAILED,
     STATE_IDLE,
     STATE_SERVING,
     HeartbeatListener,
@@ -77,6 +88,9 @@ from repro.net.heartbeat import (
 )
 from repro.tfrecord.sharder import ShardedDataset
 from repro.util.logging import TimestampLogger
+
+#: Put into the event queue by close(): ends the monitor at once.
+_STOP_MONITOR = object()
 
 
 @dataclass
@@ -253,13 +267,23 @@ class EMLIOService:
         # Control plane: heartbeat listener + cluster view + event stream.
         self._events: "queue.Queue[MembershipEvent]" = queue.Queue()
         self._member_ids = itertools.count()
-        # Daemon members are per-epoch; the previous epoch's are forgotten
-        # when the next one starts so the view stays bounded by live
-        # membership (kept one epoch for post-mortem status inspection).
+        # One publisher (one member) per daemon for its whole life; a new
+        # one only after the last announced a failure.
+        self._daemon_pubs: dict[EMLIODaemon, HeartbeatPublisher] = {}
+        # Members whose lifecycle ended (failover daemons, failed
+        # publishers) are forgotten when the next epoch starts so the view
+        # stays bounded by live membership (kept one epoch for post-mortem
+        # status inspection).
         self._retired_members: list[str] = []
         self.view: ClusterView | None = None
         self._hb_listener: HeartbeatListener | None = None
         self._receiver_pubs: list[HeartbeatPublisher] = []
+        # The running epoch as the monitor sees it: (epoch, entries), or
+        # None between epochs.  The lock makes each event's handling atomic
+        # with respect to an epoch's setup and teardown.
+        self._active: tuple[int, list[_DaemonEntry]] | None = None
+        self._ctl_lock = threading.RLock()
+        self._monitor_thread: threading.Thread | None = None
         if recovery is not None:
             self.view = ClusterView(recovery.membership, on_event=self._events.put)
             self._hb_listener = HeartbeatListener(self.view.observe)
@@ -268,6 +292,11 @@ class EMLIOService:
                 # must still be detected (the miss clock starts now).
                 self.view.expect(f"receiver:{i}", "receiver")
                 self._receiver_pubs.append(self._make_receiver_pub(i, r).start())
+            if recovery.failover:
+                self._monitor_thread = threading.Thread(
+                    target=self._monitor, daemon=True, name="emlio-monitor"
+                )
+                self._monitor_thread.start()
         if telemetry is not None and telemetry.registry.enabled:
             self._register_collectors(telemetry.registry)
 
@@ -478,8 +507,8 @@ class EMLIOService:
     def _member_loads(self) -> tuple[dict[int, MemberLoad], dict[str, MemberLoad]]:
         """Receiver-node and storage-root load signals from the heartbeat
         substrate: observed throughput (EWMA of progress deltas) plus the
-        queue depth each beat reports.  Roots whose daemons retired with
-        the previous epoch fall back to their last observed rate."""
+        queue depth each beat reports.  Roots whose daemons are idle (their
+        epoch's serve is over) fall back to their last observed rate."""
         node_loads: dict[int, MemberLoad] = {}
         root_loads: dict[str, MemberLoad] = {}
         if self.view is not None:
@@ -488,6 +517,8 @@ class EMLIOService:
                     # A corpse's last EWMA must not inflate its root's
                     # weight next to the replacement daemon beating there.
                     continue
+                if m.role == "daemon" and m.state == STATE_IDLE:
+                    continue  # its rate only decays while it waits
                 if m.role == "receiver" and mid.startswith("receiver:"):
                     node_loads[int(mid.split(":", 1)[1])] = MemberLoad(
                         throughput=m.rate, queue_depth=m.queue_depth
@@ -811,28 +842,41 @@ class EMLIOService:
             entry.error = err
             if entry.publisher is not None:
                 entry.publisher.fail(repr(err))  # fast-path death notice
-        else:
-            if entry.publisher is not None:
-                entry.publisher.stop()  # clean departure, not a death
+
+    def _daemon_publisher(self, daemon: EMLIODaemon, root: str) -> HeartbeatPublisher:
+        """The daemon's heartbeat publisher, started on first use."""
+        pub = self._daemon_pubs.get(daemon)
+        if pub is not None and not pub.stopped:
+            return pub
+        if pub is not None:  # it announced a failure: rejoin as a new member
+            self._retired_members.append(pub.member_id)
+        member_id = f"daemon:{next(self._member_ids)}@{root}"
+        self.view.expect(member_id, "daemon")
+        pub = HeartbeatPublisher(
+            member_id=member_id,
+            role="daemon",
+            endpoint=self._hb_listener.address,
+            interval_s=self.recovery.membership.interval_s,
+            # Ticks advance through HWM backpressure waits too, so a
+            # daemon throttled by a slow receiver is busy, not hung.
+            progress_fn=lambda d=daemon: d.stats.batches_sent + d.stats.ticks,
+            # Idle between epochs: frozen progress there is not a hang.
+            # Failed once killed: a kill after the serve call returned
+            # raises nothing, yet drops what the streams still held.
+            state_fn=lambda d=daemon: (
+                STATE_FAILED if d.killed else STATE_SERVING if d.serving else STATE_IDLE
+            ),
+            # Storage-cache hit/miss/prefetch-depth ride the beats so
+            # the ClusterView (and the status CLI) see tier behaviour.
+            cache_fn=lambda d=daemon: d.cache_counters(),
+        ).start()
+        self._daemon_pubs[daemon] = pub
+        return pub
 
     def _spawn(self, entry: _DaemonEntry, epoch: int, skip) -> None:
-        if entry.publisher is None and self._hb_listener is not None:
-            daemon = entry.daemon
-            entry.member_id = f"daemon:{next(self._member_ids)}@{entry.root}"
-            self.view.expect(entry.member_id, "daemon")
-            entry.publisher = HeartbeatPublisher(
-                member_id=entry.member_id,
-                role="daemon",
-                endpoint=self._hb_listener.address,
-                interval_s=self.recovery.membership.interval_s,
-                # Ticks advance through HWM backpressure waits too, so a
-                # daemon throttled by a slow receiver is busy, not hung.
-                progress_fn=lambda d=daemon: d.stats.batches_sent + d.stats.ticks,
-                # Storage-cache hit/miss/prefetch-depth ride the beats so
-                # the ClusterView (and the status CLI) see tier behaviour.
-                cache_fn=lambda d=daemon: d.cache_counters(),
-            )
-            entry.publisher.start()
+        if self._hb_listener is not None:
+            entry.publisher = self._daemon_publisher(entry.daemon, entry.root)
+            entry.member_id = entry.publisher.member_id
         entry.thread = threading.Thread(
             target=self._run_daemon, args=(entry, epoch, skip), daemon=True,
             name="emlio-daemon",
@@ -904,6 +948,17 @@ class EMLIOService:
             replacements=len(set(takeover) | set(extra_by_root)),
         )
 
+    def _bury_receiver(self, node: int) -> None:
+        """Silence a dead compute node (socket + beats) and close every
+        daemon's stream to it."""
+        self.receivers[node].kill()
+        if node < len(self._receiver_pubs):
+            self._receiver_pubs[node].kill()
+        self._dead_nodes.add(node)
+        self._endpoints.pop(node, None)
+        for d in self.daemons + self._failover_daemons:
+            d.drop_node(node)
+
     def _failover_receiver(self, epoch: int, dead_node: int, entries: list[_DaemonEntry]) -> None:
         """Re-target a dead compute node's undelivered batches onto survivors.
 
@@ -914,14 +969,7 @@ class EMLIOService:
         while re-targeted payloads are in flight.
         """
         assert self.ledger is not None
-        receiver = self.receivers[dead_node]
-        receiver.kill()
-        if dead_node < len(self._receiver_pubs):
-            self._receiver_pubs[dead_node].kill()
-        self._dead_nodes.add(dead_node)
-        self._endpoints.pop(dead_node, None)
-        for d in self.daemons + self._failover_daemons:
-            d.drop_node(dead_node)
+        self._bury_receiver(dead_node)
         # Residual: planned-but-undelivered batches of the dead node, plus
         # any re-targets pointed at it by an earlier receiver failover.
         excluded = self._excluded(epoch)
@@ -990,7 +1038,18 @@ class EMLIOService:
             re_targeted=len(plan.assignments),
         )
 
-    def _handle_event(self, ev: MembershipEvent, epoch: int, entries: list[_DaemonEntry]) -> None:
+    def _handle_event(
+        self,
+        ev: MembershipEvent,
+        epoch: int | None = None,
+        entries: list[_DaemonEntry] | None = None,
+    ) -> None:
+        """Act on one membership event; ``epoch`` is None between epochs.
+
+        In an epoch, deaths fail over at once.  Between epochs a dead
+        receiver is only buried and a dead daemon only killed: the next
+        epoch start fails both over, before anything serves.
+        """
         self._notify(
             "member_event",
             event=ev.kind,
@@ -1011,7 +1070,7 @@ class EMLIOService:
             )
             if ev.role == "receiver":
                 node = int(ev.member_id.split(":", 1)[1])
-                if self._merge_active:
+                if self._merge_active and epoch is not None:
                     self._scale_out_receiver(epoch, node, entries)
                 else:
                     self._pending_joins.append(node)
@@ -1028,7 +1087,16 @@ class EMLIOService:
             node = int(ev.member_id.split(":", 1)[1])
             if node in self._dead_nodes:
                 return  # already failed over (e.g. at epoch start)
-            self._failover_receiver(epoch, node, entries)
+            if epoch is None:
+                self._bury_receiver(node)
+            else:
+                self._failover_receiver(epoch, node, entries)
+            return
+        if epoch is None:
+            for daemon, pub in self._daemon_pubs.items():
+                if pub.member_id == ev.member_id:
+                    daemon.kill()
+                    pub.kill()
             return
         entry = next((e for e in entries if e.member_id == ev.member_id), None)
         if entry is None or entry.handled:
@@ -1042,22 +1110,31 @@ class EMLIOService:
             entry.publisher.kill()
         self._failover(epoch, entry, entries)
 
-    def _monitor(self, epoch: int, entries: list[_DaemonEntry], stop: threading.Event) -> None:
-        """Consume membership events; drive failover.  Replaces the old
-        thread-state watchdog — liveness comes from the ClusterView only."""
+    def _monitor(self) -> None:
+        """Consume membership events for the deployment's life; drive
+        failover within epochs.  Replaces the old thread-state watchdog —
+        liveness comes from the ClusterView only."""
         assert self.view is not None
         poll_s = max(0.005, self.recovery.membership.interval_s / 2)
-        while not stop.is_set():
+        while True:
             self.view.poll()  # timeout/hang sweeps feed self._events
             try:
                 ev = self._events.get(timeout=poll_s)
             except queue.Empty:
                 continue
-            try:
-                self._handle_event(ev, epoch, entries)
-            except BaseException as err:  # noqa: BLE001 - surfaced in epoch()
-                self._recovery_errors.append(err)
+            if ev is _STOP_MONITOR:
                 return
+            with self._ctl_lock:
+                active = self._active
+                try:
+                    self._handle_event(ev, *(active or ()))
+                except BaseException as err:  # noqa: BLE001 - surfaced in epoch()
+                    if active is None:
+                        self.logger.log("monitor_error", error=repr(err))
+                    else:
+                        self._recovery_errors.append(err)
+                        # The rest of this epoch's events settle as if idle.
+                        self._active = None
 
     def _consume_pass(
         self, epoch_index: int, receivers: list[EMLIOReceiver]
@@ -1113,9 +1190,7 @@ class EMLIOService:
         """
         import time as _time
 
-        failover_on = (
-            self.recovery is not None and self.recovery.failover and self.view is not None
-        )
+        failover_on = self._monitor_thread is not None
         deadline = _time.monotonic() + self.stall_timeout
         # While this loop runs, a joining receiver can be rebalanced onto
         # immediately: the next consume pass will drain its adopted load.
@@ -1144,6 +1219,100 @@ class EMLIOService:
         finally:
             self._merge_active = False
 
+    def _start_epoch(self, epoch: int) -> list[_DaemonEntry]:
+        """The epoch-start safe boundary (ctl lock held): settle what
+        happened between epochs, re-plan around it, spawn the daemons."""
+        if self.view is not None and self._retired_members:
+            for member_id in self._retired_members:
+                self.view.forget(member_id)
+            self._retired_members.clear()
+        skip = self._covered(epoch) if self.ledger is not None else None
+        failover_on = self._monitor_thread is not None
+        if failover_on:
+            # Events the monitor has not taken yet settle here, before any
+            # daemon serves: receiver deaths before a stream targets a
+            # corpse, joins at their safe boundary.
+            while True:
+                try:
+                    ev = self._events.get_nowait()
+                except queue.Empty:
+                    break
+                if ev is _STOP_MONITOR:
+                    self._events.put(ev)
+                    break
+                self._handle_event(ev)
+            # Storage daemons that joined mid-run are admitted at this safe
+            # boundary: ownership re-divides before any entry is built.
+            if self._pending_daemons:
+                try:
+                    self._admit_daemons(epoch)
+                except BaseException as err:  # noqa: BLE001 - surfaced below
+                    self._recovery_errors.append(err)
+        entries = [
+            _DaemonEntry(daemon=d, root=str(d.dataset_root), shards=d.shard_filter)
+            for d in self.daemons
+        ]
+        if failover_on:
+            self._active = (epoch, entries)
+            # A daemon that died outside an epoch (or in an earlier one)
+            # owes this epoch its share: fail it over before anything serves.
+            for entry in list(entries):
+                if entry.daemon.killed:
+                    entry.handled = True
+                    pub = self._daemon_pubs.get(entry.daemon)
+                    if pub is not None:
+                        pub.kill()
+                    try:
+                        self._failover(epoch, entry, entries)
+                    except BaseException as err:  # noqa: BLE001 - surfaced below
+                        self._recovery_errors.append(err)
+            # A node that died in an earlier epoch owes this epoch its
+            # partition too: re-target before any daemon serves.
+            for node in sorted(self._dead_nodes):
+                try:
+                    self._failover_receiver(epoch, node, entries)
+                except BaseException as err:  # noqa: BLE001 - surfaced below
+                    self._recovery_errors.append(err)
+            # Receivers that joined at/near the boundary get their fresh
+            # re-target before the planned daemons spawn: the whole epoch
+            # is still claimable, so the shift is maximally effective.
+            pending, self._pending_joins = self._pending_joins, []
+            for node in sorted(set(pending)):
+                try:
+                    self._scale_out_receiver(epoch, node, entries)
+                except BaseException as err:  # noqa: BLE001 - surfaced below
+                    self._recovery_errors.append(err)
+        for entry in entries:
+            if entry.thread is None and not entry.handled:
+                self._spawn(entry, epoch, skip)
+        return entries
+
+    def _end_epoch(self, entries: list[_DaemonEntry]) -> None:
+        """Join the epoch's daemons; retire the ones failover spawned."""
+        # Entries may have grown (failover); join whatever exists now.
+        for entry in list(entries):
+            if entry.thread is not None:
+                entry.thread.join(timeout=30.0)
+        # Keep each root's last observed throughput: an idle daemon's rate
+        # no longer counts, but an epoch-start rebalance still wants it.
+        if self.view is not None:
+            members = self.view.members()
+            for entry in entries:
+                m = members.get(entry.member_id)
+                if m is not None and m.rate > 0:
+                    self._root_rates[entry.root] = m.rate
+        # Failover daemons serve the epoch that spawned them only: close
+        # their streams and let their members leave.
+        planned = set(self.daemons)
+        for entry in entries:
+            if entry.daemon in planned:
+                continue
+            entry.daemon.close_streams()
+            pub = self._daemon_pubs.pop(entry.daemon, None)
+            if pub is not None:
+                pub.stop()
+                self._retired_members.append(pub.member_id)
+
     def epoch(self, epoch_index: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Serve and consume one epoch end-to-end."""
         self.logger.log("epoch_start", epoch=epoch_index)
@@ -1155,77 +1324,8 @@ class EMLIOService:
             self.logger.log("epoch_end", epoch=epoch_index)
             self._notify("epoch_end", epoch=epoch_index)
             return
-        if self.view is not None and self._retired_members:
-            for member_id in self._retired_members:
-                self.view.forget(member_id)
-            self._retired_members.clear()
-        skip = self._covered(epoch_index) if self.ledger is not None else None
-        stop = threading.Event()
-        monitor: threading.Thread | None = None
-        failover_on = (
-            self.recovery is not None and self.recovery.failover and self.view is not None
-        )
-        if failover_on:
-            # Deaths observed between epochs are queued; settle receiver
-            # deaths *before* daemons connect to a corpse's endpoint.
-            # Joins observed between epochs reach their safe boundary here.
-            while True:
-                try:
-                    ev = self._events.get_nowait()
-                except queue.Empty:
-                    break
-                if ev.kind == "dead" and ev.role == "receiver":
-                    node = int(ev.member_id.split(":", 1)[1])
-                    self.receivers[node].kill()
-                    if node < len(self._receiver_pubs):
-                        self._receiver_pubs[node].kill()
-                    self._dead_nodes.add(node)
-                    self._endpoints.pop(node, None)
-                elif ev.kind == "joined" and ev.member_id in self._pending_scale_out:
-                    self._pending_scale_out.discard(ev.member_id)
-                    if ev.role == "receiver":
-                        self._pending_joins.append(int(ev.member_id.split(":", 1)[1]))
-            # Storage daemons that joined mid-run are admitted at this safe
-            # boundary: ownership re-divides before any entry is built.
-            if self._pending_daemons:
-                try:
-                    self._admit_daemons(epoch_index)
-                except BaseException as err:  # noqa: BLE001 - surfaced below
-                    self._recovery_errors.append(err)
-        entries = [
-            _DaemonEntry(daemon=d, root=str(d.dataset_root), shards=d.shard_filter)
-            for d in self.daemons
-        ]
-        if failover_on:
-            monitor = threading.Thread(
-                target=self._monitor, args=(epoch_index, entries, stop), daemon=True,
-                name="emlio-monitor",
-            )
-            monitor.start()
-            # A node that died in an earlier epoch owes this epoch its
-            # partition too: re-target before any daemon serves.
-            for node in sorted(self._dead_nodes):
-                try:
-                    self._failover_receiver(epoch_index, node, entries)
-                except BaseException as err:  # noqa: BLE001 - surfaced below
-                    self._recovery_errors.append(err)
-            # Receivers that joined at/near the boundary get their fresh
-            # re-target before the planned daemons spawn: the whole epoch
-            # is still claimable, so the shift is maximally effective.
-            # Swap, don't snapshot-and-clear: the monitor thread appends
-            # concurrently, and a join landing between those two steps
-            # would be erased (list mutation is GIL-atomic; clear() after
-            # a copy is a lost-update window).
-            pending, self._pending_joins = self._pending_joins, []
-            if pending:
-                for node in sorted(set(pending)):
-                    try:
-                        self._scale_out_receiver(epoch_index, node, entries)
-                    except BaseException as err:  # noqa: BLE001 - surfaced below
-                        self._recovery_errors.append(err)
-        for entry in entries:
-            if entry.thread is None:
-                self._spawn(entry, epoch_index, skip)
+        with self._ctl_lock:
+            entries = self._start_epoch(epoch_index)
         try:
             if self.num_nodes == 1:
                 try:
@@ -1240,23 +1340,11 @@ class EMLIOService:
             else:
                 yield from self._merge_receivers(epoch_index)
         finally:
-            stop.set()
-            if monitor is not None:
-                monitor.join(timeout=10.0)
-            # Entries may have grown (failover); join whatever exists now.
-            for entry in list(entries):
-                if entry.thread is not None:
-                    entry.thread.join(timeout=30.0)
-            # Keep each root's last observed throughput: daemon members
-            # retire with the epoch, but an epoch-start rebalance still
-            # wants their weights.
-            if self.view is not None:
-                members = self.view.members()
-                for entry in entries:
-                    m = members.get(entry.member_id)
-                    if m is not None and m.rate > 0:
-                        self._root_rates[entry.root] = m.rate
-            self._retired_members.extend(e.member_id for e in entries if e.member_id)
+            # From here on events settle as between epochs: no failover
+            # can start while the epoch is torn down.
+            with self._ctl_lock:
+                self._active = None
+            self._end_epoch(entries)
         if self._recovery_errors:
             raise self._recovery_errors[0]
         unhandled = [e.error for e in entries if e.error is not None and not e.handled]
@@ -1414,9 +1502,10 @@ class EMLIOService:
 
     def close(self) -> None:
         """Release resources."""
-        for pub in self._receiver_pubs:
-            pub.stop()
-        for pub in self._join_pubs.values():
+        if self._monitor_thread is not None:
+            self._events.put(_STOP_MONITOR)  # wakes it now, not at a poll
+            self._monitor_thread.join(timeout=10.0)
+        for pub in [*self._receiver_pubs, *self._join_pubs.values(), *self._daemon_pubs.values()]:
             pub.stop()
         for d in self.daemons + self._failover_daemons:
             d.kill()

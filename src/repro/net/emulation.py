@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.util.clock import MonotonicClock
 from repro.util.rate import TokenBucket
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,15 @@ def register_profile(profile: NetworkProfile, replace: bool = False) -> NetworkP
     return profile
 
 
+class PipeClosed(ConnectionError, RuntimeError):
+    """``submit()`` on a closed :class:`DelayPipe`.
+
+    A pipe closes when its owner closes it or when a delivery fails (the
+    receiving side went away).  Either way the emulated link is gone, so
+    senders see the same ``ConnectionError`` an unshaped socket raises.
+    """
+
+
 class DelayPipe:
     """Deliver submitted items after a per-item delay, preserving order.
 
@@ -99,7 +111,15 @@ class DelayPipe:
     callback.  FIFO order between items is guaranteed even when a later item
     computes a smaller delay (delivery time is clamped to be monotone), which
     matches in-order TCP delivery.
+
+    A delivery that raises closes the pipe: the remaining items are dropped,
+    the failure is logged once and counted in :attr:`delivery_failures`,
+    and later submits raise :class:`PipeClosed`.
     """
+
+    #: Pipes (process-wide) whose delivery callback raised.
+    delivery_failures = 0
+    _failures_lock = threading.Lock()
 
     def __init__(self, deliver: Callable[[Any], None], name: str = "delaypipe") -> None:
         self._deliver = deliver
@@ -118,7 +138,7 @@ class DelayPipe:
             raise ValueError(f"delay must be >= 0, got {delay}")
         with self._cond:
             if self._closed:
-                raise RuntimeError("submit() on a closed DelayPipe")
+                raise PipeClosed("submit() on a closed DelayPipe")
             at = self._clock.now() + delay
             # Clamp to preserve FIFO: never deliver before an earlier item.
             at = max(at, self._last_delivery_at)
@@ -139,14 +159,25 @@ class DelayPipe:
                     self._cond.wait(timeout=at - now)
                     continue
                 heapq.heappop(self._heap)
+                if not self._heap:
+                    self._cond.notify_all()  # wake a draining close()
             try:
                 self._deliver(item)
-            except Exception:
-                # The receiving side went away; drop remaining traffic.
+            except Exception as err:  # noqa: BLE001 - logged and counted below
                 with self._cond:
+                    dropped = len(self._heap)
                     self._closed = True
                     self._heap.clear()
                     self._cond.notify_all()
+                with DelayPipe._failures_lock:
+                    DelayPipe.delivery_failures += 1
+                # A vanished peer (OSError) is the usual cause and expected
+                # at teardown; anything else is a bug in the callback.
+                _log.log(
+                    logging.DEBUG if isinstance(err, OSError) else logging.ERROR,
+                    "%s: delivery failed (%r); dropped %d queued item(s)",
+                    self._thread.name, err, dropped,
+                )
                 return
 
     def close(self, drain: bool = True) -> None:
@@ -154,7 +185,7 @@ class DelayPipe:
         if drain:
             with self._cond:
                 while self._heap and not self._closed:
-                    self._cond.wait(timeout=0.01)
+                    self._cond.wait()
         with self._cond:
             self._closed = True
             self._cond.notify_all()

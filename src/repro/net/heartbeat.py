@@ -342,6 +342,11 @@ class HeartbeatPublisher:
             self._thread.start()
         return self
 
+    @property
+    def stopped(self) -> bool:
+        """Whether the publisher went silent for good (stop/fail/kill)."""
+        return self._stop.is_set()
+
     def _send(self, state: str, detail: str = "") -> bool:
         """Send one beat; on transport error drop the connection (a miss)."""
         with self._lock:

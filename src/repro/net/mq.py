@@ -38,7 +38,6 @@ import collections
 import logging
 import queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,7 +51,11 @@ _log = logging.getLogger(__name__)
 
 _DATA = b"\x00"
 _CREDIT = b"\x01"
-_POLL_S = 0.02  # writer wake-up period for stop checks
+#: Put into a stream's queue (and a credit released) to wake its writer
+#: for a stop or a broken connection — the writer never polls.
+_WAKE = object()
+#: Put into a PullSocket's queue by close(): wakes blocked receivers.
+_CLOSED = (None, None, None)
 _RING_WAIT_S = 0.02  # ring drain safety-net wait: wakeup is doorbell-driven
 # (see PullSocket._ring_loop), so this timer only covers a producer dying
 # between a ring write and its doorbell — it can be long without costing
@@ -113,6 +116,26 @@ class _PushStream:
         self.dead = False
         self.retired_bytes = 0  # bytes_sent of replaced channels
 
+    def wake(self, broken_gen: int | None = None) -> None:
+        """Unblock the writer wherever it waits — on the queue or on a
+        credit — so it re-checks the stop and broken flags.
+
+        With ``broken_gen`` (a credit reader whose connection died) the
+        stream is first flagged broken, unless the writer already replaced
+        that connection.  The spare credit never outlives the wake: a stop
+        ends the writer, a break replaces the semaphore on reconnect.
+        """
+        with self.lock:  # _resurrect swaps the semaphore under this lock
+            if broken_gen is not None:
+                if self.generation != broken_gen:
+                    return  # stale reader of a replaced connection
+                self.broken.set()
+            self.credits.release()
+        try:
+            self.queue.put_nowait(_WAKE)
+        except queue.Full:
+            pass  # a non-empty queue never blocks the writer's get()
+
 
 class PushSocket:
     """Connect-side socket distributing messages across one or more streams.
@@ -146,6 +169,8 @@ class PushSocket:
         self._lock = threading.Lock()
         self._closed = False
         self._stop_event = threading.Event()
+        # Notified as messages leave ``unflushed`` while close() flushes.
+        self._flushed = threading.Condition()
         for host, port in endpoints:
             for _ in range(streams_per_endpoint):
                 stream = _PushStream(host, port, profile, hwm)
@@ -168,27 +193,45 @@ class PushSocket:
         """Number of PUSH streams (dead ones included)."""
         return len(self._streams)
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` was called."""
+        return self._closed
+
+    @property
+    def alive(self) -> bool:
+        """Open with at least one live stream: sends can still succeed."""
+        return not self._closed and any(not s.dead for s in self._streams)
+
     def _writer(self, stream: _PushStream) -> None:
         while True:
             # The writer owns healing: a break noticed here (flagged by the
-            # credit reader, or hit directly on send) reconnects and replays
-            # in-flight messages even when no further sends are queued.
+            # credit reader, which wakes us, or hit directly on send)
+            # reconnects and replays in-flight messages even when no
+            # further sends are queued.
             if stream.broken.is_set() and not self._resurrect(stream):
                 self._abandon(stream)
                 return
+            # Once close() has stopped us (its flush deadline expired),
+            # send what is queued and creditable right now; wait for nothing.
             try:
-                item = stream.queue.get(timeout=_POLL_S)
+                item = stream.queue.get(block=not self._stop_event.is_set())
             except queue.Empty:
-                if self._stop_event.is_set():
-                    return
+                return
+            if item is _WAKE:
                 continue
             # Blocking send: wait for receive-side room (a credit).  Only
-            # after close()'s flush deadline has expired (it sets the stop
-            # event) is an uncreditable message dropped.
-            while not stream.credits.acquire(timeout=_POLL_S):
-                if self._stop_event.is_set():
+            # after close()'s flush deadline has expired is an uncreditable
+            # message dropped.
+            while True:
+                blocking = not self._stop_event.is_set()
+                if not stream.credits.acquire(blocking=blocking):
                     return
-                if stream.broken.is_set() and not self._resurrect(stream):
+                if blocking and self._stop_event.is_set():
+                    return  # close()'s wake, not a receiver credit
+                if not stream.broken.is_set():
+                    break
+                if not self._resurrect(stream):
                     self._abandon(stream, carry=item)
                     return
             with stream.lock:
@@ -196,6 +239,7 @@ class PushSocket:
                 # longer counts against the flush wait.
                 stream.inflight.append(item)
                 stream.unflushed -= 1
+            self._note_flush_progress()
             try:
                 stream.chan.send_parts((_DATA,) + item)
             except (ConnectionError, OSError):
@@ -221,6 +265,8 @@ class PushSocket:
                 item = stream.queue.get_nowait()
             except queue.Empty:
                 break
+            if item is _WAKE:
+                continue
             self._redistribute(item)
             with stream.lock:
                 stream.unflushed -= 1
@@ -229,6 +275,14 @@ class PushSocket:
             stream.inflight.clear()
         for item in pending:
             self._redistribute(item)
+        self._note_flush_progress()
+
+    def _note_flush_progress(self) -> None:
+        """Wake a flushing close(): a message left ``unflushed`` (or a
+        stream died).  Free until close() starts waiting."""
+        if self._closed:
+            with self._flushed:
+                self._flushed.notify_all()
 
     def _redistribute(self, item: tuple) -> None:
         """Re-queue one rescued message onto the least-loaded live stream."""
@@ -250,9 +304,7 @@ class PushSocket:
             try:
                 frame = chan.recv()
             except (ConnectionClosed, ConnectionError, OSError):
-                with stream.lock:
-                    if stream.generation == gen:
-                        stream.broken.set()
+                stream.wake(broken_gen=gen)
                 return
             if frame[:1] == _CREDIT:
                 with stream.lock:
@@ -282,9 +334,8 @@ class PushSocket:
         attempts = policy.max_retries
         while attempts > 0:
             attempts -= 1
-            if self._stop_event.is_set():
+            if self._stop_event.wait(delay):  # close() cuts the back-off short
                 return False
-            time.sleep(delay)
             delay = min(delay * 2 if delay > 0 else policy.base_delay_s, policy.max_delay_s)
             try:
                 chan = connect_channel(stream.host, stream.port, profile=stream.profile)
@@ -308,9 +359,13 @@ class PushSocket:
             ).start()
             replayed = True
             for item in pending:
-                while not stream.credits.acquire(timeout=_POLL_S):
-                    if self._stop_event.is_set():
-                        return False
+                # A close() that woke the old semaphore before the swap is
+                # still seen here: it set the stop event first.
+                if self._stop_event.is_set():
+                    return False
+                stream.credits.acquire()
+                if self._stop_event.is_set():
+                    return False
                 try:
                     chan.send_parts((_DATA,) + item)
                 except (ConnectionError, OSError):
@@ -419,18 +474,19 @@ class PushSocket:
         if self._closed:
             return
         self._closed = True
-        end = time.monotonic() + timeout
         # A stream is flushed only when no accepted message remains off the
         # wire — queued *or* popped by the writer and awaiting a credit.
         # With a small HWM over a slow link the queue empties long before
         # the last messages are actually sent, so queue size alone would
-        # drop the tail.
-        while (
-            any(s.unflushed for s in self._streams if not s.dead)
-            and time.monotonic() < end
-        ):
-            time.sleep(0.01)
+        # drop the tail.  Writers notify as messages go out.
+        with self._flushed:
+            self._flushed.wait_for(
+                lambda: not any(s.unflushed for s in self._streams if not s.dead),
+                timeout=max(timeout, 0.0),
+            )
         self._stop_event.set()
+        for s in self._streams:
+            s.wake()
         for t in self._threads:
             t.join(timeout=5.0)
         for s in self._streams:
@@ -510,11 +566,13 @@ class PullSocket:
             _log.exception("pull-socket reader died; dropping its connection")
             with self._reader_lock:
                 self._reader_errors += 1
-            # Sever the link: the pusher sees a dead stream (and, with a
-            # reconnect policy, replays what was unacknowledged) instead
-            # of feeding a socket nobody reads.
-            chan.close()
         finally:
+            # Sever the link: after a reader bug the pusher sees a dead
+            # stream (and, with a reconnect policy, replays what was
+            # unacknowledged) instead of feeding a socket nobody reads;
+            # after a disconnect, credits still owed for queued frames
+            # fail as ConnectionError instead of reaching a dead peer.
+            chan.close()
             # Prune the dead channel, folding its count into the retired
             # total so bytes_received stays exact without keeping corpses.
             with self._reader_lock:
@@ -649,9 +707,19 @@ class PullSocket:
         except (ConnectionError, OSError):
             pass  # peer already gone; nothing to grant
 
+    def _pop(self, timeout: float | None = None, block: bool = True) -> tuple:
+        """Next queued ``(chan, msg, buf)``; raises ``ConnectionClosed``
+        once the socket is closed (close() wakes blocked callers)."""
+        item = self._queue.get(block, timeout)
+        if item is _CLOSED:
+            self._queue.put(_CLOSED)  # keep waking every later caller
+            raise ConnectionClosed("recv() on a closed PullSocket")
+        return item
+
     def recv(self, timeout: float | None = None) -> bytes:
-        """Pop the next message from any peer; raises ``queue.Empty`` on timeout."""
-        chan, msg, buf = self._queue.get(timeout=timeout)
+        """Pop the next message from any peer; raises ``queue.Empty`` on
+        timeout and ``ConnectionClosed`` once the socket is closed."""
+        chan, msg, buf = self._pop(timeout)
         self._grant_credit(chan)
         if buf is not None:
             msg = bytes(msg)
@@ -663,16 +731,17 @@ class PullSocket:
 
         The frame's ``data`` aliases a pooled receive buffer; the caller
         must ``release()`` it after the last use of any view derived from
-        it.  Raises ``queue.Empty`` on timeout.
+        it.  Raises ``queue.Empty`` on timeout and ``ConnectionClosed``
+        once the socket is closed.
         """
-        chan, msg, buf = self._queue.get(timeout=timeout)
+        chan, msg, buf = self._pop(timeout)
         self._grant_credit(chan)
         return PooledFrame(msg, buf)
 
     def try_recv(self) -> bytes | None:
         """Non-blocking recv; ``None`` when no message is ready."""
         try:
-            chan, msg, buf = self._queue.get_nowait()
+            chan, msg, buf = self._pop(block=False)
         except queue.Empty:
             return None
         self._grant_credit(chan)
@@ -734,8 +803,12 @@ class PullSocket:
         Queued-but-unconsumed frames are dropped and their pooled
         buffers / ring leases released, so a mid-stream close (receiver
         kill, epoch abort) never strands pool capacity or ring bytes.
+        A receiver blocked in :meth:`recv`/:meth:`recv_frame` wakes with
+        ``ConnectionClosed``.
         """
         with self._reader_lock:
+            if self._closed:
+                return
             self._closed = True
             channels = list(self._channels)
             rings = list(self._rings)
@@ -751,3 +824,4 @@ class PullSocket:
                 break
             if buf is not None:
                 buf.release()
+        self._queue.put(_CLOSED)

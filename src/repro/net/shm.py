@@ -485,7 +485,8 @@ class ShmPushSocket:
 
     Drop-in for :class:`~repro.net.mq.PushSocket` where the daemon uses
     it: ``send/send_parts/try_send/try_send_parts``, ``bytes_sent``,
-    ``num_streams``, ``drop_connection``, ``close(timeout)`` with drain.
+    ``num_streams``, ``closed``, ``alive``, ``drop_connection``,
+    ``close(timeout)`` with drain.
     Construction performs the handshake: connect TCP, announce the
     segment, await ack.  A nack (or handshake timeout) raises
     :class:`ShmHandshakeRefused` — the caller falls back to TCP; a
@@ -545,6 +546,20 @@ class ShmPushSocket:
     def num_streams(self) -> int:
         """One ring (streams exist to hide RTT; there is none to hide)."""
         return 1
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` was called."""
+        return self._closed
+
+    @property
+    def alive(self) -> bool:
+        """Open with the consumer still attached: sends can still succeed."""
+        return (
+            not self._closed
+            and not self._peer_gone.is_set()
+            and self._ring.consumer_alive
+        )
 
     @property
     def bytes_sent(self) -> int:

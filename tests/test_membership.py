@@ -224,6 +224,18 @@ def test_view_idle_member_is_never_hung():
         view.observe(_beat(state="idle"))
         view.poll()
     assert view.status_of("daemon:0") is MemberStatus.ALIVE
+    # Back to serving (a daemon's next epoch): the hang clock starts now,
+    # not at the last progress change, which lies in the idle stretch.
+    for i in range(8, 11):
+        t[0] = float(i)
+        view.observe(_beat(state="serving"))
+        view.poll()
+    assert view.status_of("daemon:0") is MemberStatus.ALIVE
+    t[0] = 11.5
+    view.observe(_beat(state="serving"))
+    view.poll()
+    assert view.status_of("daemon:0") is MemberStatus.DEAD
+    assert "hung" in events[-1].reason
 
 
 def test_view_explicit_failure_and_clean_leave():
@@ -399,8 +411,10 @@ def test_receiver_resolves_auto_reorder_window(small_imagenet, tmp_path):
 # -- service-level membership wiring (fast) ------------------------------------
 
 
-def test_service_registers_members_and_daemons_leave_cleanly(small_imagenet, tmp_path):
-    cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16))
+def test_service_registers_members_and_daemons_idle_between_epochs(small_imagenet, tmp_path):
+    """A daemon is one member for the deployment: it beats ``idle`` once
+    its epoch is served and keeps the same member id into the next."""
+    cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16), epochs=2)
     recovery = RecoveryConfig(
         ledger_path=tmp_path / "ledger.txt",
         membership=MembershipConfig(interval_s=0.02, miss_threshold=2,
@@ -411,12 +425,24 @@ def test_service_registers_members_and_daemons_leave_cleanly(small_imagenet, tmp
         for _ in svc.epoch(0):
             pass
 
-        def daemons_left():
-            daemons = [m for m in svc.view.members().values() if m.role == "daemon"]
-            return daemons and all(m.status is MemberStatus.LEFT for m in daemons)
+        def daemon_members():
+            return {
+                mid: m for mid, m in svc.view.members().items() if m.role == "daemon"
+            }
 
-        # The 'leaving' beat is folded in by a listener thread: wait for it.
-        assert _wait_until(daemons_left)
+        def daemons_idle():
+            daemons = daemon_members().values()
+            return daemons and all(
+                m.status is MemberStatus.ALIVE and m.state == "idle" for m in daemons
+            )
+
+        # Beats are folded in by a listener thread: wait for the idle one.
+        assert _wait_until(daemons_idle)
+        members = set(daemon_members())
+        for _ in svc.epoch(1):
+            pass
+        assert _wait_until(daemons_idle)
+        assert set(daemon_members()) == members  # no new member per epoch
         assert svc.view.members()["receiver:0"].status is MemberStatus.ALIVE
         status = svc.cluster_status()
         assert status["failovers"] == 0 and status["dead_nodes"] == []

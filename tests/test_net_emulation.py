@@ -71,6 +71,29 @@ def test_delay_pipe_close_drains():
     assert received == [0, 1, 2, 3, 4]
 
 
+def test_delay_pipe_failed_delivery_closes_as_a_connection_error(caplog):
+    """A delivery that raises (the receiving side went away) closes the
+    pipe: the failure is logged and counted, and a later submit reads as
+    the peer's absence — a ConnectionError, like an unshaped socket's."""
+
+    def deliver(item):
+        raise BrokenPipeError("peer gone")
+
+    before = DelayPipe.delivery_failures
+    pipe = DelayPipe(deliver, name="gone")
+    with caplog.at_level("DEBUG", logger="repro.net.emulation"):
+        pipe.submit("credit", 0.02)
+        pipe.submit("queued", 0.05)
+        deadline = time.monotonic() + 5
+        while DelayPipe.delivery_failures == before and time.monotonic() < deadline:
+            time.sleep(0.005)
+    assert DelayPipe.delivery_failures == before + 1
+    assert "gone: delivery failed" in caplog.text and "dropped 1" in caplog.text
+    with pytest.raises(ConnectionError):
+        pipe.submit("late", 0.0)
+    pipe.close()
+
+
 def test_link_shaper_delay_components():
     shaper = LinkShaper(NetworkProfile("x", rtt_s=0.02, bandwidth_bps=1e6))
     # Propagation floor is always paid.
