@@ -156,16 +156,15 @@ def test_bench_planner(benchmark, small_imagenet_ds):
 
 
 # Payload-schema geometry: a daemon-realistic batch — 64 samples of 2 KiB,
-# served either row-wise (v2: per-record views into encode, per-record bins
-# out of decode) or columnar (v3: one framed region + a scanned offsets
-# vector in, offset slicing out).  Large enough that v2's per-record costs
-# dominate; v3's segment count stays O(1) regardless.
+# either a list of per-record views (the generic encode path, one spilled
+# segment per sample) or columnar (one framed region + a scanned offsets
+# vector, O(1) segments regardless of B); decode slices offsets either way.
 _PAYLOAD_B = 64
 _PAYLOAD_SAMPLE_BYTES = 2048
 
 
 def _payload_pair() -> tuple[BatchPayload, BatchPayload]:
-    """(row-layout, columnar) twins of the same batch.
+    """(sample-list, columnar) twins of the same batch.
 
     The columnar twin is built the way the daemon's serve path builds it:
     records framed into one contiguous region, sample spans located by the
@@ -192,47 +191,33 @@ def _payload_pair() -> tuple[BatchPayload, BatchPayload]:
     return row, columnar
 
 
-def _roundtrip(payload: BatchPayload, version: int) -> BatchPayload:
+def _roundtrip(payload: BatchPayload) -> BatchPayload:
     """The wire path both ends walk: scatter-gather encode, splice (the
     kernel's job on a real socket), zero-copy decode."""
-    wire = b"".join(bytes(p) for p in encode_batch_parts(payload, version=version))
+    wire = b"".join(bytes(p) for p in encode_batch_parts(payload))
     return decode_batch(wire, zero_copy=True)
 
 
 def _payload_schema_components(ops_per_s) -> dict:
-    """v2-vs-v3 payload codec micro-components (smoke-mode table entries)."""
-    row, columnar = _payload_pair()
-    wire2 = encode_batch(row, version=2)
-    wire3 = encode_batch(columnar, version=3)
+    """Columnar payload codec micro-components (smoke-mode table entries)."""
+    _row, columnar = _payload_pair()
+    wire = encode_batch(columnar)
     return {
-        "payload_encode_v2": {
-            "batches_per_s": ops_per_s(lambda: encode_batch_parts(row, version=2))
-        },
         "payload_encode_v3": {
-            "batches_per_s": ops_per_s(lambda: encode_batch_parts(columnar, version=3))
-        },
-        "payload_decode_v2": {
-            "batches_per_s": ops_per_s(lambda: decode_batch(wire2, zero_copy=True))
+            "batches_per_s": ops_per_s(lambda: encode_batch_parts(columnar))
         },
         "payload_decode_v3": {
-            "batches_per_s": ops_per_s(lambda: decode_batch(wire3, zero_copy=True))
+            "batches_per_s": ops_per_s(lambda: decode_batch(wire, zero_copy=True))
         },
-        "payload_roundtrip_v2": {"batches_per_s": ops_per_s(lambda: _roundtrip(row, 2))},
         "payload_roundtrip_v3": {
-            "batches_per_s": ops_per_s(lambda: _roundtrip(columnar, 3))
+            "batches_per_s": ops_per_s(lambda: _roundtrip(columnar))
         },
     }
 
 
-def test_bench_payload_roundtrip_v2(benchmark):
-    row, _columnar = _payload_pair()
-    decoded = benchmark(_roundtrip, row, 2)
-    assert decoded == row
-
-
 def test_bench_payload_roundtrip_v3(benchmark):
     row, columnar = _payload_pair()
-    decoded = benchmark(_roundtrip, columnar, 3)
+    decoded = benchmark(_roundtrip, columnar)
     assert decoded == row
 
 
@@ -242,7 +227,7 @@ def _obs_op(telemetry):
     Mirrors ``StorageDaemon._send_worker``'s per-batch instrumentation
     exactly — sampling decision, conditional wall-clock captures, trace
     stamp on the payload meta, span emits, histogram observes — around
-    the real encode+decode roundtrip of the 64 x 2 KiB batch.  The three
+    the real encode+decode roundtrip of the 64 x 2 KiB sample list.  The three
     variants the overhead gate compares differ only in ``telemetry``:
     ``None`` (untraced), registry-only (tracing configured off), and a
     1%-sampled trace stream.
@@ -272,7 +257,7 @@ def _obs_op(telemetry):
         payload = stamped if sampled else row
         t1 = time.perf_counter()
         w1 = time.time_ns() if sampled else 0
-        wire = b"".join(bytes(p) for p in encode_batch_parts(payload, version=2))
+        wire = b"".join(bytes(p) for p in encode_batch_parts(payload))
         t2 = time.perf_counter()
         w2 = time.time_ns() if sampled else 0
         decoded = decode_batch(wire, zero_copy=True)
@@ -298,7 +283,7 @@ def _obs_overhead_components() -> dict:
     ``benchcheck --compare`` gates — the registry must stay invisible on
     the hot path and 1% tracing must stay in the measurement noise.
 
-    A 2% differential on a ~200 us op is far below this runner's
+    A 2% differential on a ~70 us op is far below this runner's
     scheduler/turbo drift, so block timings (the ``ops_per_s`` estimator
     the other components use) cannot resolve it.  Instead the three
     variants run *interleaved op-by-op* — slow phases hit all of them

@@ -140,7 +140,6 @@ class PipelineSpec:
     seed: int = 0
     reorder_window: int = 0
     codec: str = "auto"
-    payload_version: int = 3
 
     def __post_init__(self) -> None:
         _require(bool(self.codec) and isinstance(self.codec, str),
@@ -164,7 +163,6 @@ class PipelineSpec:
             coverage=self.coverage,
             seed=self.seed,
             reorder_window=self.reorder_window,
-            payload_version=self.payload_version,
         )
 
     @classmethod

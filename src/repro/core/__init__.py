@@ -12,9 +12,10 @@
 * :class:`~repro.core.service.EMLIOService` — single-call orchestration of
   daemon(s) + receiver over (emulated) TCP for examples and tests.
 * :mod:`~repro.core.recovery` — fault tolerance: persistent delivery
-  ledger (with per-epoch compaction), receiver dedup/reorder, reconnecting
-  PUSH streams, and daemon + receiver failover re-planning, giving
-  exactly-once delivery over an at-least-once transport.
+  ledger (with per-epoch compaction), receiver dedup/reorder and
+  reconnecting PUSH streams; with :mod:`~repro.core.placement`'s daemon +
+  receiver failover re-planning, exactly-once delivery over an
+  at-least-once transport.
 * :mod:`~repro.core.membership` — the control plane: heartbeat-fed
   :class:`ClusterView` tracking every participant's liveness (crashed,
   hung, partitioned) and emitting the events the service's failover
@@ -37,7 +38,6 @@ from repro.core.recovery import (
     DaemonKilled,
     DeliveryLedger,
     EpochServeError,
-    FailoverCoordinator,
     FailoverError,
     NodeUnreachable,
     ReceiverReassignment,
@@ -64,7 +64,6 @@ __all__ = [
     "DaemonKilled",
     "DeliveryLedger",
     "EpochServeError",
-    "FailoverCoordinator",
     "FailoverError",
     "NodeUnreachable",
     "ReceiverKilled",

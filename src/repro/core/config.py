@@ -74,11 +74,6 @@ class EMLIOConfig:
         Cap on concurrently open shard handles per daemon (each localfs
         handle pins an fd + mmap).  Least-recently-used handles beyond
         the cap are closed; a re-touched shard simply reopens.
-    payload_version:
-        Wire schema the daemon emits (see :mod:`repro.serialize.payload`).
-        3 (default) is the columnar layout; 2 forces the row layout — the
-        mixed-version fallback knob.  Receivers decode either, so nodes
-        on different versions interoperate.
     """
 
     batch_size: int = 32
@@ -96,7 +91,6 @@ class EMLIOConfig:
     transport: str = "tcp"
     shm_ring_bytes: int = 8 * 1024 * 1024
     max_open_shards: int = 64
-    payload_version: int = 3
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -135,10 +129,6 @@ class EMLIOConfig:
         if self.max_open_shards < 1:
             raise ValueError(
                 f"max_open_shards must be >= 1, got {self.max_open_shards}"
-            )
-        if self.payload_version not in (2, 3):
-            raise ValueError(
-                f"payload_version must be 2 or 3, got {self.payload_version!r}"
             )
 
     def resolve_reorder_window(self, override: int | None = None) -> int:

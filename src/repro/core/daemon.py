@@ -246,8 +246,8 @@ class EMLIODaemon:
         with :class:`DaemonKilled`; every stream closes without a flush —
         here when idle, else as the serve call unwinds — so queued-but-
         unsent messages are dropped: the transport-level signature of a
-        crashed storage node.  Recovery of the undelivered batches is the
-        FailoverCoordinator's job.
+        crashed storage node.  The service's monitor re-plans the
+        undelivered batches through the placement engine.
         """
         self._killed.set()
         if not self._serving:
@@ -489,8 +489,7 @@ class EMLIODaemon:
                         labels=labels,
                         node_id=a.node_id,
                         seq=a.batch_index,
-                    ),
-                    version=self.config.payload_version,
+                    )
                 )
             except (OSError, ValueError):
                 pass  # surfaces again, properly, on the serve path
@@ -585,25 +584,24 @@ class EMLIODaemon:
     def _read_batch(self, a: BatchAssignment, reader: ShardHandle):
         """Read one assignment's samples + labels through the tier.
 
-        Columnar fast path (``payload_version >= 3``): one ``read_region``
-        of the planned byte range, one framing scan — the batch goes out
-        as a :class:`~repro.net.buffers.ColumnarSamples` over the region
-        itself, so the encoder emits O(1) segments and nothing walks the
-        records in Python.  Any layout the scanner rejects (or a handle
-        without ``read_region``) degrades to the per-record zero-copy
-        path, which also re-raises CRC failures with proper diagnostics.
+        Columnar fast path: one ``read_region`` of the planned byte range,
+        one framing scan — the batch goes out as a
+        :class:`~repro.net.buffers.ColumnarSamples` over the region itself,
+        so the encoder emits O(1) segments and nothing walks the records in
+        Python.  Any layout the scanner rejects (or a handle without
+        ``read_region``) degrades to the per-record zero-copy path, which
+        also re-raises CRC failures with proper diagnostics.
         """
-        if self.config.payload_version >= 3:
-            read_region = getattr(reader, "read_region", None)
-            if read_region is not None:
-                try:
-                    region, needs_verify = read_region(a.offset, a.count, a.nbytes)
-                    offsets, labels = scan_example_spans(
-                        region, a.count, verify=needs_verify
-                    )
-                    return ColumnarSamples(region, offsets), labels
-                except ValueError:
-                    pass
+        read_region = getattr(reader, "read_region", None)
+        if read_region is not None:
+            try:
+                region, needs_verify = read_region(a.offset, a.count, a.nbytes)
+                offsets, labels = scan_example_spans(
+                    region, a.count, verify=needs_verify
+                )
+                return ColumnarSamples(region, offsets), labels
+            except ValueError:
+                pass
         records = reader.read_range_views(a.offset, a.count, nbytes=a.nbytes)
         samples = []
         labels = []
@@ -675,8 +673,7 @@ class EMLIODaemon:
                     node_id=a.node_id,
                     meta=stamp_trace() if sampled else {},
                     seq=a.batch_index,
-                ),
-                version=self.config.payload_version,
+                )
             )
             nbytes = sum(len(p) for p in parts)
             t2 = self._clock.now()

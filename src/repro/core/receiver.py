@@ -54,7 +54,7 @@ _SAMPLED_KEYS_BOUND = 4096
 
 class ReceiverKilled(RuntimeError):
     """This compute node was killed (chaos injection or operator action)
-    mid-epoch; its undelivered batches are the FailoverCoordinator's job."""
+    mid-epoch; the placement engine re-targets its undelivered batches."""
 
 
 class EMLIOReceiver:
@@ -260,8 +260,8 @@ class EMLIOReceiver:
         The PULL socket closes (peers see connection resets), the active
         epoch's provider aborts instead of stalling out its timeout, and
         in-flight batches are dropped — the transport-level signature of a
-        dead compute node.  Recovery of its undelivered batches is the
-        FailoverCoordinator's job.
+        dead compute node.  The service's monitor re-targets its undelivered
+        batches through the placement engine.
         """
         if self._killed.is_set():
             return
@@ -343,13 +343,18 @@ class EMLIOReceiver:
                     self.ticks += 1
                 continue
             # Samples decode as views over the pooled frame buffer; the
-            # lease travels with them (LeasedSamples) and is released by
+            # lease travels with them (ColumnarSamples) and is released by
             # the final consumer — pipeline after preprocess, or provider
-            # on dedup/stale drop.
+            # on dedup/stale drop.  A frame that fails to decode has no
+            # consumer, so its lease is returned here.
             wr0 = time.time_ns() if tracer is not None else 0
             t0 = time.perf_counter()
             wr1 = time.time_ns() if tracer is not None else 0
-            payload = decode_batch(frame.data, zero_copy=True, release=frame.release)
+            try:
+                payload = decode_batch(frame.data, zero_copy=True, release=frame.release)
+            except BaseException:
+                frame.release()
+                raise
             decode_s = time.perf_counter() - t0
             self.pipeline_stats.record_decode(decode_s)
             if self._decode_hist is not None:

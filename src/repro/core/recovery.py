@@ -13,17 +13,6 @@ restarted receiver) degrade throughput instead of killing the epoch:
   stay bounded by the *live* epochs, not the run's lifetime.  Mid-epoch
   receiver failovers persist their key re-mappings as ``reassign`` lines so
   a restart never double-serves a re-owned batch.
-* :class:`FailoverCoordinator` — when a *daemon* is declared dead, re-plans
-  its undelivered assignments onto surviving storage roots that can reach
-  the shards; when a *receiver* (compute node) is declared dead,
-  :meth:`~FailoverCoordinator.plan_receiver_failover` re-targets its
-  undelivered batches onto surviving receivers with fresh sequence numbers
-  and picks a reachable root to serve each one.  Since the placement
-  refactor this class is a thin compatibility delegate over
-  :class:`~repro.core.placement.PlacementEngine`, which owns every
-  batch→owner decision (including the load-weighted ones this API cannot
-  express — supervisors construct the engine directly to pass load
-  signals and elastic policy).
 * :class:`RecoveryConfig` — the policy knob bundle consumed by
   :class:`~repro.core.service.EMLIOService` (``EMLIOService(recovery=...)``),
   including the :class:`~repro.core.membership.MembershipConfig` thresholds
@@ -31,6 +20,9 @@ restarted receiver) degrade throughput instead of killing the epoch:
 * :class:`EpochServeError` / :class:`DaemonKilled` / :class:`FailoverError`
   / :class:`NodeUnreachable` — the failure vocabulary shared by daemon,
   service and tests.
+
+Re-planning a dead member's undelivered batches onto survivors is
+:class:`~repro.core.placement.PlacementEngine`'s job.
 
 Delivery semantics: daemons + reconnecting PUSH streams give *at-least-once*
 transport; the receiver's dedup window (:class:`~repro.core.provider
@@ -46,17 +38,10 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping
 
 from repro.core.membership import MembershipConfig
-from repro.core.placement import (
-    FailoverError,
-    PlacementEngine,
-    ReceiverReassignment,
-)
-from repro.core.planner import BatchAssignment, BatchPlan
+from repro.core.placement import FailoverError, ReceiverReassignment  # noqa: F401 - re-exported
 from repro.net.mq import ReconnectPolicy
-from repro.util.logging import TimestampLogger
 
 #: A delivery key: (epoch, node_id, seq).  ``seq`` is the per-(epoch, node)
 #: sequence number stamped into each BatchPayload — the planner's
@@ -383,103 +368,3 @@ class DeliveryLedger:
                 self._fh.close()
                 self._fh = None
 
-
-class FailoverCoordinator:
-    """Re-plans a dead member's undelivered batches onto survivors.
-
-    Compatibility facade: the logic lives in
-    :class:`~repro.core.placement.PlacementEngine`, which this class
-    constructs without load signals — placement through this API is
-    therefore count-balanced, exactly the pre-engine behaviour.  New code
-    (and the service) should construct the engine directly and pass
-    ``node_loads``/``root_loads`` so re-plans weight by observed
-    throughput and queue depth.
-
-    Parameters
-    ----------
-    plan:
-        The original epoch plan (source of residual assignments).
-    ledger:
-        Delivery ledger consulted for what already arrived.
-    roots:
-        ``storage_root -> owned shard names`` for every daemon; ``None``
-        as a value means "all shards in the plan" (the single-daemon case).
-    reachable:
-        ``(root, shard_path) -> bool`` predicate deciding whether a
-        surviving root can serve a shard.  Defaults to a file-existence
-        check, which covers both replicated storage (every root holds every
-        shard) and shared roots (symlinked/NFS-mounted directories).
-    """
-
-    def __init__(
-        self,
-        plan: BatchPlan,
-        ledger: DeliveryLedger,
-        roots: dict[str, Collection[str] | None],
-        reachable: Callable[[str, str], bool] | None = None,
-        logger: TimestampLogger | None = None,
-    ) -> None:
-        self._engine = PlacementEngine(
-            plan, ledger, roots, reachable=reachable,
-            logger=logger or TimestampLogger(name="failover"),
-        )
-
-    @property
-    def plan(self) -> BatchPlan:
-        return self._engine.plan
-
-    @property
-    def ledger(self) -> DeliveryLedger:
-        return self._engine.ledger
-
-    @property
-    def roots(self) -> dict[str, Collection[str] | None]:
-        return self._engine.roots
-
-    @property
-    def reachable(self) -> Callable[[str, str], bool]:
-        return self._engine.reachable
-
-    def shards_of(self, root: str) -> set[str]:
-        """Shard names the daemon at ``root`` was responsible for."""
-        return self._engine.shards_of(root)
-
-    def residual_plan(self, epoch: int, shards: Iterable[str] | None = None) -> BatchPlan:
-        """Sub-plan of not-yet-delivered assignments (optionally per shard set)."""
-        return self._engine.residual_plan(epoch, shards=shards)
-
-    def place_assignments(
-        self,
-        assignments: Collection[BatchAssignment],
-        survivors: Collection[str],
-    ) -> dict[str, tuple[BatchAssignment, ...]]:
-        """Place loose assignments on reachable roots, least-loaded-first."""
-        return self._engine.place_assignments(assignments, survivors)
-
-    def plan_failover(
-        self,
-        dead_root: str,
-        epoch: int,
-        survivors: Collection[str] | None = None,
-    ) -> dict[str, set[str]]:
-        """Decide which survivor takes over each of the dead root's shards."""
-        return self._engine.plan_failover(dead_root, epoch, survivors=survivors)
-
-    def plan_receiver_failover(
-        self,
-        dead_node: int,
-        epoch: int,
-        surviving_nodes: Collection[int],
-        next_seq: Mapping[int, int],
-        survivor_roots: Collection[str] | None = None,
-        residual: Collection[BatchAssignment] | None = None,
-    ) -> ReceiverReassignment:
-        """Re-target a dead compute node's undelivered batches onto survivors."""
-        return self._engine.plan_receiver_failover(
-            dead_node,
-            epoch,
-            surviving_nodes,
-            next_seq,
-            survivor_roots=survivor_roots,
-            residual=residual,
-        )

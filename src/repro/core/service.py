@@ -17,7 +17,7 @@ membership events.  The service's monitor thread consumes those events —
 
 * a crashed daemon announces itself (``failed`` beat) or falls silent;
   either way the monitor sees a ``dead`` event and asks the
-  :class:`~repro.core.recovery.FailoverCoordinator` to re-plan the dead
+  :class:`~repro.core.placement.PlacementEngine` to re-plan the dead
   daemon's undelivered batches onto surviving storage roots;
 * a *hung* daemon — thread alive, no error, no progress — keeps beating
   with a frozen progress counter and is declared dead just the same;

@@ -32,7 +32,6 @@ __all__ = [
     "ColumnarSamples",
     "PooledBuffer",
     "PooledFrame",
-    "LeasedSamples",
     "release_samples",
 ]
 
@@ -125,29 +124,6 @@ class BufferPool:
             return len(self._free)
 
 
-class LeasedSamples(list):
-    """A batch's sample list that carries its receive-buffer lease.
-
-    Behaves exactly like ``list`` (the external-source contract) but adds
-    ``release()`` so the final consumer — the pipeline, after preprocess —
-    can return the underlying pooled buffer the sample memoryviews alias.
-    Plain lists flow through the same code paths untouched: every release
-    site is ``getattr(samples, "release", None)``-guarded.
-    """
-
-    __slots__ = ("_release",)
-
-    def __init__(self, samples, release: Callable[[], None] | None = None) -> None:
-        super().__init__(samples)
-        self._release = release
-
-    def release(self) -> None:
-        """Release the underlying receive buffer (idempotent)."""
-        release, self._release = self._release, None
-        if release is not None:
-            release()
-
-
 class ColumnarSamples:
     """A batch's samples as one blob plus per-sample (start, end) offsets.
 
@@ -159,8 +135,8 @@ class ColumnarSamples:
     sample's bytes inside it.  Sample views materialize lazily on access
     by offset slicing, so decoding a batch does zero per-record work.
 
-    Like :class:`LeasedSamples`, carries the receive-buffer lease: the
-    final consumer calls ``release()`` once the views are dead.
+    Carries the receive-buffer lease: the final consumer calls
+    ``release()`` once the views are dead.
     """
 
     __slots__ = ("blob", "offsets", "_release")
@@ -196,8 +172,7 @@ class ColumnarSamples:
 
     def __eq__(self, other):
         """Sequence equality by sample bytes — a columnar batch equals the
-        row-layout list holding the same samples (mirrors LeasedSamples,
-        which inherits this from ``list``)."""
+        row-layout list holding the same samples."""
         try:
             if len(self) != len(other):
                 return False

@@ -5,22 +5,15 @@ provenance metadata.  The daemon slices ``B`` contiguous records out of an
 mmap'ed TFRecord shard and encodes them here (paper §4.1, "serializes groups
 of B examples into a single msgpack payload").
 
-Schema versions on the wire (``v`` key; decode accepts all of them):
-
-* **v1** — row layout, no ``seq`` field (pre-recovery payloads).
-* **v2** — row layout: ``samples`` is a msgpack array of B bins, ``labels``
-  an array of B ints.  Encode and decode both walk every sample.
-* **v3** — columnar layout: ``samples`` is **one** bin blob, ``offsets`` a
-  packed u32 vector of B ``(start, end)`` pairs addressing each sample's
-  bytes inside the blob, ``labels`` a packed i64 vector, plus a ``count``.
-  When the samples already share one backing region (the daemon's framed
-  mmap range, wrapped in :class:`~repro.net.buffers.ColumnarSamples`) the
-  scatter-gather encode emits O(1) segments regardless of B; decode
-  reconstructs the batch by offset slicing with zero per-record work.
-
-Which version a daemon *emits* is the ``payload_version`` config knob
-(default v3; forcing 2 is the mixed-version fallback).  Decode always
-accepts every compatible version, so mixed-version clusters interoperate.
+The wire schema is columnar (``v`` = 3, the one version encode emits and
+decode accepts): ``samples`` is **one** bin blob, ``offsets`` a packed u32
+vector of B ``(start, end)`` pairs addressing each sample's bytes inside
+the blob, ``labels`` a packed i64 vector, plus a ``count``.  When the
+samples already share one backing region (the daemon's framed mmap range,
+wrapped in :class:`~repro.net.buffers.ColumnarSamples`) the scatter-gather
+encode emits O(1) segments regardless of B; decode reconstructs the batch
+by offset slicing with zero per-record work, after checking every field
+and every offset pair against the blob.
 """
 
 from __future__ import annotations
@@ -30,18 +23,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.net.buffers import ColumnarSamples, LeasedSamples
+from repro.net.buffers import ColumnarSamples
 from repro.serialize.msgpack import SPILL_THRESHOLD, BinChunks, pack_parts, packb, unpackb
 
 _SCHEMA_VERSION = 3
-_COMPATIBLE_VERSIONS = (1, 2, 3)  # v1 payloads predate the seq field
 
 #: ``meta`` key marking a payload as trace-sampled.  The daemon stamps it
 #: (:func:`stamp_trace`) when :func:`repro.obs.trace.trace_sampled` says
 #: yes for the batch's ``(epoch, node, seq)``; every downstream component
 #: checks :func:`trace_stamped` before paying any tracing cost.  Meta is
-#: wire-encoded by both v2 and v3 schemas, so the mark survives TCP and
-#: shm transports alike.
+#: wire-encoded with the payload, so the mark survives TCP and shm
+#: transports alike.
 TRACE_META_KEY = "tr"
 
 
@@ -109,7 +101,7 @@ class BatchPayload:
     def __eq__(self, other) -> bool:
         """Semantic equality across layouts: a columnar batch equals its
         row-layout twin when every field, sample byte, and label matches —
-        so ``decode(encode(p)) == p`` holds for every schema version."""
+        so ``decode(encode(p)) == p`` holds whichever layout built ``p``."""
         if not isinstance(other, BatchPayload):
             return NotImplemented
         return (
@@ -138,31 +130,12 @@ class BatchPayload:
         return sum(len(s) for s in self.samples)
 
 
-def _header_dict(payload: BatchPayload, version: int) -> dict:
-    return {
-        "v": version,
-        "epoch": payload.epoch,
-        "batch_index": payload.batch_index,
-        "shard": payload.shard,
-        "node_id": payload.node_id,
-        "seq": payload.seq,
-    }
-
-
-def _schema_dict_v2(payload: BatchPayload) -> dict:
-    obj = _header_dict(payload, 2)
-    samples = payload.samples
-    labels = payload.labels
-    # A columnar batch (or numpy labels) re-encodes row-wise losslessly —
-    # the mixed-version fallback path.
-    obj["samples"] = samples if isinstance(samples, list) else list(samples)
-    obj["labels"] = [int(l) for l in labels] if not isinstance(labels, list) else labels
-    obj["meta"] = payload.meta
-    return obj
-
-
-def _schema_dict_v3(payload: BatchPayload) -> dict:
-    obj = _header_dict(payload, 3)
+def _schema_dict(payload: BatchPayload, version: int) -> dict:
+    if version != _SCHEMA_VERSION:
+        raise ValueError(
+            f"cannot encode batch payload version {version!r} "
+            f"(the wire schema is v{_SCHEMA_VERSION})"
+        )
     samples = payload.samples
     count = len(samples)
     if isinstance(samples, ColumnarSamples):
@@ -186,29 +159,26 @@ def _schema_dict_v3(payload: BatchPayload) -> dict:
         offsets[0::2] = ends - lengths
         offsets[1::2] = ends
         blob = BinChunks(list(samples), nbytes=total)
-    labels = np.asarray(payload.labels, dtype=_LABEL_DTYPE)
-    obj["count"] = count
-    obj["offsets"] = offsets
-    obj["labels"] = labels
-    obj["samples"] = blob
-    obj["meta"] = payload.meta
-    return obj
+    return {
+        "v": version,
+        "epoch": payload.epoch,
+        "batch_index": payload.batch_index,
+        "shard": payload.shard,
+        "node_id": payload.node_id,
+        "seq": payload.seq,
+        "count": count,
+        "offsets": offsets,
+        "labels": np.asarray(payload.labels, dtype=_LABEL_DTYPE),
+        "samples": blob,
+        "meta": payload.meta,
+    }
 
 
-def _schema_dict(payload: BatchPayload, version: int | None) -> dict:
-    version = _SCHEMA_VERSION if version is None else version
-    if version == 2:
-        return _schema_dict_v2(payload)
-    if version == 3:
-        return _schema_dict_v3(payload)
-    raise ValueError(f"cannot encode batch payload version {version!r}")
-
-
-def encode_batch(payload: BatchPayload, version: int | None = None) -> bytes:
+def encode_batch(payload: BatchPayload, version: int = _SCHEMA_VERSION) -> bytes:
     """Serialize a :class:`BatchPayload` to msgpack bytes.
 
-    ``version`` picks the wire schema (2 = row layout, 3 = columnar); the
-    default is the current schema version.
+    ``version`` must be the wire schema's (3); any other raises
+    ``ValueError``.
     """
     return packb(_schema_dict(payload, version))
 
@@ -216,42 +186,29 @@ def encode_batch(payload: BatchPayload, version: int | None = None) -> bytes:
 def encode_batch_parts(
     payload: BatchPayload,
     threshold: int = SPILL_THRESHOLD,
-    version: int | None = None,
+    version: int = _SCHEMA_VERSION,
 ) -> list[memoryview]:
     """Serialize to scatter-gather segments (the zero-copy encode).
 
     Sample payloads at or above ``threshold`` bytes — in the daemon these
     are memoryview slices over the mmap'ed shard — become their own
-    segments instead of being copied into the msgpack body.  Under the
-    columnar schema (v3) a batch whose samples share one backing region
-    encodes to O(1) segments regardless of B.  The caller must keep the
-    spilled views valid until the segments are on the wire *and* credited
-    (the transport replays from the same views on reconnect).
+    segments instead of being copied into the msgpack body.  A batch whose
+    samples share one backing region encodes to O(1) segments regardless
+    of B.  The caller must keep the spilled views valid until the segments
+    are on the wire *and* credited (the transport replays from the same
+    views on reconnect).  ``version`` is checked as in :func:`encode_batch`.
     """
     return pack_parts(_schema_dict(payload, version), threshold)
 
 
-def _decode_columnar(obj: dict, zero_copy: bool, release) -> tuple[Sequence, Sequence[int]]:
-    count = obj["count"]
-    offsets = np.frombuffer(obj["offsets"], dtype=_OFFSET_DTYPE)
-    if len(offsets) != 2 * count:
-        raise ValueError(
-            f"columnar offsets length {len(offsets)} does not match count {count}"
-        )
-    labels = np.frombuffer(obj["labels"], dtype=_LABEL_DTYPE)
-    if len(labels) != count:
-        raise ValueError(
-            f"columnar labels length {len(labels)} does not match count {count}"
-        )
-    blob = obj["samples"]
-    if zero_copy:
-        # Labels outlive the receive-buffer lease (they ride to the training
-        # loop after ``release()``), so take the one vectorized copy here —
-        # a single allocation per batch, still no per-record work.  Samples
-        # and offsets stay views: dead once released, per the lease contract.
-        return ColumnarSamples(blob, offsets, release), labels.copy()
-    samples = [bytes(blob[offsets[2 * i] : offsets[2 * i + 1]]) for i in range(count)]
-    return samples, labels
+def _vector(obj: dict, name: str, dtype: np.dtype) -> np.ndarray:
+    raw = obj[name]
+    if not isinstance(raw, (bytes, memoryview)):
+        raise ValueError(f"columnar {name} must be bin, got {type(raw).__name__}")
+    try:
+        return np.frombuffer(raw, dtype=dtype)
+    except ValueError as err:
+        raise ValueError(f"columnar {name}: {err}") from None
 
 
 def decode_batch(
@@ -259,36 +216,75 @@ def decode_batch(
     zero_copy: bool = False,
     release: Callable[[], None] | None = None,
 ) -> BatchPayload:
-    """Inverse of :func:`encode_batch`; validates the schema version.
+    """Inverse of :func:`encode_batch`.
 
-    With ``zero_copy=True`` the decoded ``samples`` are views over ``data``
-    — a :class:`~repro.net.buffers.LeasedSamples` list for row payloads, a
-    :class:`~repro.net.buffers.ColumnarSamples` for columnar ones — and the
-    carrier holds ``release``: the final consumer calls
+    Strict: anything but a v3 map with every field present and well-typed,
+    and every ``(start, end)`` offset pair ordered and inside the samples
+    blob, raises ``ValueError`` naming what is wrong — corrupt bytes never
+    reach a tensor as a truncated or empty sample.
+
+    With ``zero_copy=True`` the decoded ``samples`` are a
+    :class:`~repro.net.buffers.ColumnarSamples` of views over ``data``, and
+    the carrier holds ``release``: the final consumer calls
     ``samples.release()`` once the views are dead, returning ``data``'s
-    pooled buffer.  Labels decode as a packed i64 array view (v3) or the
-    decoder-owned list (v1/v2) — never a per-record copy.
+    pooled buffer.  Labels decode as a packed i64 array — never a
+    per-record copy.
     """
     obj = unpackb(data, zero_copy=zero_copy)
     if not isinstance(obj, dict):
         raise ValueError(f"batch payload must decode to a map, got {type(obj).__name__}")
     version = obj.get("v")
-    if version not in _COMPATIBLE_VERSIONS:
-        raise ValueError(f"unsupported batch payload version: {version!r}")
-    if version >= 3:
-        samples, labels = _decode_columnar(obj, zero_copy, release)
-    else:
-        samples = (
-            LeasedSamples(obj["samples"], release) if zero_copy else obj["samples"]
+    if version != _SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported batch payload version {version!r} "
+            f"(the wire schema is v{_SCHEMA_VERSION})"
         )
-        labels = obj["labels"]  # the decoder's own list — no second copy
+    try:
+        count = obj["count"]
+        if type(count) is not int:
+            raise ValueError(f"columnar count must be an int, got {type(count).__name__}")
+        offsets = _vector(obj, "offsets", _OFFSET_DTYPE)
+        if len(offsets) != 2 * count:
+            raise ValueError(
+                f"columnar offsets length {len(offsets)} does not match count {count}"
+            )
+        labels = _vector(obj, "labels", _LABEL_DTYPE)
+        if len(labels) != count:
+            raise ValueError(
+                f"columnar labels length {len(labels)} does not match count {count}"
+            )
+        blob = obj["samples"]
+        if not isinstance(blob, (bytes, memoryview)):
+            raise ValueError(f"columnar samples must be bin, got {type(blob).__name__}")
+        # Vectorised bounds check: every span ordered and inside the blob.
+        # count_nonzero, not any()/max(): no ufunc-reduce setup per batch.
+        if np.count_nonzero(offsets > len(blob)) or np.count_nonzero(
+            offsets[0::2] > offsets[1::2]
+        ):
+            raise ValueError(
+                f"columnar offsets address bytes outside the {len(blob)}-byte "
+                f"samples blob or run backwards"
+            )
+        epoch, batch_index, shard = obj["epoch"], obj["batch_index"], obj["shard"]
+        node_id, seq, meta = obj["node_id"], obj["seq"], obj["meta"]
+    except KeyError as err:
+        raise ValueError(f"batch payload missing field {err.args[0]!r}") from None
+    if zero_copy:
+        # Labels outlive the receive-buffer lease (they ride to the training
+        # loop after ``release()``), so take the one vectorized copy here —
+        # a single allocation per batch, still no per-record work.  Samples
+        # and offsets stay views: dead once released, per the lease contract.
+        samples = ColumnarSamples(blob, offsets, release)
+        labels = labels.copy()
+    else:
+        samples = [bytes(blob[offsets[2 * i] : offsets[2 * i + 1]]) for i in range(count)]
     return BatchPayload(
-        epoch=obj["epoch"],
-        batch_index=obj["batch_index"],
-        shard=obj["shard"],
+        epoch=epoch,
+        batch_index=batch_index,
+        shard=shard,
         samples=samples,
         labels=labels,
-        node_id=obj.get("node_id", 0),
-        meta=obj.get("meta", {}),
-        seq=obj.get("seq", obj["batch_index"]),
+        node_id=node_id,
+        meta=meta,
+        seq=seq,
     )

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.arena import scratch_arena
+
 _POLY = 0x82F63B78  # reflected CRC-32C polynomial
 _MASK_DELTA = 0xA282EAD8
 _INIT = 0xFFFFFFFF
@@ -121,16 +123,6 @@ _BYTE_OFFSETS = np.arange(4, dtype=np.intp) * 256
 _SEGMENT_SHIFT = _LANE_SHIFT.reshape(-1, 4, 256)[_SEGMENT_LANES].tolist()
 
 
-#: Idle per-pass scratch buffers (padded bytes, gather indices, gathered
-#: contributions — 13 bytes per padded byte, ~0.5 MB a set).  Kept, not
-#: allocated per call: arrays this size sit right at glibc's mmap/trim
-#: thresholds, where malloc maps, faults and unmaps them on every call
-#: (2.3x the whole kernel's time under default settings).  ``list.pop`` /
-#: ``append`` are atomic, so concurrent callers each get their own set and
-#: the pool grows to the concurrency actually reached.
-_SCRATCH: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-
 def _crc_pass(
     src: np.ndarray, starts: list[int], ends: list[int], lanes_per: list[int]
 ) -> np.ndarray:
@@ -150,24 +142,27 @@ def _crc_pass(
         head.append(e - s - (lanes - 1) * _LANE)
         to_end.extend(range(lanes - 1, -1, -1))
         rows += lanes
-    try:
-        scratch = _SCRATCH.pop()
-    except IndexError:
-        scratch = (
-            np.empty(_PASS_LANES * _LANE, dtype=np.uint8),
-            np.empty((_PASS_LANES, _LANE), dtype=np.intp),
-            np.empty((_PASS_LANES, _LANE), dtype=_U32),
+    # Scratch (13 bytes per padded byte, ~0.5 MB at a full pass) comes from
+    # an arena: arrays this size sit right at glibc's mmap/trim thresholds,
+    # where malloc maps, faults and unmaps them on every call (2.3x the
+    # whole kernel's time under default settings).
+    size = rows * _LANE
+    with scratch_arena() as arena:
+        padded = arena.get("crc.padded", size, np.uint8)
+        padded.fill(0)
+        for s, e, stop in zip(starts, ends, row_start[1:] + [rows]):
+            stop *= _LANE
+            padded[stop - (e - s) : stop] = src[s:e]
+        # Indices are in range by construction; "wrap" only skips the check.
+        idx = np.add(
+            padded.reshape(rows, _LANE),
+            _POS_OFFSETS,
+            out=arena.get("crc.idx", size, np.intp).reshape(rows, _LANE),
         )
-    padded = scratch[0][: rows * _LANE]
-    padded.fill(0)
-    for s, e, stop in zip(starts, ends, row_start[1:] + [rows]):
-        stop *= _LANE
-        padded[stop - (e - s) : stop] = src[s:e]
-    # Indices are in range by construction; "wrap" only skips the check.
-    idx = np.add(padded.reshape(rows, _LANE), _POS_OFFSETS, out=scratch[1][:rows])
-    contrib = _POS_TABLE.take(idx, mode="wrap", out=scratch[2][:rows])
-    lane_crc = np.bitwise_xor.reduce(contrib, axis=1)
-    _SCRATCH.append(scratch)
+        contrib = _POS_TABLE.take(
+            idx, mode="wrap", out=arena.get("crc.contrib", size, _U32).reshape(rows, _LANE)
+        )
+        lane_crc = np.bitwise_xor.reduce(contrib, axis=1)
     # The initial state rides in each span's first lane, run through the
     # data bytes that lane holds; the lane shift below does the rest.
     lane_crc[row_start] ^= _INIT_SHIFT[head]

@@ -109,6 +109,9 @@ def test_unknown_keys_rejected_loudly():
         ClusterSpec.from_dict({"pipelines": {}})
     with pytest.raises(SpecError, match="unknown key.*'batchsize'"):
         ClusterSpec.from_dict({"pipeline": {"batchsize": 4}})
+    # The retired wire-schema knob: one schema, so no key to pick it.
+    with pytest.raises(SpecError, match="unknown key.*'payload_version'"):
+        ClusterSpec.from_dict({"pipeline": {"payload_version": 3}})
 
 
 @pytest.mark.parametrize(
@@ -120,8 +123,8 @@ def test_unknown_keys_rejected_loudly():
         ("pipeline", {"output_hw": [16]}, "pair of ints"),
         ("pipeline", {"codec": ""}, "codec"),
         ("pipeline", {"workers": 0}, "workers"),
-        ("pipeline", {"payload_version": 1}, "payload_version"),
-        ("pipeline", {"payload_version": 4}, "payload_version"),
+        ("pipeline", {"payload_version": 2}, "payload_version"),  # now unknown
+        ("pipeline", {"payload_version": 3}, "payload_version"),
         ("dataset", {"kind": "webdataset"}, "dataset.kind"),
         ("dataset", {"kind": "existing"}, "requires dataset.root"),
         ("dataset", {"n": 0}, "dataset.n"),
@@ -168,17 +171,16 @@ def test_pipeline_spec_resolves_to_config():
     cfg = FULL.pipeline.to_config()
     assert cfg.batch_size == 4 and cfg.coverage == "replicate"
     assert cfg.effective_reorder_window == 3 * 8  # AUTO: streams x hwm
-    assert cfg.workers == 1 and cfg.payload_version == 3  # the defaults
+    assert cfg.workers == 1  # the default
 
 
-def test_pipeline_spec_forwards_workers_and_payload_version():
-    spec = PipelineSpec(workers=4, payload_version=2)
-    cfg = spec.to_config()
-    assert cfg.workers == 4 and cfg.payload_version == 2
-    # And they survive the serialization round trip like every knob.
+def test_pipeline_spec_forwards_workers():
+    spec = PipelineSpec(workers=4)
+    assert spec.to_config().workers == 4
+    # And it survives the serialization round trip like every knob.
     cluster = ClusterSpec(pipeline=spec)
     assert ClusterSpec.from_toml(cluster.to_toml()).pipeline.workers == 4
-    assert ClusterSpec.from_json(cluster.to_json()).pipeline.payload_version == 2
+    assert ClusterSpec.from_json(cluster.to_json()).pipeline.workers == 4
 
 
 @pytest.mark.parametrize("verify", [True, False, "open"])

@@ -145,6 +145,40 @@ def test_receiver_rejects_foreign_batch(small_imagenet, config):
     receiver.pull.close()
 
 
+def test_receiver_releases_frame_that_fails_to_decode(small_imagenet, config):
+    """A frame that fails to decode fails the epoch and still returns its
+    pooled receive buffer: no consumer will ever release that lease."""
+    import time
+
+    from repro.core.receiver import EMLIOReceiver
+    from repro.net.mq import PushSocket
+    from repro.serialize.msgpack import packb
+
+    plan = Planner(small_imagenet, num_nodes=1, config=config).plan()
+    receiver = EMLIOReceiver(node_id=0, plan=plan, config=config, stall_timeout=2.0)
+    pool = receiver.pull.pool
+    push = PushSocket([receiver.address], hwm=4)
+    try:
+        push.send(packb({"v": 2, "samples": [b"x"], "labels": [1]}))  # retired schema
+        deadline = time.monotonic() + 5
+        while receiver._receiver_thread.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not receiver._receiver_thread.is_alive()  # died on the decode
+        with pytest.raises(RuntimeError, match="receive thread died.*version 2"):
+            for _ in receiver.epoch(0):
+                pass
+        push.close()
+        # Once the stream's read loop drops its in-flight acquire, every
+        # buffer ever allocated is back on the free list.
+        deadline = time.monotonic() + 5
+        while pool.free != pool.misses and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pool.free == pool.misses
+    finally:
+        push.close()
+        receiver.close()
+
+
 def test_receiver_warm_up_failure_is_logged_and_counted(small_imagenet, config, monkeypatch, caplog):
     """Warm-up stays best-effort — the receiver still starts — but a
     preprocess kernel that cannot run its synthetic batch is reported

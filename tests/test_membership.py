@@ -23,12 +23,8 @@ from repro.core.membership import (
     MembershipEvent,
 )
 from repro.core.planner import BatchAssignment, BatchPlan
-from repro.core.recovery import (
-    DeliveryLedger,
-    FailoverCoordinator,
-    FailoverError,
-    RecoveryConfig,
-)
+from repro.core.placement import PlacementEngine
+from repro.core.recovery import DeliveryLedger, FailoverError, RecoveryConfig
 from repro.core.service import EMLIOService
 from repro.net.channel import connect_channel
 from repro.net.heartbeat import (
@@ -489,7 +485,7 @@ def test_receiver_failover_replan_properties(case):
     ledger = DeliveryLedger(None)
     for key in delivered:
         ledger.record(*key)
-    coord = FailoverCoordinator(
+    coord = PlacementEngine(
         plan, ledger, {"rootA": None, "rootB": None},
         reachable=lambda root, path: True,
     )
@@ -542,8 +538,8 @@ def test_receiver_failover_replan_properties(case):
 def test_receiver_failover_balances_across_survivors(case):
     plan, dead, _delivered = case
     ledger = DeliveryLedger(None)
-    coord = FailoverCoordinator(plan, ledger, {"r": None},
-                                reachable=lambda root, path: True)
+    coord = PlacementEngine(plan, ledger, {"r": None},
+                            reachable=lambda root, path: True)
     survivors = [n for n in range(plan.num_nodes) if n != dead]
     next_seq = {n: 100 for n in survivors}
     result = coord.plan_receiver_failover(dead, 0, survivors, next_seq)
@@ -557,8 +553,8 @@ def test_receiver_failover_no_survivors_raises(small_imagenet):
     from repro.core.planner import Planner
 
     plan = Planner(small_imagenet, num_nodes=1, config=cfg).plan()
-    coord = FailoverCoordinator(plan, DeliveryLedger(None), {"r": None},
-                                reachable=lambda root, path: True)
+    coord = PlacementEngine(plan, DeliveryLedger(None), {"r": None},
+                            reachable=lambda root, path: True)
     with pytest.raises(FailoverError, match="no surviving receiver"):
         coord.plan_receiver_failover(0, 0, surviving_nodes=[], next_seq={})
 
@@ -568,8 +564,8 @@ def test_receiver_failover_unreachable_shard_raises(small_imagenet):
     from repro.core.planner import Planner
 
     plan = Planner(small_imagenet, num_nodes=2, config=cfg).plan()
-    coord = FailoverCoordinator(plan, DeliveryLedger(None), {"r": None},
-                                reachable=lambda root, path: False)
+    coord = PlacementEngine(plan, DeliveryLedger(None), {"r": None},
+                            reachable=lambda root, path: False)
     with pytest.raises(FailoverError, match="no surviving root"):
         coord.plan_receiver_failover(0, 0, surviving_nodes=[1], next_seq={1: 0})
 

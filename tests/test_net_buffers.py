@@ -1,10 +1,11 @@
 """Tests for receive-side buffer pooling and lease types (zero-copy path)."""
 
+import numpy as np
 import pytest
 
 from repro.net.buffers import (
     BufferPool,
-    LeasedSamples,
+    ColumnarSamples,
     PooledFrame,
     release_samples,
 )
@@ -71,11 +72,12 @@ def test_pooled_frame_without_lease_is_noop():
     PooledFrame(b"plain bytes").release()  # must not raise
 
 
-def test_leased_samples_behaves_like_list():
+def test_columnar_samples_behaves_like_list():
     calls = []
-    samples = LeasedSamples([b"a", b"b"], lambda: calls.append(1))
+    offsets = np.array([0, 1, 1, 2], dtype="<u4")
+    samples = ColumnarSamples(b"ab", offsets, lambda: calls.append(1))
     assert samples == [b"a", b"b"]
-    assert len(samples) == 2 and samples[1] == b"b"
+    assert len(samples) == 2 and samples[1] == b"b" and samples[-1] == b"b"
     samples.release()
     samples.release()
     assert calls == [1]  # release exactly once
@@ -83,7 +85,7 @@ def test_leased_samples_behaves_like_list():
 
 def test_release_samples_helper():
     calls = []
-    release_samples(LeasedSamples([], lambda: calls.append(1)))
+    release_samples(ColumnarSamples(b"", np.empty(0, dtype="<u4"), lambda: calls.append(1)))
     assert calls == [1]
     release_samples([b"plain", b"list"])  # no lease: no-op, no raise
 

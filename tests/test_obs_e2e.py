@@ -96,7 +96,9 @@ def test_trace_writer_stats_surface_in_status(tmp_path):
     with EMLIO.deploy(spec) as dep:
         for _ in dep.epoch(0):
             pass
-        telemetry = dep.status()["telemetry"]
+    # The trace writer drains on a background thread; close() flushes it,
+    # so the counts are final only after the deployment is closed.
+    telemetry = dep.status()["telemetry"]
     # 8 batches x 7 stages, plus the service timeline events that share
     # the sink; nothing may be dropped at quickstart scale.
     assert telemetry["spans_written"] >= 8 * len(SPAN_STAGES)

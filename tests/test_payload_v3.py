@@ -1,11 +1,11 @@
-"""Columnar payload schema (v3): round trips, back compat, O(1) decode.
+"""Columnar payload schema (v3): round trips, strict decode, O(1) decode.
 
 The v3 wire layout packs a batch as one samples blob + a u32 offsets
 vector + an i64 labels vector.  These tests pin the properties the hot
-path rests on: lossless round trips across every edge geometry, decode
-of every older schema version, O(1) scatter-gather segments when the
-daemon serves a shared region, and O(1) Python allocations per decoded
-batch under ``zero_copy=True``.
+path rests on: lossless round trips across every edge geometry,
+rejection of every other schema version and of malformed v3 maps, O(1)
+scatter-gather segments when the daemon serves a shared region, and O(1)
+Python allocations per decoded batch under ``zero_copy=True``.
 """
 
 import tracemalloc
@@ -76,13 +76,10 @@ def test_v3_roundtrip_edge_geometries(samples):
     assert decode_batch(wire, zero_copy=True) == p
 
 
-def test_columnar_samples_roundtrip_both_versions():
+def test_columnar_samples_roundtrip():
     samples = [bytes([i]) * (100 + i) for i in range(8)]
     p = columnar_payload(samples)
-    row = make_payload(samples)
-    assert decode_batch(encode_batch(p, version=3)) == row
-    # The mixed-version fallback: a columnar batch re-encodes row-wise.
-    assert decode_batch(encode_batch(p, version=2)) == row
+    assert decode_batch(encode_batch(p)) == make_payload(samples)
 
 
 @settings(max_examples=75, deadline=None)
@@ -109,30 +106,32 @@ def test_property_v3_roundtrip(samples, labels, zero_copy):
     assert decode_batch(encode_batch(p, version=3)) == p
 
 
-# -- back compat ---------------------------------------------------------------
+# -- strict decode -------------------------------------------------------------
 
 
-def test_v1_payload_still_decodes():
-    # v1 predates the seq field: seq falls back to batch_index.
+@pytest.mark.parametrize("version", [1, 2])
+def test_row_layout_versions_rejected(version):
+    """The retired row layouts (v1 had no seq field) decode nowhere, and
+    nothing encodes them any more."""
     obj = {
-        "v": 1,
+        "v": version,
         "epoch": 1,
         "batch_index": 9,
         "shard": "shard_00000",
+        "node_id": 0,
+        "seq": 9,
         "samples": [b"aa", b"b"],
         "labels": [4, 7],
         "meta": {},
     }
-    p = decode_batch(packb(obj))
-    assert p.seq == 9
-    assert list(p.samples) == [b"aa", b"b"] and list(p.labels) == [4, 7]
-
-
-def test_v2_payload_still_decodes_zero_copy():
+    for zero_copy in (False, True):
+        with pytest.raises(ValueError, match=f"version {version}"):
+            decode_batch(packb(obj), zero_copy=zero_copy)
     p = make_payload([b"q" * 600, b"r"])
-    wire = b"".join(bytes(seg) for seg in encode_batch_parts(p, version=2))
-    q = decode_batch(wire, zero_copy=True)
-    assert q == p
+    with pytest.raises(ValueError, match=f"version {version}"):
+        encode_batch(p, version=version)
+    with pytest.raises(ValueError, match=f"version {version}"):
+        encode_batch_parts(p, version=version)
 
 
 def test_unknown_version_rejected():
@@ -158,6 +157,54 @@ def test_corrupt_columnar_vectors_rejected():
         decode_batch(packb(short))
 
 
+def _v3_map(**fields):
+    """A hand-built v3 wire map of one 2-byte sample; a field set to
+    ``None`` is left out."""
+    obj = {
+        "v": 3,
+        "epoch": 0,
+        "batch_index": 1,
+        "shard": "s",
+        "node_id": 0,
+        "seq": 1,
+        "count": 1,
+        "offsets": np.array([0, 2], dtype="<u4").tobytes(),
+        "labels": np.array([5], dtype="<i8").tobytes(),
+        "samples": b"ab",
+        "meta": {},
+    }
+    obj.update(fields)
+    return packb({k: v for k, v in obj.items() if v is not None})
+
+
+@pytest.mark.parametrize("zero_copy", [False, True], ids=["copy", "zero_copy"])
+@pytest.mark.parametrize(
+    "fields,match",
+    [
+        ({"offsets": np.array([0, 99], dtype="<u4").tobytes()}, "outside"),
+        ({"offsets": np.array([2, 0], dtype="<u4").tobytes()}, "backwards"),
+        ({"count": None}, "missing field 'count'"),
+        ({"epoch": None}, "missing field 'epoch'"),
+        ({"seq": None}, "missing field 'seq'"),
+        ({"count": "1"}, "count must be an int"),
+        ({"offsets": [0, 2]}, "offsets must be bin"),
+        ({"labels": [5]}, "labels must be bin"),
+        ({"samples": [b"ab"]}, "samples must be bin"),
+    ],
+    ids=[
+        "end-past-blob", "inverted-pair", "no-count", "no-epoch", "no-seq",
+        "str-count", "list-offsets", "list-labels", "list-samples",
+    ],
+)
+def test_malformed_v3_rejected(fields, match, zero_copy):
+    """Corrupt bytes never reach a tensor: a span past the blob or running
+    backwards, a missing field, or a mistyped one is a ValueError that
+    names it — not a truncated sample, an empty one, or a KeyError."""
+    assert bytes(decode_batch(_v3_map(), zero_copy=zero_copy).samples[0]) == b"ab"
+    with pytest.raises(ValueError, match=match):
+        decode_batch(_v3_map(**fields), zero_copy=zero_copy)
+
+
 # -- O(1) properties -----------------------------------------------------------
 
 
@@ -172,9 +219,9 @@ def test_columnar_encode_is_constant_segments():
     # count saturates: header parts + one spill each for offsets, labels,
     # and the blob — and never grows again.
     assert counts[64] == counts[256] == counts[1024] <= 8
-    # Row layout spills every sample: segments grow with B.
-    row_parts = encode_batch_parts(make_payload([b"x" * 1024] * 64), version=2)
-    assert len(row_parts) > counts[1024]
+    # The generic list path spills every sample: segments grow with B.
+    list_parts = encode_batch_parts(make_payload([b"x" * 1024] * 64))
+    assert len(list_parts) > counts[1024]
 
 
 def test_zero_copy_decode_allocations_are_o1():

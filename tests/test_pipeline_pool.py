@@ -3,7 +3,8 @@
 Pins the pool's contract: output order is the source order regardless of
 worker count, augmentation is deterministic per (seed, sequence), source
 and preprocess errors surface to ``run()``, teardown joins every thread,
-and per-stage timing flows into the shared :class:`PipelineStats`.
+and per-stage timing flows into the shared :class:`PipelineStats` and out
+through ``Deployment.status()``.
 """
 
 import threading
@@ -163,3 +164,28 @@ def test_pool_realtime_gpu_accounting_matches_submit():
     snap = gpu.snapshot()
     assert snap["kernels_run"] == 5
     assert snap["busy_s"] > 0
+
+
+def test_worker_pool_deployment_reports_stage_timing(small_imagenet):
+    """The workers knob reaches the receiver pipeline, and per-stage
+    timing (decode / preprocess / starved ns per batch) surfaces through
+    Deployment.status()["pipeline"]["stages"]."""
+    from repro.api import ClusterSpec, DatasetSpec, EMLIO, PipelineSpec, ReceiverSpec
+
+    spec = ClusterSpec(
+        name="pool",
+        dataset=DatasetSpec(kind="existing", root="ignored"),
+        pipeline=PipelineSpec(batch_size=4, output_hw=(16, 16), workers=3),
+        receivers=ReceiverSpec(stall_timeout_s=20.0),
+    )
+    with EMLIO.deploy(spec, dataset=small_imagenet) as dep:
+        got = sorted(int(l) for _t, ls in dep.epoch(0) for l in ls)
+        stages = dep.status()["pipeline"]["stages"]
+    assert got == sorted(l for labels in small_imagenet.labels().values() for l in labels)
+    assert stages["workers"] == 3
+    assert stages["batches"] == len(got) // 4
+    assert stages["decode_ns"] > 0 and stages["preprocess_ns"] > 0
+    assert "starved_ns" in stages
+    node0 = stages["nodes"]["0"]
+    assert node0["batches"] == stages["batches"]
+    assert node0["decode_ns"] > 0

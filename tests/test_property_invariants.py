@@ -261,7 +261,8 @@ def test_failover_replan_places_each_needed_shard_exactly_once(
 ):
     """plan_failover covers every shard with undelivered batches exactly
     once on a reachable survivor, or refuses loudly when it can't."""
-    from repro.core.recovery import DeliveryLedger, FailoverCoordinator, FailoverError
+    from repro.core.placement import FailoverError, PlacementEngine
+    from repro.core.recovery import DeliveryLedger
 
     plan = _synthetic_plan(shard_sizes, batch, nodes=1)
     shards = sorted({a.shard for a in plan.assignments})
@@ -282,7 +283,7 @@ def test_failover_replan_places_each_needed_shard_exactly_once(
     ledger = DeliveryLedger(None)
     for key in delivered:
         ledger.record(*key)
-    coord = FailoverCoordinator(
+    coord = PlacementEngine(
         plan, ledger, roots, reachable=lambda root, path: (root, path) in reach
     )
     residual = plan.residual(delivered, epoch=0, shards=roots[dead_root])

@@ -17,13 +17,13 @@ import pytest
 
 from repro.core.config import EMLIOConfig
 from repro.core.daemon import EMLIODaemon
+from repro.core.placement import PlacementEngine
 from repro.core.planner import Planner
 from repro.core.provider import BatchProvider
 from repro.core.recovery import (
     DaemonKilled,
     DeliveryLedger,
     EpochServeError,
-    FailoverCoordinator,
     FailoverError,
     RecoveryConfig,
 )
@@ -132,25 +132,6 @@ def test_payload_seq_defaults_to_batch_index():
     p = BatchPayload(epoch=1, batch_index=7, shard="s", samples=[b"x"], labels=[0])
     assert p.seq == 7
     assert decode_batch(encode_batch(p)).seq == 7
-
-
-def test_payload_decodes_v1_without_seq():
-    from repro.serialize.msgpack import packb
-
-    v1 = packb(
-        {
-            "v": 1,
-            "epoch": 0,
-            "batch_index": 4,
-            "shard": "s",
-            "node_id": 0,
-            "samples": [b"x"],
-            "labels": [1],
-            "meta": {},
-        }
-    )
-    p = decode_batch(v1)
-    assert p.seq == 4  # falls back to batch_index
 
 
 # -- BatchProvider dedup / reorder window --------------------------------------
@@ -444,7 +425,7 @@ def test_killed_daemon_raises_daemon_killed(small_imagenet):
     pull.close()
 
 
-# -- FailoverCoordinator planning ----------------------------------------------
+# -- PlacementEngine failover planning -----------------------------------------
 
 
 def _coordinator(small_imagenet, delivered=(), roots=None, reachable=None):
@@ -456,7 +437,7 @@ def _coordinator(small_imagenet, delivered=(), roots=None, reachable=None):
     shards = sorted(ix.shard for ix in small_imagenet.indexes)
     if roots is None:
         roots = {"a": {shards[0]}, "b": set(shards[1:])}
-    return plan, FailoverCoordinator(plan, ledger, roots, reachable=reachable)
+    return plan, PlacementEngine(plan, ledger, roots, reachable=reachable)
 
 
 def test_failover_targets_only_undelivered_shard_batches(small_imagenet):
