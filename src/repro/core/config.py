@@ -5,9 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Sentinel for ``reorder_window``: derive the window from the transport
-#: shape (``streams_per_node × hwm``) instead of manual tuning.  That product
-#: bounds how many payloads can be in flight ahead of the slowest stream —
-#: exactly the worst-case arrival skew a reorder window must absorb.
+#: shape (``streams_per_node × hwm``) instead of manual tuning.  ``hwm`` is
+#: the frames a receiver holds per stream — a frame keeps its credit until
+#: released — so that product is what a steadily consuming node has
+#: buffered: a window of that size can sort all of it without holding more
+#: than the transport already lets in.  (A TCP stream's window adds the
+#: link's bandwidth-delay product, but those frames are on the wire, not
+#: held.)
 AUTO_REORDER = -1
 
 
@@ -22,7 +26,11 @@ class EMLIOConfig:
     epochs:
         E — epochs planned ahead of time.
     hwm:
-        ZMQ-style high-water mark per PUSH stream (paper §4.5 uses 16).
+        Frames a receiver holds per stream — the ZMQ-style high-water mark
+        of paper §4.5, which uses 16.  A frame holds its credit until its
+        buffer is released; a TCP stream's credit window is ``hwm`` plus
+        the link's measured bandwidth-delay product (see
+        :mod:`repro.net.mq`).
     daemon_threads:
         T — parallel serialize+send workers per (daemon, target node).
         Figure 7 uses 1; Figure 8 shows concurrency 2 winning for 2 MB
@@ -136,11 +144,10 @@ class EMLIOConfig:
 
         ``override=None`` inherits :attr:`reorder_window`;
         :data:`AUTO_REORDER` (from either source) derives
-        ``streams_per_node × hwm``: with S parallel streams of HWM credits
-        each, at most ``S × hwm`` payloads can be in flight, so an arrival
-        can run at most that far ahead of the lowest outstanding sequence
-        number — a window of that size restores dispatch order without
-        ever stalling on a payload that cannot be outstanding.
+        ``streams_per_node × hwm``: the frames a steadily consuming node
+        holds across its S streams (see :data:`AUTO_REORDER`).  The
+        provider never stalls on a full window — it emits the lowest
+        sequence it has — so the size bounds memory, not progress.
         """
         value = self.reorder_window if override is None else override
         if value == AUTO_REORDER:

@@ -313,6 +313,12 @@ class EMLIODaemon:
     def _is_dropped(self, node_id: int) -> bool:
         return node_id in self._dropped_nodes
 
+    @property
+    def streams(self) -> dict[int, PushSocket | ShmPushSocket]:
+        """node_id → the open long-lived stream to it (a snapshot)."""
+        with self._pushes_lock:
+            return dict(self._pushes)
+
     def close_streams(self, timeout: float = 0.0) -> None:
         """Close every stream, flushing each for at most ``timeout`` s."""
         with self._pushes_lock:

@@ -86,6 +86,7 @@ from repro.net.heartbeat import (
     HeartbeatListener,
     HeartbeatPublisher,
 )
+from repro.net.mq import PushSocket
 from repro.tfrecord.sharder import ShardedDataset
 from repro.util.logging import TimestampLogger
 
@@ -156,7 +157,8 @@ class EMLIOService:
         daemon and receiver (original, failover, and scale-out alike).
         The service registers scrape-time collectors exporting the
         subsystem counters it already aggregates in :meth:`stats` —
-        transport bytes/batches, shm attaches, per-tier storage reads and
+        transport bytes/batches, shm attaches, each TCP stream set's
+        credit window and measured link RTT, per-tier storage reads and
         cache hits, pipeline stage costs, failover/rebalance counts, and
         heartbeat decode health — so enabling metrics adds no hot-path
         work beyond the per-batch histograms.
@@ -332,6 +334,16 @@ class EMLIOService:
             "Compute nodes per active daemon→receiver transport",
             labelnames=("transport",),
         )
+        window = registry.gauge(
+            "emlio_transport_window_frames",
+            "Credit window of each daemon→node TCP stream set (hwm + link BDP, frames)",
+            labelnames=("daemon", "node"),
+        )
+        link_rtt = registry.gauge(
+            "emlio_transport_link_rtt_seconds",
+            "Link RTT each daemon→node TCP stream set measured from its credits",
+            labelnames=("daemon", "node"),
+        )
         tier_counters = {
             name: registry.counter(
                 f"emlio_storage_tier_{name}_total",
@@ -398,6 +410,11 @@ class EMLIOService:
                 transport_nodes.labels(transport=t).set(
                     sum(1 for v in merged.values() if v == t)
                 )
+            for i, d in enumerate(all_daemons):
+                for node_id, push in d.streams.items():
+                    if isinstance(push, PushSocket):  # a shm ring has no link
+                        window.labels(daemon=i, node=node_id).set(push.window)
+                        link_rtt.labels(daemon=i, node=node_id).set(push.link_rtt_s)
             for tier, agg in self.storage_stats()["tiers"].items():
                 for name, counter in tier_counters.items():
                     counter.labels(tier=tier).set(agg[name])

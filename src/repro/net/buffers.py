@@ -10,7 +10,8 @@ buffer down the stack instead of materializing ``bytes`` at every layer:
    zero_copy=True)``) so sample fields are memoryviews over the pooled
    buffer;
 3. the consumer — normally the preprocessing pipeline — calls
-   ``release()`` once the views are dead, returning the buffer for reuse.
+   ``release()`` once the views are dead, returning the buffer for reuse
+   and, on TCP, the frame's flow-control credit to the sender.
 
 Ownership rules (see README "Zero-copy hot path"):
 
@@ -37,12 +38,20 @@ __all__ = [
 
 
 class PooledBuffer:
-    """One reusable receive buffer (a growable ``bytearray`` + lease)."""
+    """One reusable receive buffer (a growable ``bytearray`` + lease).
 
-    __slots__ = ("data", "_pool", "_released")
+    ``arrived_ns`` is the ``perf_counter_ns`` stamp of the frame landing in
+    the buffer, and ``on_release`` is called with the buffer once, right
+    after it returns to the pool — the PULL socket grants the frame's flow
+    control credit there, carrying how long the frame was held.
+    """
+
+    __slots__ = ("data", "arrived_ns", "on_release", "_pool", "_released")
 
     def __init__(self, data: bytearray, pool: "BufferPool | None") -> None:
         self.data = data
+        self.arrived_ns = 0
+        self.on_release: Callable[["PooledBuffer"], None] | None = None
         self._pool = pool
         self._released = False
 
@@ -53,6 +62,8 @@ class PooledBuffer:
         self._released = True
         if self._pool is not None:
             self._pool._put(self.data)
+        if self.on_release is not None:
+            self.on_release(self)
 
     @property
     def released(self) -> bool:

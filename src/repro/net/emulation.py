@@ -144,7 +144,10 @@ class DelayPipe:
             at = max(at, self._last_delivery_at)
             self._last_delivery_at = at
             heapq.heappush(self._heap, (at, next(self._seq), item))
-            self._cond.notify()
+            if len(self._heap) == 1:
+                # Only an empty pipe's thread needs waking: otherwise it is
+                # timed on a head that is due no later than this item.
+                self._cond.notify()
 
     def _run(self) -> None:
         while True:

@@ -11,12 +11,27 @@ on two ZMQ behaviours (paper §4.5):
 
 Flow control is explicit and credit-based (TCP socket buffers on loopback
 are megabytes deep, so relying on kernel backpressure would make the HWM a
-fiction): each PUSH stream starts with ``hwm`` credits; sending a message
-consumes one; the PULL side returns a credit on the same stream when the
-application dequeues the message.  In-flight messages per stream are thus
-bounded by ``hwm`` end-to-end, deterministically.
+fiction), with one rule: **``hwm`` = frames a receiver holds per stream;
+window = ``hwm`` + the link's bandwidth-delay product; a credit is a
+buffer release.**
 
-Wire format: 1 type byte (0x00 data / 0x01 credit) + payload.  Types
+* The PULL side grants a frame's credit when the frame's receive buffer is
+  released — after decode and preprocess, not when the frame is dequeued
+  — so frames parked in any receiver queue still hold their credit.  The
+  shm ring works the same way (releasing a lease is the credit).  Over
+  TCP, credits travel in small batches (:class:`_Credits`).
+* Each PUSH stream keeps at most ``window`` messages sent but uncredited:
+  ``hwm`` plus its share of the frames its endpoint has had credited per
+  link RTT lately (:class:`_Link`) — the frames a full link carries.  The
+  RTT is measured from the credits themselves: each carries how long the
+  receiver held its frame (u32 µs), and the sender takes the windowed
+  minimum of ``credit arrival − send − hold``.  A reconnect resets the
+  window to ``hwm``.
+
+Wire format: 1 type byte + payload.  0x00 data; 0x01 credit, whose payload
+is the u32 hold time and the u16 count of frames it credits; 0x06 nudge
+(PUSH → PULL, no payload): "my window is full and I have waited — send the
+credits you are batching".  Types
 0x02/0x03/0x04/0x05 carry the shared-memory transport handshake and
 doorbell (see :mod:`repro.net.shm`): a co-located pusher may announce a
 shm ring over its freshly-connected channel; an acked ring replaces the
@@ -37,12 +52,14 @@ from __future__ import annotations
 import collections
 import logging
 import queue
+import struct
 import threading
+import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.net import shm as _shm
-from repro.net.buffers import BufferPool, PooledFrame
+from repro.net.buffers import BufferPool, PooledBuffer, PooledFrame
 from repro.net.channel import Channel, Listener, connect_channel
 from repro.net.emulation import NetworkProfile
 from repro.net.framing import ConnectionClosed
@@ -51,11 +68,38 @@ _log = logging.getLogger(__name__)
 
 _DATA = b"\x00"
 _CREDIT = b"\x01"
-#: Put into a stream's queue (and a credit released) to wake its writer
-#: for a stop or a broken connection — the writer never polls.
+_NUDGE = b"\x06"
+#: A credit frame: the type byte, the receiver's hold time in µs, and the
+#: number of frames it credits.
+_CREDIT_FRAME = struct.Struct("<cIH")
+_HOLD_MAX_US = 0xFFFFFFFF
+_COUNT_MAX = 0xFFFF
+#: A PULL socket batches up to ``hwm // this`` credits into one frame.
+_CREDIT_BATCH_DIVISOR = 4
+#: A PUSH stream that has waited this long with a full window nudges the
+#: receiver for the credits it is batching.  A liveness net: in a steady
+#: stream batches fill long before it fires.
+_NUDGE_AFTER_S = 0.02
+#: What :meth:`PushSocket._wait_room` found.
+_ROOM, _STOPPED, _STARVED, _BROKEN = range(4)
+#: The link RTT is the minimum RTT sample of the current and the previous
+#: bucket of this length, so it follows a path change within two buckets.
+_RTT_BUCKET_NS = 1_000_000_000
+#: The bandwidth-delay product is the frames credited per link RTT,
+#: averaged over this many RTTs: one RTT's count follows every burst and
+#: stall of a consumer that shares its CPU, and the window then oscillates.
+_RTTS_AVERAGED = 4
+#: An RTT counts as RTT less RTT / this: a release that lands a hair after
+#: the refill it paid for (timer jitter on either leg) must not count as
+#: room twice.
+_JITTER_DIVISOR = 8
+#: Ceiling on an endpoint's bandwidth-delay term, in frames.
+_MAX_BDP_FRAMES = 1024
+#: Put into a stream's queue (and its room condition notified) to wake its
+#: writer for a stop or a broken connection — the writer never polls.
 _WAKE = object()
 #: Put into a PullSocket's queue by close(): wakes blocked receivers.
-_CLOSED = (None, None, None)
+_CLOSED = (None, None)
 _RING_WAIT_S = 0.02  # ring drain safety-net wait: wakeup is doorbell-driven
 # (see PullSocket._ring_loop), so this timer only covers a producer dying
 # between a ring write and its doorbell — it can be long without costing
@@ -86,22 +130,107 @@ class ReconnectPolicy:
             )
 
 
-class _PushStream:
-    """One connection's worth of PUSH state (queue, credits, in-flight)."""
+class _Link:
+    """What a PUSH socket's streams to one endpoint know of their link:
+    its RTT, and its bandwidth-delay product in frames.
 
-    def __init__(self, host: str, port: int, profile: NetworkProfile | None, hwm: int) -> None:
+    Every credit is an RTT sample — its arrival minus the message's send
+    stamp, minus the hold time the receiver reports — and the link RTT is
+    the windowed minimum of the samples.  Subtracting the hold keeps a
+    standing receive queue out of the estimate; the minimum keeps
+    scheduling noise out.  The bandwidth-delay product is the frames
+    credited per link RTT (less a jitter margin), averaged over the last
+    few RTTs and bar the newest credit frame's: the frames the link
+    carries beside the ones a credit's arrival refills, so a steady
+    consumer finds at most ``hwm`` frames held per stream.  A consumer
+    that stalls still receives what is already on the link: up to ``hwm``
+    plus this product per stream.
+
+    One link serves all of an endpoint's streams: one consumer drains
+    them, so each stream's own credits come in bursts, and per-stream
+    counts would add up to more than the link carries.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the link (a reconnect): the bandwidth-delay term drops to 0."""
+        with self._lock:
+            self.rtt_ns = 0  # 0 = no sample yet
+            self._min_cur = self._min_prev = 0
+            self._bucket_ns: int | None = None
+            # (arrival, frames credited) per credit frame, and their sum.
+            self._credits: collections.deque[tuple[int, int]] = collections.deque()
+            self._credited = 0
+
+    def on_credit(self, now_ns: int, sample_ns: int, count: int = 1) -> None:
+        """Record a credit for ``count`` frames arriving at ``now_ns`` with
+        RTT sample ``sample_ns``."""
+        sample = max(sample_ns, 1)
+        with self._lock:
+            if self._bucket_ns is None or now_ns - self._bucket_ns >= _RTT_BUCKET_NS:
+                self._min_prev, self._min_cur, self._bucket_ns = self._min_cur, sample, now_ns
+            elif sample < self._min_cur:
+                self._min_cur = sample
+            self.rtt_ns = min(self._min_cur, self._min_prev or self._min_cur)
+            self._credits.append((now_ns, count))
+            self._credited += count
+            self._age(now_ns)
+
+    def bdp(self, now_ns: int) -> int:
+        """The bandwidth-delay product at ``now_ns``, in frames."""
+        with self._lock:
+            return self._age(now_ns)
+
+    def _age(self, now_ns: int) -> int:
+        credits = self._credits
+        rtt = self.rtt_ns - self.rtt_ns // _JITTER_DIVISOR
+        horizon = now_ns - _RTTS_AVERAGED * rtt
+        while credits and credits[0][0] <= horizon:
+            self._credited -= credits.popleft()[1]
+        if not credits:
+            return 0
+        per_rtt = (self._credited - credits[-1][1]) // _RTTS_AVERAGED
+        return min(per_rtt, _MAX_BDP_FRAMES)
+
+
+class _PushStream:
+    """One connection's worth of PUSH state (queue, window, in-flight).
+
+    Its window is ``hwm`` plus its share of the endpoint's bandwidth-delay
+    product: stream ``index`` of ``count`` gets ``(bdp + index) // count``
+    frames, so the shares sum to the whole.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        profile: NetworkProfile | None,
+        hwm: int,
+        link: _Link,
+        index: int,
+        count: int,
+    ) -> None:
         self.host = host
         self.port = port
         self.profile = profile
         self.chan = connect_channel(host, port, profile=profile)
         self.queue: queue.Queue = queue.Queue(maxsize=hwm)
-        self.credits = threading.Semaphore(hwm)
-        # Sent but not yet credited, oldest first.  Credits arrive in send
-        # order (FIFO per TCP stream), so a credit always retires the head.
-        # Items are tuples of buffer-likes (scatter-gather segments); the
-        # sender must keep segment backing memory valid until credited,
-        # since a reconnect replays straight from this deque.
-        self.inflight: collections.deque[tuple] = collections.deque()
+        self.hwm = hwm
+        self.link = link
+        self.index = index
+        self.count = count
+        # Sent but not yet credited, oldest first, as [message, send stamp]
+        # pairs.  A credit proves only that *some* frame of this connection
+        # was released; frames arrive in send order (FIFO per TCP stream),
+        # so k credits mean the first k arrived and a credit retires the
+        # head.  Messages are tuples of buffer-likes (scatter-gather
+        # segments); the sender must keep segment backing memory valid
+        # until credited, since a reconnect replays straight from here.
+        self.inflight: collections.deque[list] = collections.deque()
         # Messages accepted for this stream but not yet on the wire (in
         # the queue, or popped by the writer and awaiting a credit).
         # Guarded by ``lock``; incremented *before* the queue put and
@@ -111,26 +240,36 @@ class _PushStream:
         # message up).
         self.unflushed = 0
         self.lock = threading.Lock()
+        # Notified on every credit and wake; the writer waits here for room.
+        self.room = threading.Condition(self.lock)
         self.generation = 0  # bumped on every reconnect
         self.broken = threading.Event()  # credit reader saw the connection die
         self.dead = False
         self.retired_bytes = 0  # bytes_sent of replaced channels
 
+    def window(self, now_ns: int) -> int:
+        """Messages this stream may keep uncredited at ``now_ns``."""
+        return self.hwm + (self.link.bdp(now_ns) + self.index) // self.count
+
+    def full(self, unsent: int = 0) -> bool:
+        """Whether the window has no room (the caller holds ``lock``).
+        ``unsent`` trailing in-flight entries are not on the wire yet."""
+        return len(self.inflight) - unsent >= self.window(time.perf_counter_ns())
+
     def wake(self, broken_gen: int | None = None) -> None:
-        """Unblock the writer wherever it waits — on the queue or on a
-        credit — so it re-checks the stop and broken flags.
+        """Unblock the writer wherever it waits — on the queue or for
+        window room — so it re-checks the stop and broken flags.
 
         With ``broken_gen`` (a credit reader whose connection died) the
         stream is first flagged broken, unless the writer already replaced
-        that connection.  The spare credit never outlives the wake: a stop
-        ends the writer, a break replaces the semaphore on reconnect.
+        that connection.
         """
-        with self.lock:  # _resurrect swaps the semaphore under this lock
+        with self.lock:
             if broken_gen is not None:
                 if self.generation != broken_gen:
                     return  # stale reader of a replaced connection
                 self.broken.set()
-            self.credits.release()
+            self.room.notify_all()
         try:
             self.queue.put_nowait(_WAKE)
         except queue.Full:
@@ -141,8 +280,10 @@ class PushSocket:
     """Connect-side socket distributing messages across one or more streams.
 
     Messages go to the stream with the shortest outbound queue (least-loaded,
-    round-robin tiebreak) — multiple TCP streams sharing load is what keeps
-    the pipe full at high RTT.
+    round-robin tiebreak).  ``hwm`` is the number of frames a receiver
+    holds per stream; each stream may keep ``hwm`` plus its share of the
+    link's bandwidth-delay product uncredited (see the module docstring),
+    so even one stream fills a long link.
     """
 
     def __init__(
@@ -172,8 +313,9 @@ class PushSocket:
         # Notified as messages leave ``unflushed`` while close() flushes.
         self._flushed = threading.Condition()
         for host, port in endpoints:
-            for _ in range(streams_per_endpoint):
-                stream = _PushStream(host, port, profile, hwm)
+            link = _Link()
+            for i in range(streams_per_endpoint):
+                stream = _PushStream(host, port, profile, hwm, link, i, streams_per_endpoint)
                 writer = threading.Thread(
                     target=self._writer, args=(stream,), daemon=True, name="push-writer"
                 )
@@ -220,25 +362,25 @@ class PushSocket:
                 return
             if item is _WAKE:
                 continue
-            # Blocking send: wait for receive-side room (a credit).  Only
-            # after close()'s flush deadline has expired is an uncreditable
-            # message dropped.
+            # Blocking send: wait for room in the credit window.  Only
+            # after close()'s flush deadline has expired is a message that
+            # finds no room dropped.
             while True:
-                blocking = not self._stop_event.is_set()
-                if not stream.credits.acquire(blocking=blocking):
+                with stream.lock:
+                    found = self._wait_room(stream)
+                    if found == _ROOM:
+                        # In-flight from here: a reconnect replays it, so it
+                        # no longer counts against the flush wait.
+                        stream.inflight.append([item, time.perf_counter_ns()])
+                        stream.unflushed -= 1
+                        break
+                if found == _STOPPED:
                     return
-                if blocking and self._stop_event.is_set():
-                    return  # close()'s wake, not a receiver credit
-                if not stream.broken.is_set():
-                    break
-                if not self._resurrect(stream):
+                if found == _STARVED:
+                    self._nudge(stream.chan)
+                elif not self._resurrect(stream):
                     self._abandon(stream, carry=item)
                     return
-            with stream.lock:
-                # In-flight from here: a reconnect replays it, so it no
-                # longer counts against the flush wait.
-                stream.inflight.append(item)
-                stream.unflushed -= 1
             self._note_flush_progress()
             try:
                 stream.chan.send_parts((_DATA,) + item)
@@ -246,6 +388,31 @@ class PushSocket:
                 if not self._resurrect(stream):
                     self._abandon(stream)
                     return
+
+    def _wait_room(self, stream: _PushStream, unsent: int = 0) -> int:
+        """Wait (holding ``stream.lock``) for room in the stream's window.
+
+        Returns ``_ROOM``; ``_BROKEN`` once the credit reader flagged the
+        connection; ``_STOPPED`` when close() stopped the writer and there
+        is no room; ``_STARVED`` after :data:`_NUDGE_AFTER_S` without a
+        credit — the caller nudges the receiver and waits again.
+        """
+        while not stream.broken.is_set():
+            if not stream.full(unsent):
+                return _ROOM
+            if self._stop_event.is_set():
+                return _STOPPED
+            if not stream.room.wait(_NUDGE_AFTER_S) and stream.full(unsent):
+                return _STARVED
+        return _BROKEN
+
+    @staticmethod
+    def _nudge(chan: Channel) -> None:
+        """Ask the receiver for the credits it is batching."""
+        try:
+            chan.send(_NUDGE)
+        except (ConnectionError, OSError):
+            pass  # the credit reader sees the break
 
     def _abandon(self, stream: _PushStream, carry: tuple | None = None) -> None:
         """Declare a stream dead and move its backlog to surviving streams.
@@ -271,7 +438,7 @@ class PushSocket:
             with stream.lock:
                 stream.unflushed -= 1
         with stream.lock:
-            pending = list(stream.inflight)
+            pending = [item for item, _sent in stream.inflight]
             stream.inflight.clear()
         for item in pending:
             self._redistribute(item)
@@ -306,18 +473,27 @@ class PushSocket:
             except (ConnectionClosed, ConnectionError, OSError):
                 stream.wake(broken_gen=gen)
                 return
-            if frame[:1] == _CREDIT:
-                with stream.lock:
-                    if stream.generation != gen:
-                        return  # stale reader of a replaced connection
-                    if not stream.inflight:
-                        # Spurious or duplicate credit (e.g. from a replay
-                        # the receiver double-acked).  Releasing anyway
-                        # would grow the semaphore past hwm and void the
-                        # end-to-end backpressure bound.
-                        continue
+            if frame[:1] != _CREDIT:
+                continue
+            now = time.perf_counter_ns()
+            hold_ns = int.from_bytes(frame[1:5], "little") * 1000
+            count = int.from_bytes(frame[5:7], "little") or 1
+            with stream.lock:
+                if stream.generation != gen:
+                    return  # stale reader of a replaced connection
+                # Credits beyond what is in flight are spurious or duplicate
+                # (e.g. from a replay the receiver double-acked).  Counting
+                # them would add room no released frame made.
+                count = min(count, len(stream.inflight))
+                if not count:
+                    continue
+                # The hold is the oldest credited frame's: pair it with the
+                # oldest in-flight message.
+                _item, sent_ns = stream.inflight.popleft()
+                for _ in range(count - 1):
                     stream.inflight.popleft()
-                    stream.credits.release()
+                stream.link.on_credit(now, now - sent_ns - hold_ns, count)
+                stream.room.notify()
 
     def _resurrect(self, stream: _PushStream) -> bool:
         """Reconnect a failed stream and resend its unacknowledged messages.
@@ -347,9 +523,9 @@ class PushSocket:
                 old = stream.chan
                 stream.retired_bytes += old.bytes_sent
                 stream.chan = chan
-                # Fresh connection, fresh credit window: the receiver holds
-                # nothing of ours, so the full HWM is available again.
-                stream.credits = threading.Semaphore(self.hwm)
+                # Fresh connection, fresh window: the receiver holds nothing
+                # of ours on it, and the path is measured anew.
+                stream.link.reset()
                 stream.broken.clear()
                 pending = list(stream.inflight)
             old.close()
@@ -358,16 +534,26 @@ class PushSocket:
                 name="push-credits",
             ).start()
             replayed = True
-            for item in pending:
-                # A close() that woke the old semaphore before the swap is
-                # still seen here: it set the stop event first.
-                if self._stop_event.is_set():
+            for n, entry in enumerate(pending):
+                # Credits on the new connection retire replayed entries
+                # from the head; the len(pending) - n at the tail are unsent.
+                found = _STARVED
+                while found == _STARVED:
+                    if self._stop_event.is_set():
+                        return False
+                    with stream.lock:
+                        found = self._wait_room(stream, unsent=len(pending) - n)
+                        if found == _ROOM:
+                            entry[1] = time.perf_counter_ns()
+                    if found == _STARVED:
+                        self._nudge(chan)
+                if found == _STOPPED:
                     return False
-                stream.credits.acquire()
-                if self._stop_event.is_set():
-                    return False
+                if found == _BROKEN:
+                    replayed = False
+                    break
                 try:
-                    chan.send_parts((_DATA,) + item)
+                    chan.send_parts((_DATA,) + entry[0])
                 except (ConnectionError, OSError):
                     replayed = False
                     break
@@ -448,6 +634,24 @@ class PushSocket:
         self._streams[index].chan.close()
 
     @property
+    def window(self) -> int:
+        """Current credit window summed over live streams, in frames.
+
+        Exported per daemon→node socket as the registry gauge
+        ``emlio_transport_window_frames``.
+        """
+        now = time.perf_counter_ns()
+        return sum(s.window(now) for s in self._streams if not s.dead)
+
+    @property
+    def link_rtt_s(self) -> float:
+        """Measured link RTT (the lowest over live streams' endpoints);
+        0.0 before the first credit.  Exported as
+        ``emlio_transport_link_rtt_seconds``."""
+        rtts = [s.link.rtt_ns for s in self._streams if not s.dead and s.link.rtt_ns]
+        return min(rtts) / 1e9 if rtts else 0.0
+
+    @property
     def bytes_sent(self) -> int:
         """Total payload bytes sent (across reconnects).
 
@@ -497,18 +701,81 @@ class PushSocket:
                 s.inflight.clear()
 
 
+class _Credits:
+    """The PULL side of one TCP connection's flow control.
+
+    Every data frame read holds a credit until its buffer is released.
+    Released credits go back in batches of up to ``batch`` per credit
+    frame — every credit frame costs a wakeup at each hop of the link, and
+    a consumer releasing one frame at a time would otherwise pace them one
+    by one — and at once when the connection has nothing left unreleased
+    or the pusher nudges.  A batch reports the hold of its oldest frame,
+    up to the send, so the pusher's RTT sample stays the link's.
+    """
+
+    __slots__ = ("_chan", "_batch", "_lock", "_held", "_pending", "_oldest_ns", "_hook")
+
+    def __init__(self, chan: Channel, batch: int) -> None:
+        self._chan = chan
+        self._batch = batch
+        self._lock = threading.Lock()
+        self._held = 0  # frames read and not yet released
+        self._pending = 0  # released frames not yet credited
+        self._oldest_ns = 0  # arrival of the oldest of them
+        self._hook: Callable[[PooledBuffer], None] = self._released
+
+    def lease(self, buf: PooledBuffer) -> None:
+        """Put a frame just read under this connection's credit."""
+        buf.arrived_ns = time.perf_counter_ns()
+        buf.on_release = self._hook
+        with self._lock:
+            self._held += 1
+
+    def _released(self, buf: PooledBuffer) -> None:
+        with self._lock:
+            self._held -= 1
+            if not self._pending:
+                self._oldest_ns = buf.arrived_ns
+            self._pending += 1
+            if self._pending < self._batch and self._held:
+                return
+            count, self._pending = self._pending, 0
+            oldest_ns = self._oldest_ns
+        self._send(count, oldest_ns)
+
+    def flush(self) -> None:
+        """Send every batched credit now (the pusher nudged)."""
+        with self._lock:
+            count, self._pending = self._pending, 0
+            oldest_ns = self._oldest_ns
+        if count:
+            self._send(count, oldest_ns)
+
+    def _send(self, count: int, oldest_ns: int) -> None:
+        hold_us = (time.perf_counter_ns() - oldest_ns) // 1000
+        try:
+            self._chan.send(_CREDIT_FRAME.pack(_CREDIT, min(hold_us, _HOLD_MAX_US), count))
+        except (ConnectionError, OSError):
+            pass  # peer already gone; nothing to grant
+
+
 class PullSocket:
     """Bind-side socket merging messages from any number of PUSH peers.
 
-    ``recv`` returns the next message and grants a credit back to the stream
-    it arrived on, opening room for the next in-flight message.
+    Every frame is held under a lease until released, and releasing it
+    grants the frame's credit back to the stream it arrived on (a TCP
+    credit frame, or the shm ring's lease release).  :meth:`recv_frame`
+    hands the lease to the caller as a :class:`~repro.net.buffers.
+    PooledFrame`, so a frame still queued anywhere downstream keeps its
+    credit; ``recv``/``try_recv`` copy to ``bytes`` and release at once.
+    ``hwm`` names the frames a receiver holds per stream — the pushers'
+    windows enforce it (see the module docstring) — and sizes the credit
+    batches: up to ``hwm // 4`` credits per credit frame.
 
     With ``pooled=True`` each frame lands in a buffer leased from a
-    :class:`~repro.net.buffers.BufferPool` and :meth:`recv_frame` surfaces
-    it as a :class:`~repro.net.buffers.PooledFrame` — a memoryview payload
-    plus the lease, which the consumer releases after decode (the zero-copy
-    receive path).  ``recv``/``try_recv`` still work in pooled mode; they
-    copy to ``bytes`` and release internally.
+    :class:`~repro.net.buffers.BufferPool` and the frame's payload is a
+    memoryview over it, which the consumer releases after decode (the
+    zero-copy receive path).
     """
 
     def __init__(
@@ -523,10 +790,11 @@ class PullSocket:
         if hwm < 1:
             raise ValueError(f"hwm must be >= 1, got {hwm}")
         self.hwm = hwm
+        self._credit_batch = max(1, min(hwm // _CREDIT_BATCH_DIVISOR, _COUNT_MAX))
         self.pool = pool if pool is not None else (BufferPool() if pooled else None)
         self._listener = Listener(host=host, port=port, profile=profile)
-        # In-flight is bounded by per-stream sender credits, so the shared
-        # queue needs no own bound.
+        # (payload, lease) pairs.  Unreleased frames are bounded by the
+        # pushers' credit windows, so the shared queue needs no own bound.
         self._queue: queue.Queue = queue.Queue()
         self._channels: list[Channel] = []
         # Shm rings announced by co-located pushers (drained alongside the
@@ -590,13 +858,20 @@ class PullSocket:
 
     def _read_loop(self, chan: Channel) -> None:
         ring = None  # this channel's ring, once a hello is accepted
+        credits = _Credits(chan, self._credit_batch)
         while True:
             try:
                 frame = chan.recv()
             except (ConnectionClosed, ConnectionError, OSError):
                 return
             if frame[:1] == _DATA:
-                self._queue.put((chan, frame[1:], None))
+                # Unpooled, the message bytes are the buffer under lease.
+                msg = frame[1:]
+                lease = PooledBuffer(msg, None)
+                credits.lease(lease)
+                self._queue.put((msg, lease))
+            elif frame[:1] == _NUDGE:
+                credits.flush()
             elif frame[:1] == _shm.SHM_DOORBELL:
                 if ring is not None:
                     ring.doorbell.set()
@@ -605,6 +880,7 @@ class PullSocket:
 
     def _read_loop_pooled(self, chan: Channel) -> None:
         ring = None  # this channel's ring, once a hello is accepted
+        credits = _Credits(chan, self._credit_batch)
         while True:
             buf = self.pool.acquire()
             try:
@@ -618,8 +894,13 @@ class PullSocket:
                 buf.data = view.obj
             if view[:1] == _DATA:
                 # The frame owns the buffer lease until the consumer
-                # releases it; the next frame gets its own buffer.
-                self._queue.put((chan, view[1:], buf))
+                # releases it — which grants its credit; the next frame
+                # gets its own buffer.
+                credits.lease(buf)
+                self._queue.put((view[1:], buf))
+            elif view[:1] == _NUDGE:
+                buf.release()
+                credits.flush()
             elif view[:1] == _shm.SHM_DOORBELL:
                 buf.release()
                 if ring is not None:
@@ -689,8 +970,7 @@ class PullSocket:
                         return
                     ring.doorbell.wait(_RING_WAIT_S)
                     continue
-                view, lease = item
-                self._queue.put((ring, view, lease))
+                self._queue.put(item)  # (view, lease): the release is the credit
         finally:
             ring.close()
             with self._reader_lock:
@@ -701,15 +981,9 @@ class PullSocket:
                 else:
                     self._retired_bytes += ring.bytes_received
 
-    def _grant_credit(self, chan: Channel) -> None:
-        try:
-            chan.send(_CREDIT)
-        except (ConnectionError, OSError):
-            pass  # peer already gone; nothing to grant
-
     def _pop(self, timeout: float | None = None, block: bool = True) -> tuple:
-        """Next queued ``(chan, msg, buf)``; raises ``ConnectionClosed``
-        once the socket is closed (close() wakes blocked callers)."""
+        """Next queued ``(msg, lease)``; raises ``ConnectionClosed`` once
+        the socket is closed (close() wakes blocked callers)."""
         item = self._queue.get(block, timeout)
         if item is _CLOSED:
             self._queue.put(_CLOSED)  # keep waking every later caller
@@ -717,37 +991,34 @@ class PullSocket:
         return item
 
     def recv(self, timeout: float | None = None) -> bytes:
-        """Pop the next message from any peer; raises ``queue.Empty`` on
-        timeout and ``ConnectionClosed`` once the socket is closed."""
-        chan, msg, buf = self._pop(timeout)
-        self._grant_credit(chan)
-        if buf is not None:
-            msg = bytes(msg)
-            buf.release()
+        """Pop the next message from any peer as ``bytes`` (its credit is
+        granted at once); raises ``queue.Empty`` on timeout and
+        ``ConnectionClosed`` once the socket is closed."""
+        msg, lease = self._pop(timeout)
+        msg = bytes(msg)
+        lease.release()
         return msg
 
     def recv_frame(self, timeout: float | None = None) -> PooledFrame:
         """Pop the next message as a :class:`PooledFrame` (zero-copy mode).
 
-        The frame's ``data`` aliases a pooled receive buffer; the caller
-        must ``release()`` it after the last use of any view derived from
-        it.  Raises ``queue.Empty`` on timeout and ``ConnectionClosed``
-        once the socket is closed.
+        The frame's ``data`` aliases the receive buffer; the caller must
+        ``release()`` it after the last use of any view derived from it —
+        the release grants the sender its credit, so an unreleased frame
+        keeps a slot of its stream's window.  Raises ``queue.Empty`` on
+        timeout and ``ConnectionClosed`` once the socket is closed.
         """
-        chan, msg, buf = self._pop(timeout)
-        self._grant_credit(chan)
-        return PooledFrame(msg, buf)
+        msg, lease = self._pop(timeout)
+        return PooledFrame(msg, lease)
 
     def try_recv(self) -> bytes | None:
         """Non-blocking recv; ``None`` when no message is ready."""
         try:
-            chan, msg, buf = self._pop(block=False)
+            msg, lease = self._pop(block=False)
         except queue.Empty:
             return None
-        self._grant_credit(chan)
-        if buf is not None:
-            msg = bytes(msg)
-            buf.release()
+        msg = bytes(msg)
+        lease.release()
         return msg
 
     @property
@@ -819,9 +1090,8 @@ class PullSocket:
             r.close()
         while True:
             try:
-                _chan, _msg, buf = self._queue.get_nowait()
+                _msg, lease = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if buf is not None:
-                buf.release()
+            lease.release()
         self._queue.put(_CLOSED)

@@ -128,9 +128,8 @@ class Histogram:
     """Fixed-boundary histogram (see :data:`LOG2_BUCKETS`).
 
     ``observe`` is lock-guarded bucket increment + sum/count update —
-    no allocation.  ``quantile(q)`` returns the upper bound of the first
-    bucket whose cumulative count reaches ``q * count`` (a conservative
-    estimate, exact to within one log2 bucket).
+    no allocation.  ``quantile(q)`` interpolates (log-linearly) inside
+    the bucket where the cumulative count reaches ``q * count``.
     """
 
     kind = "histogram"
@@ -182,8 +181,14 @@ class Histogram:
         return self._sum
 
     def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the q-quantile (0 <= q <= 1); 0.0 when
-        empty.  Observations beyond the last boundary report it."""
+        """Estimate of the q-quantile (0 <= q <= 1); 0.0 when empty.
+
+        Interpolates inside the bucket holding the target rank —
+        log-linearly, matching the log2 spacing (a latency's density is
+        far flatter in log space than in linear space); the first bucket,
+        ``[0, buckets[0]]``, linearly.  Observations beyond the last
+        boundary report it.
+        """
         with self._lock:
             total = self._count
             if total == 0:
@@ -191,9 +196,16 @@ class Histogram:
             target = q * total
             cum = 0
             for i, c in enumerate(self._counts):
+                if c and cum + c >= target:
+                    if i == len(self.buckets):
+                        break  # overflow bucket: no upper edge to interpolate to
+                    hi = self.buckets[i]
+                    frac = max(target - cum, 0.0) / c
+                    if i == 0:
+                        return hi * frac
+                    lo = self.buckets[i - 1]
+                    return lo * (hi / lo) ** frac
                 cum += c
-                if cum >= target and cum > 0:
-                    return self.buckets[min(i, len(self.buckets) - 1)]
         return self.buckets[-1]
 
     def samples(self) -> Iterable[tuple[tuple[str, ...], "Histogram"]]:

@@ -41,17 +41,19 @@ one JSON object per line: ``{"pr": ..., "snapshot": <filename>,
 
 ``--append-history`` extracts every tracked metric from each snapshot and
 appends it, refusing (exit 1) when a value regresses more than 10% past
-the last recorded entry for the same ``(snapshot, metric)`` series (below
-it for throughputs, above it for ``_us`` / ``_kib`` costs).
+the median of the last three entries of the same ``(snapshot, metric)``
+series (below it for throughputs, above it for ``_us`` / ``_kib`` costs).
 ``--check-history`` is the CI side: it verifies each file's current
-metrics against the latest history entries without writing anything.
+metrics against the same medians without writing anything.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import re
+import statistics
 import sys
 from pathlib import Path
 
@@ -246,8 +248,13 @@ def compare_snapshots(
 
 
 #: A new history entry (or a checked snapshot) may fall at most this far
-#: below the last recorded value of its series before the gate fails.
+#: below its series' reference value before the gate fails.
 HISTORY_TOLERANCE = 0.10
+
+#: A series' reference value is the median of its last this-many entries:
+#: one noisy entry (same-code runs spread ±13 %) neither trips the gate
+#: nor becomes the bar the next run is held to.
+HISTORY_WINDOW = 3
 
 #: Default location of the tracked trajectory, next to committed snapshots.
 HISTORY_PATH = Path("benchmarks/results/history.jsonl")
@@ -265,12 +272,13 @@ _LATENCY_SUFFIXES = ("_ms_p50", "_ms_p95", "_ms_p99")
 
 #: Component fields gated the other way round: a per-op cost in
 #: microseconds or an allocation peak in KiB regresses when it *rises*
-#: more than the tolerance above its last entry.
+#: more than the tolerance above its reference value.
 _LOWER_IS_BETTER_SUFFIXES = ("_us", "_kib")
 
 
 def _regression(metric: str, value: float, prev: float) -> str | None:
-    """How ``value`` regressed against the series' last entry, if it did."""
+    """How ``value`` regressed against the series' reference ``prev``, if
+    it did."""
     if metric.endswith(_LATENCY_SUFFIXES):
         return None
     if metric.endswith(_LOWER_IS_BETTER_SUFFIXES):
@@ -315,21 +323,24 @@ def tracked_metrics(obj: dict) -> dict[str, float]:
 
 
 def _load_history(path: Path) -> tuple[dict[tuple[str, str], float], list[str]]:
-    """Latest value per ``(snapshot, metric)`` series, in file order."""
-    latest: dict[tuple[str, str], float] = {}
+    """Reference value per ``(snapshot, metric)`` series: the median of its
+    last :data:`HISTORY_WINDOW` entries, in file order."""
+    recent: dict[tuple[str, str], collections.deque[float]] = {}
     problems: list[str] = []
     if not path.is_file():
-        return latest, problems
+        return {}, problems
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
         try:
             entry = json.loads(line)
             key = (entry["snapshot"], entry["metric"])
-            latest[key] = float(entry["value"])
+            value = float(entry["value"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             problems.append(f"{path}:{lineno}: malformed history entry")
-    return latest, problems
+            continue
+        recent.setdefault(key, collections.deque(maxlen=HISTORY_WINDOW)).append(value)
+    return {key: statistics.median(values) for key, values in recent.items()}, problems
 
 
 def append_history(
@@ -338,10 +349,11 @@ def append_history(
     """Record each snapshot's tracked metrics as new history entries.
 
     Nothing is written if any snapshot is unusable or any metric regresses
-    more than :data:`HISTORY_TOLERANCE` past its series' last entry — a
-    regressed number must never extend the trajectory.
+    more than :data:`HISTORY_TOLERANCE` past its series' reference (the
+    median of its last :data:`HISTORY_WINDOW` entries) — a regressed
+    number must never extend the trajectory.
     """
-    latest, problems = _load_history(history_path)
+    reference, problems = _load_history(history_path)
     entries: list[dict] = []
     for path in paths:
         obj, file_problems = _load(path)
@@ -353,12 +365,12 @@ def append_history(
             problems.append(f"{path}: no tracked metrics found")
         name = Path(path).name
         for metric, value in sorted(metrics.items()):
-            prev = latest.get((name, metric))
+            prev = reference.get((name, metric))
             how = None if prev is None else _regression(metric, value, prev)
             if how is not None:
                 problems.append(
-                    f"{path}: {metric} regressed — {value:.1f} vs last history "
-                    f"entry {prev:.1f} ({how})"
+                    f"{path}: {metric} regressed — {value:.1f} vs history "
+                    f"median {prev:.1f} ({how})"
                 )
             entries.append(
                 {"pr": pr_id, "snapshot": name, "metric": metric, "value": value}
@@ -375,11 +387,12 @@ def append_history(
 def check_history(paths: list[str], history_path: Path = HISTORY_PATH) -> list[str]:
     """CI gate: each snapshot's current metrics vs the recorded trajectory.
 
-    A metric regressed more than :data:`HISTORY_TOLERANCE` past the latest
-    history entry of its ``(snapshot, metric)`` series fails; metrics with
-    no recorded series pass (they join the history at the next append).
+    A metric regressed more than :data:`HISTORY_TOLERANCE` past the median
+    of the last :data:`HISTORY_WINDOW` entries of its ``(snapshot,
+    metric)`` series fails; metrics with no recorded series pass (they
+    join the history at the next append).
     """
-    latest, problems = _load_history(history_path)
+    reference, problems = _load_history(history_path)
     for path in paths:
         obj, file_problems = _load(path)
         problems += file_problems
@@ -387,12 +400,12 @@ def check_history(paths: list[str], history_path: Path = HISTORY_PATH) -> list[s
             continue
         name = Path(path).name
         for metric, value in sorted(tracked_metrics(obj).items()):
-            prev = latest.get((name, metric))
+            prev = reference.get((name, metric))
             how = None if prev is None else _regression(metric, value, prev)
             if how is not None:
                 problems.append(
                     f"{path}: {metric} regressed — {value:.1f} vs history "
-                    f"{prev:.1f} ({how})"
+                    f"median {prev:.1f} ({how})"
                 )
     return problems
 

@@ -175,44 +175,50 @@ def test_close_flushes_pending_messages():
 
 def test_spurious_credit_does_not_inflate_hwm():
     """Regression: a credit arriving with nothing in flight (e.g. a receiver
-    double-acking a replayed message) must be ignored.  Releasing it anyway
-    grows the semaphore past hwm, voiding the end-to-end backpressure bound."""
+    double-acking a replayed message) must be ignored.  Counting it anyway
+    adds window room no released frame made, voiding the hwm bound."""
     hwm = 2
     with Listener() as listener:
         chans: queue.Queue = queue.Queue()
 
-        def server():
+        def server():  # reads every frame, credits none: the test does
             chan = listener.accept(timeout=5)
             chans.put(chan)
-            while True:  # ack every data frame with one legit credit
+            while True:
                 try:
-                    frame = chan.recv()
+                    chan.recv()
                 except (ConnectionError, OSError):
                     return
-                if frame[:1] == b"\x00":
-                    chan.send(b"\x01")
 
         threading.Thread(target=server, daemon=True).start()
         push = PushSocket([listener.address], hwm=hwm)
         server_chan = chans.get(timeout=5)
         stream = push._streams[0]
-        server_chan.send(b"\x01")  # bogus credit: nothing is in flight
-        push.send(b"payload")  # a real send, acked by the server
-        # Wait until the real message is sent AND credited; frames are FIFO
-        # per connection, so the bogus credit was processed before its ack.
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            with stream.lock:
-                if stream.unflushed == 0 and not stream.inflight:
-                    break
-            time.sleep(0.01)
-        got = 0
-        while stream.credits.acquire(blocking=False):
-            got += 1
-        for _ in range(got):
-            stream.credits.release()
-        assert got == hwm, f"credit semaphore inflated to {got} (hwm={hwm})"
-        push.close(timeout=1.0)
+        for _ in range(3):
+            server_chan.send(b"\x01")  # bogus credits: nothing is in flight
+        time.sleep(0.05)
+        for i in range(hwm + 2):
+            push.send(b"payload%d" % i)
+
+        def settled(unflushed):
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                with stream.lock:
+                    if stream.unflushed == unflushed and len(stream.inflight) == hwm:
+                        return True
+                time.sleep(0.01)
+            return False
+
+        # Nothing released yet: exactly hwm in flight, the rest wait.
+        assert settled(unflushed=2)
+        assert push.window == hwm
+        # One real release frees exactly one slot.
+        server_chan.send(b"\x01" + (0).to_bytes(4, "little"))
+        assert settled(unflushed=1)
+        time.sleep(0.05)
+        with stream.lock:
+            assert len(stream.inflight) == hwm, "a spurious credit added room"
+        push.close(timeout=0.2)
         server_chan.close()
 
 

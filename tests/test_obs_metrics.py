@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import threading
 import urllib.request
+from bisect import bisect_left
 
+import numpy as np
 import pytest
 
 from repro.obs.exporter import MetricsExporter
@@ -47,10 +49,27 @@ def test_histogram_quantiles_log2_buckets():
     snap = h.snapshot()
     assert snap["count"] == 4
     assert snap["sum"] == pytest.approx(1.007)
-    # The quantile is the upper bound of the first bucket reaching rank q.
+    # Rank q lands at the top of a bucket here, so the interpolation
+    # returns that bucket's upper edge.
     assert h.quantile(0.5) in LOG2_BUCKETS
     assert h.quantile(0.5) >= 0.002
     assert h.quantile(1.0) >= 1.0
+
+
+def test_histogram_quantile_tracks_numpy_percentile():
+    """Interpolating inside the log2 bucket lands within a few percent of
+    the exact percentile; the bucket's upper edge was up to 2x off."""
+    rng = np.random.default_rng(0)
+    sample = rng.lognormal(np.log(2e-3), 1.0, 20_000)  # latency-shaped, median 2 ms
+    h = Histogram("emlio_lat_seconds")
+    for v in sample:
+        h.observe(float(v))
+    for q, tol in ((0.5, 0.05), (0.9, 0.05), (0.95, 0.15), (0.99, 0.15)):
+        exact = float(np.percentile(sample, 100 * q))
+        upper_edge = LOG2_BUCKETS[bisect_left(LOG2_BUCKETS, exact)]
+        err = abs(h.quantile(q) / exact - 1)
+        assert err <= tol, (q, h.quantile(q), exact)
+        assert err < upper_edge / exact - 1
 
 
 def test_histogram_overflow_bucket():

@@ -373,6 +373,45 @@ def test_benchcheck_history_gates_costs_on_rises(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_benchcheck_history_gates_against_the_median_of_the_last_three(tmp_path, capsys):
+    """One noisy entry neither trips the gate nor becomes the bar: each
+    series is held to the median of its last three entries, in the
+    direction the metric improves."""
+    import json
+
+    from repro.tools.benchcheck import main as benchcheck_main
+
+    hist = tmp_path / "history.jsonl"
+    series = {
+        ("BENCH_e2e_loopback.json", "emlio.throughput_samples_per_s"):
+            [400.0, 1000.0, 1000.0, 1300.0],  # a lucky last run
+        ("BENCH_micro_components.json", "components.kernel.preprocess_us"):
+            [100.0, 100.0, 60.0],  # a lucky last run of a cost
+    }
+    hist.write_text("".join(
+        json.dumps({"pr": f"pr-{i}", "snapshot": snap, "metric": metric, "value": v}) + "\n"
+        for (snap, metric), values in series.items()
+        for i, v in enumerate(values)
+    ))
+    check = ["--check-history", "--history-path", str(hist)]
+    # Median of 1000, 1000, 1300 is 1000 (the 400 aged out): 1000 passes,
+    # where the last entry alone (1300) would have failed it.
+    e2e = _e2e_snapshot(tmp_path, "BENCH_e2e_loopback.json", 1000.0)
+    assert benchcheck_main(check + [str(e2e)]) == 0
+    e2e = _e2e_snapshot(tmp_path, "BENCH_e2e_loopback.json", 899.0)
+    assert benchcheck_main(check + [str(e2e)]) == 1
+    assert "vs history median 1000.0" in capsys.readouterr().err
+    # A cost: median 100, so 105 µs passes though it is 75 % over the last.
+    micro = tmp_path / "BENCH_micro_components.json"
+    for us, code in ((105.0, 0), (111.0, 1)):
+        micro.write_text(json.dumps({
+            "bench": "micro_components",
+            "components": {"kernel": {"preprocess_us": us}},
+        }))
+        assert benchcheck_main(check + [str(micro)]) == code
+    capsys.readouterr()
+
+
 def test_benchcheck_history_flags_malformed_lines(tmp_path, capsys):
     from repro.tools.benchcheck import main as benchcheck_main
 
