@@ -9,8 +9,10 @@ every batch.  Both sides read the *same* planned ranges through the same
 * ``cold_remote`` — a fresh :class:`ObjectStoreBackend` (8 ms per request),
   one range-GET per planned batch, CRC-verified parse.
 * ``warm_cache`` — a :class:`CachedBackend` over an identical backend,
-  after ``schedule_prefetch(plan)`` has drained; every read is a cache hit
-  (re-verified per read, so the CRC cost stays in the measurement).
+  after ``schedule_prefetch(plan)`` has drained; every read is a cache hit,
+  checked against the SHA-256 seal its block was admitted with (the
+  CRC-32C ran once, at admission, outside the measurement), so the
+  per-hit integrity cost stays in the measurement.
 * ``cold_window`` — the same cache, *empty*: the clock starts at
   ``schedule_prefetch(plan)`` and the reads chase the fetch window, so
   every byte still crosses the store inside the measurement — only

@@ -222,8 +222,11 @@ class StorageSpec:
     behave like a remote range-GET store.
 
     ``verify_reads`` sets the daemons' CRC policy: ``True`` checks every
-    record as it is read (the default), ``"open"`` walks the whole shard's
-    CRCs once at open and trusts the mapping afterwards, ``False`` skips
+    record as it is read (the default) — with ``cache_bytes`` > 0, every
+    record's CRC once as it leaves the tier, then every cache hit against
+    the SHA-256 seal its block was admitted with; ``"open"`` walks the
+    whole shard's CRCs once at open (a cache: once per fetch) and trusts
+    the mapping or the cached copy afterwards; ``False`` skips
     verification entirely.
     """
 

@@ -64,10 +64,13 @@ class EMLIOConfig:
         TFRecord CRC policy on the daemon's serve path.  The default
         ``True`` verifies every record as it is read — corruption must
         surface at read time, not as garbage tensors, even when a shard
-        mutates mid-run.  ``"open"`` verifies the whole shard once when
-        its reader is first opened and then serves the hot loop without
-        per-record CRC work (trusts storage to stay immutable after
-        open); ``False`` trusts the storage outright.
+        mutates mid-run.  Behind a hot-set cache, "as it is read" means
+        as it leaves the tier: a cache hit is checked against the SHA-256
+        seal taken when its block was admitted, not CRC-walked again.
+        ``"open"`` verifies the whole shard once when its reader is
+        first opened and then serves the hot loop without per-record CRC
+        work (trusts storage to stay immutable after open); ``False``
+        trusts the storage outright.
     transport:
         Daemon→receiver data path.  ``"tcp"`` (default) is the credit-based
         PUSH/PULL socket; ``"shm"`` forces the shared-memory ring transport

@@ -30,20 +30,32 @@ heuristic into a lookahead problem:
 The pool size is a module constant, not a knob: a range-GET spends its
 time asleep on the store (outside the GIL), so the only thing the count
 sets is how many request latencies overlap — ``_FETCHERS`` / latency
-must exceed the serve rate, and eight covers a 5 ms store at 1 500
+must exceed the serve rate, and sixteen cover a 5 ms store at 3 200
 batches/s; the cache capacity, not the pool, bounds memory.
 
 Correctness across tiers: a fetched block is CRC-parsed **before**
-admission (corrupt bytes never enter the cache), cache hits re-verify
-per read when the tier's policy is strict ``True`` (``"open"`` verifies
-at admission only — the cached copy is immutable, the same trust model
-as verify-on-open mmap), and an evicted block is simply re-fetched from
-the tier on next use — stale bytes cannot be served because blocks are
-immutable copies keyed by exact range.
+admission (corrupt bytes never enter the cache) and admitted together
+with its SHA-256 *seal*, in one entry, so eviction never separates them.
+Under the strict ``True`` policy every hit re-hashes the block and
+compares it with its seal — one C-speed digest instead of a second
+per-record CRC-32C walk, and stronger: the digest covers the whole
+block, framing and stored CRCs included.  A block that fails its seal is
+dropped and raises :class:`~repro.tfrecord.reader.TFRecordCorruption`;
+the next read of the range re-fetches it from the tier.  ``"open"``
+verifies at admission only (the cached copy is immutable, the same trust
+model as verify-on-open mmap).  An evicted block is simply re-fetched on
+next use — stale bytes cannot be served because blocks are immutable
+copies keyed by exact range.
+
+Victims are chosen from a lazily maintained max-heap on next planned use
+(stale entries are skipped when popped), so an admission under pressure
+costs ``O(k log n)`` for ``k`` victims, not a sort of every cached block.
 """
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 import math
 import threading
 import time
@@ -55,11 +67,13 @@ from repro.storage.backend import (
     StorageBackend,
     parse_record_block,
 )
+from repro.tfrecord.reader import TFRecordCorruption
 
 BlockKey = tuple[str, int, int]  # (shard_path, offset, nbytes)
 
-#: Fetcher threads per cached tier (see the module docstring).
-_FETCHERS = 8
+#: Fetcher threads per cached tier: ``_FETCHERS`` / request latency must
+#: exceed the serve rate (16 / 5 ms ≈ 3 200 GETs/s; see the module docstring).
+_FETCHERS = 16
 #: Prefetch failures kept for inspection (the counter keeps the total).
 _MAX_KEPT_ERRORS = 32
 #: ``close()`` waits this long, in total, for fetchers caught mid-GET.
@@ -77,6 +91,14 @@ class PlanRange(NamedTuple):
     @property
     def key(self) -> BlockKey:
         return (self.shard_path, self.offset, self.nbytes)
+
+
+class _Entry(NamedTuple):
+    """One admitted block: its bytes and their seal travel together."""
+
+    block: bytes
+    seal: bytes  # SHA-256 of ``block``, taken at admission
+    seq: int  # admission order: breaks next-use ties oldest-first
 
 
 class CacheStats:
@@ -107,8 +129,11 @@ class CacheStats:
 
 
 class HotSetCache:
-    """Bounded byte budget of immutable blocks with next-planned-use eviction.
+    """Bounded byte budget of sealed, immutable blocks with
+    next-planned-use eviction.
 
+    Each block is stored with the SHA-256 of its bytes (its seal);
+    ``get``/``peek`` with ``verify`` check a hit against it.
     ``nbytes + reserved_bytes <= capacity_bytes`` holds at every step:
     room for a block about to be fetched is made (and held) by
     :meth:`reserve`, so the block's later :meth:`put` cannot be refused.
@@ -120,12 +145,17 @@ class HotSetCache:
         self.capacity_bytes = capacity_bytes
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._blocks: dict[BlockKey, bytes] = {}
+        self._blocks: dict[BlockKey, _Entry] = {}
         self._bytes = 0
+        self._admitted = 0
         self._reserved: dict[BlockKey, int] = {}
         self._reserved_bytes = 0
         # key -> positions (ascending) at which the plan will read it next.
         self._schedule: dict[BlockKey, deque[int]] = {}
+        # Eviction order: ``(-next_use, seq, key)`` for every cached block,
+        # plus stale items (evicted, re-admitted, or next use moved on)
+        # that are dropped when they surface.
+        self._victims: list[tuple[float, int, BlockKey]] = []
 
     def plan(self, keys: Iterable[BlockKey]) -> None:
         """Replace the lookahead: ``keys`` in the order they will be read."""
@@ -134,10 +164,25 @@ class HotSetCache:
             schedule.setdefault(key, deque()).append(pos)
         with self._lock:
             self._schedule = schedule
+            self._rebuild_victims()
 
     def _next_use(self, key: BlockKey) -> float:
         uses = self._schedule.get(key)
         return uses[0] if uses else math.inf
+
+    def _rebuild_victims(self) -> None:
+        """Heap of exactly the cached blocks at their current next use (lock held)."""
+        self._victims = [
+            (-self._next_use(key), entry.seq, key) for key, entry in self._blocks.items()
+        ]
+        heapq.heapify(self._victims)
+
+    def _push_victim(self, key: BlockKey, entry: _Entry) -> None:
+        """Record ``key``'s current next use (lock held); compacts the heap
+        once stale items outnumber live ones, so pushes stay O(log n)."""
+        heapq.heappush(self._victims, (-self._next_use(key), entry.seq, key))
+        if len(self._victims) > 2 * len(self._blocks) + 64:
+            self._rebuild_victims()
 
     def __contains__(self, key: BlockKey) -> bool:
         with self._lock:
@@ -157,42 +202,82 @@ class HotSetCache:
         with self._lock:
             return len(self._blocks)
 
-    def get(self, key: BlockKey) -> bytes | None:
-        """Look up a block, consuming this position from the lookahead."""
+    def _checked(self, key: BlockKey, entry: _Entry) -> bytes:
+        """``entry``'s block if it still matches its admission seal; else
+        drop it (the next read re-fetches) and raise."""
+        if hashlib.sha256(entry.block).digest() == entry.seal:
+            return entry.block
         with self._lock:
+            if self._blocks.get(key) is entry:
+                del self._blocks[key]
+                self._bytes -= len(entry.block)
+        shard_path, offset, nbytes = key
+        raise TFRecordCorruption(
+            f"shard {shard_path!r}: cached block at byte {offset} ({nbytes} bytes) "
+            "fails its admission seal — corrupted in cache RAM; dropped, the "
+            "next read re-fetches it from the tier",
+            offset,
+        )
+
+    def get(self, key: BlockKey, verify: bool = False) -> bytes | None:
+        """Look up a block, consuming this position from the lookahead.
+
+        With ``verify`` a hit is checked against its admission seal first
+        (:class:`TFRecordCorruption` on a mismatch, the block dropped).
+        """
+        with self._lock:
+            entry = self._blocks.get(key)
             uses = self._schedule.get(key)
             if uses:
                 uses.popleft()
-            block = self._blocks.get(key)
-        if block is None:
+                if entry is not None:
+                    self._push_victim(key, entry)
+        if entry is None:
             self.stats.record("misses")
-        else:
-            self.stats.record("hits")
+            return None
+        block = self._checked(key, entry) if verify else entry.block
+        self.stats.record("hits")
         return block
 
-    def peek(self, key: BlockKey) -> bytes | None:
+    def peek(self, key: BlockKey, verify: bool = False) -> bytes | None:
         """Look up a block without consuming a plan position or counting."""
         with self._lock:
-            return self._blocks.get(key)
+            entry = self._blocks.get(key)
+        if entry is None:
+            return None
+        return self._checked(key, entry) if verify else entry.block
 
     def _make_room(self, key: BlockKey, nbytes: int) -> bool:
-        """Evict strictly-later-needed blocks until ``nbytes`` fit (lock held)."""
+        """Evict strictly-later-needed blocks until ``nbytes`` fit (lock held).
+
+        Victims go farthest next use first (oldest admission first among
+        blocks never used again); if the blocks needed later than ``key``
+        cannot free enough room, nothing is evicted.
+        """
         used = self._bytes + self._reserved_bytes
         if used + nbytes <= self.capacity_bytes:
             return True
         if nbytes > self.capacity_bytes:
             return False
         mine = self._next_use(key)
-        chosen: list[BlockKey] = []
-        for victim in sorted(self._blocks, key=self._next_use, reverse=True):
-            if used + nbytes <= self.capacity_bytes or self._next_use(victim) <= mine:
+        heap = self._victims
+        chosen: list[tuple[float, int, BlockKey]] = []
+        while used + nbytes > self.capacity_bytes and heap:
+            neg_use, seq, victim = heap[0]
+            entry = self._blocks.get(victim)
+            if entry is None or entry.seq != seq or -neg_use != self._next_use(victim):
+                heapq.heappop(heap)  # stale
+                continue
+            if -neg_use <= mine:
                 break
-            chosen.append(victim)
-            used -= len(self._blocks[victim])
+            chosen.append(heapq.heappop(heap))
+            used -= len(entry.block)
         if used + nbytes > self.capacity_bytes:
+            for item in chosen:
+                heapq.heappush(heap, item)
             return False
-        for victim in chosen:
-            self._bytes -= len(self._blocks.pop(victim))
+        for _, _, victim in chosen:
+            self._bytes -= len(self._blocks.pop(victim).block)
         if chosen:
             self.stats.record("evictions", len(chosen))
         return True
@@ -223,21 +308,27 @@ class HotSetCache:
             self._reserved_bytes -= self._reserved.pop(key, 0)
 
     def put(self, key: BlockKey, data: bytes, prefetched: bool = False) -> bool:
-        """Admit a block, evicting strictly-later-needed blocks if required.
+        """Admit a block with its seal, evicting strictly-later-needed
+        blocks if required.
 
         Returns ``False`` (and caches nothing) when admission would
         require evicting a block needed sooner than ``key`` — by the
         plan, that trade always loses.  A reserved block always fits.
+        The seal is hashed here, on the caller's (fetcher's) thread, from
+        bytes the caller has already CRC-verified.
         """
         data = bytes(data)
+        seal = hashlib.sha256(data).digest()
         with self._lock:
             self._reserved_bytes -= self._reserved.pop(key, 0)
             if key in self._blocks:
                 return True
             if not self._make_room(key, len(data)):
                 return False
-            self._blocks[key] = data
+            self._admitted += 1
+            entry = self._blocks[key] = _Entry(data, seal, self._admitted)
             self._bytes += len(data)
+            self._push_victim(key, entry)
         if prefetched:
             self.stats.record("prefetched")
         return True
@@ -273,15 +364,10 @@ class CachedShardHandle:
         backend = self._backend
         key: BlockKey = (self.shard_path, offset, nbytes)
         block = backend.lookup(key)
-        if block is not None:
-            return parse_record_block(
-                block,
-                count,
-                backend.verify_hit,
-                shard_path=self.shard_path,
-                offset=offset,
-            )
-        block = backend.fetch_block(PlanRange(self.shard_path, offset, nbytes, count))
+        if block is None:
+            block = backend.fetch_block(PlanRange(self.shard_path, offset, nbytes, count))
+        # Checked as the tier's policy asks: a hit against its seal, a miss
+        # by its fetch's CRC walk.
         return parse_record_block(
             block, count, False, shard_path=self.shard_path, offset=offset
         )
@@ -296,16 +382,16 @@ class CachedShardHandle:
     ) -> tuple[bytes, bool]:
         """Planned range as raw framed bytes (cache-aware, unparsed).
 
-        Hits return the admitted block with the hit-verify policy; misses
-        come back pre-verified by :meth:`CachedBackend.fetch_block`, so
-        the caller need not re-check them.
+        Hits come back checked against their admission seal (under the
+        strict policy), misses CRC-verified by
+        :meth:`CachedBackend.fetch_block`, so the caller need not re-check
+        either: the flag is always clear.
         """
         backend = self._backend
         key: BlockKey = (self.shard_path, offset, nbytes)
         block = backend.lookup(key)
-        if block is not None:
-            return block, backend.verify_hit
-        block = backend.fetch_block(PlanRange(self.shard_path, offset, nbytes, count))
+        if block is None:
+            block = backend.fetch_block(PlanRange(self.shard_path, offset, nbytes, count))
         return block, False
 
     def close(self) -> None:
@@ -338,9 +424,10 @@ class CachedBackend(StorageBackend):
         self.stats = inner.stats
         self.cache = HotSetCache(capacity_bytes)
         verify = getattr(inner, "verify", True)
-        # Fetches are always verified unless the tier trusts storage
-        # outright; hits re-verify only under strict ``True`` ("open"
-        # trusts the immutable admitted copy, like verify-on-open mmap).
+        # Fetches are always CRC-verified unless the tier trusts storage
+        # outright; hits are checked against their seal only under strict
+        # ``True`` ("open" trusts the immutable admitted copy, like
+        # verify-on-open mmap).
         self.verify_fetch = bool(verify)
         self.verify_hit = verify is True
         # The fetch window.  One lock guards all of it; fetchers sleep on
@@ -366,14 +453,16 @@ class CachedBackend(StorageBackend):
 
     def lookup(self, key: BlockKey) -> bytes | None:
         """Serve-path cache lookup: consumes the plan position, and so may
-        make room for the window — wake a parked fetcher to find out."""
-        block = self.cache.get(key)
-        # Unlocked peek: a stale read costs one batch of delay at worst.
-        if self._parked and self._frontier < len(self._plan):
-            with self._lock:
-                self._parked = False
-                self._cv.notify()
-        return block
+        make room for the window — wake a parked fetcher to find out.
+        A hit that fails its seal raises (and is dropped from the cache)."""
+        try:
+            return self.cache.get(key, self.verify_hit)
+        finally:
+            # Unlocked peek: a stale read costs one batch of delay at worst.
+            if self._parked and self._frontier < len(self._plan):
+                with self._lock:
+                    self._parked = False
+                    self._cv.notify()
 
     def _get_verified(self, rng: PlanRange) -> bytes:
         block = self.inner.read_bytes(rng.shard_path, rng.offset, rng.nbytes)
@@ -397,7 +486,7 @@ class CachedBackend(StorageBackend):
                 if fetch is None:
                     # A fetch that landed since the caller's lookup has
                     # left the in-flight set only after admitting its block.
-                    block = self.cache.peek(key)
+                    block = self.cache.peek(key, self.verify_hit)
                     if block is not None:
                         return block
                     fetch = self._inflight[key] = _Fetch()

@@ -87,6 +87,9 @@ class ObjectStoreBackend(StorageBackend):
         self._request()
         return self._store.listdir(relpath)
 
+    def close(self) -> None:
+        self._store.close()
+
     def snapshot(self) -> dict:
         snap = super().snapshot()
         snap["requests"] = self.requests

@@ -104,3 +104,4 @@ class StorageServer:
         self._listener.close()
         for chan in channels:
             chan.close()
+        self.storage.close()

@@ -10,12 +10,16 @@ serving reads through the mount, object-store specs running end to end,
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import EMLIO, preset
 from repro.api.spec import ClusterSpec, SpecError, StorageSpec
@@ -194,6 +198,123 @@ def test_hot_set_cache_rejects_oversized_and_bad_capacity():
         HotSetCache(0)
     cache = HotSetCache(8)
     assert not cache.put(("s", 0, 16), b"x" * 16)
+
+
+class _SortedBelady:
+    """Reference admission model: every cached block sorted by next planned
+    use on each admission (stable, so ties go in admission order)."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.blocks: dict = {}  # key -> size, in admission order
+        self.reserved: dict = {}
+        self.schedule: dict = {}
+        self.evictions = 0
+
+    def plan(self, keys) -> None:
+        self.schedule = {}
+        for pos, key in enumerate(keys):
+            self.schedule.setdefault(key, deque()).append(pos)
+
+    def _next_use(self, key) -> float:
+        uses = self.schedule.get(key)
+        return uses[0] if uses else math.inf
+
+    def get(self, key) -> bool:
+        uses = self.schedule.get(key)
+        if uses:
+            uses.popleft()
+        return key in self.blocks
+
+    def _make_room(self, key, nbytes: int) -> bool:
+        used = sum(self.blocks.values()) + sum(self.reserved.values())
+        if used + nbytes <= self.capacity:
+            return True
+        if nbytes > self.capacity:
+            return False
+        mine = self._next_use(key)
+        chosen = []
+        for victim in sorted(self.blocks, key=self._next_use, reverse=True):
+            if used + nbytes <= self.capacity or self._next_use(victim) <= mine:
+                break
+            chosen.append(victim)
+            used -= self.blocks[victim]
+        if used + nbytes > self.capacity:
+            return False
+        for victim in chosen:
+            del self.blocks[victim]
+        self.evictions += len(chosen)
+        return True
+
+    def reserve(self, key, nbytes: int, pos: int):
+        uses = self.schedule.get(key)
+        if key in self.blocks or key in self.reserved or not uses or uses[0] > pos:
+            return None
+        if not self._make_room(key, nbytes):
+            return False
+        self.reserved[key] = nbytes
+        return True
+
+    def release(self, key) -> None:
+        self.reserved.pop(key, None)
+
+    def put(self, key, nbytes: int) -> bool:
+        self.reserved.pop(key, None)
+        if key in self.blocks:
+            return True
+        if not self._make_room(key, nbytes):
+            return False
+        self.blocks[key] = nbytes
+        return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hot_set_cache_victims_match_the_sorted_reference(data):
+    # Driven like the serve path and the fetch window drive it: reads walk
+    # the plan (a miss is fetched and admitted), prefetches reserve at a
+    # plan position then admit or give back, plus stray admits and re-plans.
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=2, max_size=10), label="sizes")
+    keys = [("s", i, size) for i, size in enumerate(sizes)]
+    capacity = data.draw(st.integers(max(sizes), sum(sizes)), label="capacity")
+    key_plan = st.lists(st.sampled_from(keys), min_size=1, max_size=40)
+    cache, ref = HotSetCache(capacity), _SortedBelady(capacity)
+    steps = st.tuples(
+        st.sampled_from(["serve", "serve", "prefetch", "prefetch", "put", "release", "plan"]),
+        st.integers(0, 63),
+    )
+    plan, cursor = [], 0
+    for op, arg in [("plan", 0)] + data.draw(st.lists(steps, min_size=10, max_size=80), label="steps"):
+        if op == "plan":
+            plan, cursor = data.draw(key_plan, label="plan"), 0
+            cache.plan(plan)
+            ref.plan(plan)
+        elif op == "serve":
+            key = plan[cursor % len(plan)]
+            cursor += 1
+            hit = cache.get(key) is not None
+            assert hit == ref.get(key)
+            if not hit:
+                assert cache.put(key, b"x" * key[2]) == ref.put(key, key[2])
+        elif op == "prefetch":
+            pos = arg % len(plan)
+            key = plan[pos]
+            admitted = cache.reserve(key, key[2], pos)
+            assert admitted == ref.reserve(key, key[2], pos)
+            if admitted and arg % 4:
+                assert cache.put(key, b"x" * key[2], prefetched=True) == ref.put(key, key[2])
+        else:
+            key = keys[arg % len(keys)]
+            if op == "put":
+                assert cache.put(key, b"x" * key[2]) == ref.put(key, key[2])
+            else:
+                cache.release(key)
+                ref.release(key)
+        assert [k for k in keys if k in cache] == [k for k in keys if k in ref.blocks]
+        assert cache.nbytes == sum(ref.blocks.values())
+        assert cache.reserved_bytes == sum(ref.reserved.values())
+        assert cache.stats.snapshot()["evictions"] == ref.evictions
+        assert cache.nbytes + cache.reserved_bytes <= capacity
 
 
 def test_cached_backend_eviction_under_pressure_refetches_correct_bytes(
