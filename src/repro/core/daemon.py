@@ -246,8 +246,8 @@ class EMLIODaemon:
         with :class:`DaemonKilled`; every stream closes without a flush —
         here when idle, else as the serve call unwinds — so queued-but-
         unsent messages are dropped: the transport-level signature of a
-        crashed storage node.  The service's monitor re-plans the
-        undelivered batches through the placement engine.
+        crashed storage node.  The supervisor re-plans the undelivered
+        batches through the placement engine.
         """
         self._killed.set()
         if not self._serving:

@@ -4,7 +4,7 @@ The control plane extracted from PR 1's ad-hoc failover: every participant
 (storage daemon, compute-node receiver) publishes heartbeats over
 :mod:`repro.net.heartbeat`; a :class:`ClusterView` folds those beats into a
 per-member liveness state machine and emits :class:`MembershipEvent`\\ s the
-supervisor (:class:`~repro.core.service.EMLIOService`) consumes to drive
+supervisor (:class:`~repro.core.supervisor.Supervisor`) consumes to drive
 failover.  Nothing in here knows about batch plans or sockets — membership
 is a pure fact base, which is what lets every future scaling PR (sharding,
 elastic membership) build on it.

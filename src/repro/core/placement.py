@@ -89,8 +89,8 @@ class ElasticPolicy:
         ``"auto"`` admits any member that registers and starts beating;
         ``"closed"`` rejects joins (the pre-elastic behaviour).
     min_members:
-        Deployment floor: a spec asking for fewer receivers than this is
-        invalid (scale-*in* below the floor is likewise refused).
+        Deployment floor, checked once at deploy time: a spec asking for
+        fewer receivers than this is invalid.  Nothing scales in.
     max_members:
         Join ceiling; ``0`` means unbounded.
     rebalance_threshold:
@@ -127,7 +127,8 @@ class ReceiverReassignment:
     """The outcome of re-targeting batches onto other receivers.
 
     Produced by :meth:`PlacementEngine.plan_receiver_failover` (dead node)
-    and :meth:`PlacementEngine.retarget` (scale-out onto a joined node).
+    and :meth:`PlacementEngine.retarget` (scale-out onto a joined node); a
+    daemon failover's re-plan is one with only ``by_root`` filled in.
 
     Attributes
     ----------

@@ -260,7 +260,7 @@ class EMLIOReceiver:
         The PULL socket closes (peers see connection resets), the active
         epoch's provider aborts instead of stalling out its timeout, and
         in-flight batches are dropped — the transport-level signature of a
-        dead compute node.  The service's monitor re-targets its undelivered
+        dead compute node.  The supervisor re-targets its undelivered
         batches through the placement engine.
         """
         if self._killed.is_set():

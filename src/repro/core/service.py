@@ -8,57 +8,23 @@ For multi-node experiments construct :class:`~repro.core.daemon.EMLIODaemon`
 and :class:`~repro.core.receiver.EMLIOReceiver` directly — the service is a
 convenience, not the only entry point.
 
-Control plane (see :mod:`repro.core.membership`): with
-``EMLIOService(recovery=RecoveryConfig(...))`` every participant publishes
-heartbeats to an in-service :class:`~repro.net.heartbeat.HeartbeatListener`
-and a :class:`~repro.core.membership.ClusterView` turns beats into
-membership events.  The service's monitor thread consumes those events —
-**liveness is never inferred from thread state**:
-
-* a crashed daemon announces itself (``failed`` beat) or falls silent;
-  either way the monitor sees a ``dead`` event and asks the
-  :class:`~repro.core.placement.PlacementEngine` to re-plan the dead
-  daemon's undelivered batches onto surviving storage roots;
-* a *hung* daemon — thread alive, no error, no progress — keeps beating
-  with a frozen progress counter and is declared dead just the same;
-* a dead *receiver* (compute node) triggers receiver failover: its
-  undelivered batches (diffed against the
-  :class:`~repro.core.recovery.DeliveryLedger`) are re-targeted onto
-  surviving receivers with fresh sequence numbers, daemons drop the dead
-  endpoint mid-epoch, and the key re-mapping is persisted so restarts stay
-  exactly-once.
-
-Failover daemons are themselves members, so cascading failures keep
-recovering while any reachable root and any live receiver survive.  A
-restarted service with the same config and ledger path resumes mid-epoch;
-completed epochs are compacted to one checkpoint line each.
-
-The data path lives as long as the deployment: each daemon keeps one
-stream per receiver across epochs (see :mod:`repro.core.daemon`), and the
-monitor thread and the daemons' heartbeat publishers start once.  A
-daemon beats ``serving`` during its epochs and ``idle`` between them, so
-frozen progress between epochs is not a hang, and ``failed`` once killed,
-so a kill after its serve call returned still fails over what its
-streams held.  Between epochs the monitor
-only records what the next epoch start acts on (dead receivers, joins,
-daemons declared dead); failover itself happens within an epoch.
-
-The monitor consumes ``joined`` events too (elastic scale-out): a
-receiver or daemon registered via :meth:`EMLIOService.add_receiver` /
-:meth:`EMLIOService.add_daemon` is admitted when its first beat arrives,
-and the :class:`~repro.core.placement.PlacementEngine` shifts load onto
-it at the next safe boundary — a fresh re-target for receivers, the next
-epoch start for daemons — weighted by observed throughput and queue
-depth, with the same exactly-once ``reassign`` ledger vocabulary as
-failover.
+The service is the control plane's *driver*: it owns the threads, sockets,
+heartbeat listener, :class:`~repro.core.membership.ClusterView`, daemons
+and receivers, and carries out the commands the
+:class:`~repro.core.supervisor.Supervisor` decides (failover, scale-out,
+epoch-start placement — see :mod:`repro.core.supervisor`).  The data path
+lives as long as the deployment: each daemon keeps one stream per receiver
+across epochs (see :mod:`repro.core.daemon`), and the monitor thread and
+the daemons' heartbeat publishers start once.  A restarted service with
+the same config and ledger path resumes mid-epoch; completed epochs are
+compacted to one checkpoint line each.
 """
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -68,16 +34,23 @@ from repro.core.config import EMLIOConfig
 from repro.core.daemon import EMLIODaemon
 from repro.core.membership import ClusterView, MemberStatus, MembershipEvent
 from repro.core.placement import ElasticPolicy, MemberLoad, PlacementEngine
-from repro.core.planner import BatchAssignment, BatchPlan
+from repro.core.planner import BatchPlan
 from repro.core.receiver import EMLIOReceiver, ReceiverKilled
-from repro.core.recovery import (
-    DeliveryKey,
-    DeliveryLedger,
-    FailoverError,
-    RecoveryConfig,
+from repro.core.recovery import DeliveryLedger, FailoverError, RecoveryConfig
+from repro.core.supervisor import (
+    Adopt,
+    Bury,
+    Claim,
+    Kill,
+    Notify,
+    Observation,
+    Relinquish,
+    Serve,
+    Supervisor,
 )
 from repro.energy.power_models import BusyWindowTracker
 from repro.gpu.device import SimulatedGPU
+from repro.gpu.pipeline import stage_ns
 from repro.net.emulation import NetworkProfile
 from repro.net.heartbeat import (
     STATE_FAILED,
@@ -93,23 +66,63 @@ from repro.util.logging import TimestampLogger
 #: Put into the event queue by close(): ends the monitor at once.
 _STOP_MONITOR = object()
 
+#: The series the service exports: key -> (kind, name, help, label names).
+_SERIES = {
+    "bytes_sent": ("counter", "emlio_transport_bytes_sent_total",
+                   "Wire bytes pushed by all daemons (original + failover)", ()),
+    "bytes_read": ("counter", "emlio_transport_bytes_read_total",
+                   "Storage bytes read by all daemons", ()),
+    "batches_sent": ("counter", "emlio_transport_batches_sent_total",
+                     "Batch payloads pushed by all daemons", ()),
+    "shm_attaches": ("counter", "emlio_transport_shm_attaches_total",
+                     "Shared-memory ring attaches accepted by receivers", ()),
+    "reader_errors": ("counter", "emlio_transport_reader_errors_total",
+                      "Receiver socket reader threads that died on an unexpected exception", ()),
+    "transport_nodes": ("gauge", "emlio_transport_nodes",
+                        "Compute nodes per active daemon→receiver transport", ("transport",)),
+    "window": ("gauge", "emlio_transport_window_frames",
+               "Credit window of each daemon→node TCP stream set (hwm + link BDP, frames)",
+               ("daemon", "node")),
+    "link_rtt": ("gauge", "emlio_transport_link_rtt_seconds",
+                 "Link RTT each daemon→node TCP stream set measured from its credits",
+                 ("daemon", "node")),
+    "prefetch_errors": ("counter", "emlio_storage_prefetch_errors_total",
+                        "Fetch-window range-GETs that failed (fetch or CRC) per tier", ("tier",)),
+    "stage_ns": ("gauge", "emlio_pipeline_stage_ns",
+                 "Mean per-batch consume-pipeline stage cost (nanoseconds)", ("stage",)),
+    "received": ("counter", "emlio_batches_received_total",
+                 "Batch payloads received by all nodes", ()),
+    "dupes": ("counter", "emlio_duplicates_dropped_total",
+              "Duplicate payloads absorbed by receiver dedup", ()),
+    "failovers": ("counter", "emlio_failovers_total",
+                  "Successful mid-epoch failovers by member kind", ("kind",)),
+    "rebalances": ("counter", "emlio_rebalances_total",
+                   "Elastic scale-out load shifts that landed", ()),
+    "reassigned": ("gauge", "emlio_ledger_reassigned_batches",
+                   "Delivery keys currently re-owned through the reassignment ledger", ()),
+    "hb_malformed": ("counter", "emlio_heartbeat_decode_errors_total",
+                     "Heartbeat frames the listener could not decode", ()),
+    "hb_unknown": ("counter", "emlio_heartbeat_unknown_fields_total",
+                   "Heartbeats carrying fields unknown to this version (mixed-version clusters)",
+                   ()),
+}
+
+#: Notifications that reach lifecycle observers (the rest are log lines).
+_OBSERVED = frozenset(
+    {"epoch_start", "epoch_end", "failover", "receiver_failover", "rebalance", "member_event"}
+)
+
 
 @dataclass
 class _DaemonEntry:
-    """One serving daemon's runtime state within an epoch."""
+    """One daemon member's runtime state in the epoch that served it."""
 
     daemon: EMLIODaemon
-    root: str
-    shards: set[str] | None  # None: all shards in the plan
+    member: str
+    publisher: HeartbeatPublisher | None = None
     thread: threading.Thread | None = None
     error: BaseException | None = None
-    handled: bool = field(default=False)
-    member_id: str = ""
-    publisher: HeartbeatPublisher | None = None
-    # Re-targeted (receiver-failover) assignments this daemon serves, which
-    # live outside the original plan and need explicit re-placement should
-    # this daemon die too.
-    extra: tuple[BatchAssignment, ...] = ()
+    handled: bool = False  # the supervisor killed it and failed it over
 
 
 class EMLIOService:
@@ -205,27 +218,8 @@ class EMLIOService:
         self.ledger: DeliveryLedger | None = (
             DeliveryLedger(recovery.ledger_path) if recovery is not None else None
         )
-        self.failovers = 0  # successful mid-epoch daemon replacements
-        self.receiver_failovers = 0  # successful mid-epoch receiver re-plans
-        self.rebalances = 0  # elastic scale-out load shifts that landed
-        self._last_rebalance: dict | None = None
-        # None inherits EMLIOConfig.reorder_window (the receiver's fallback).
-        reorder = recovery.reorder_window if recovery is not None else None
         self.receivers: list[EMLIOReceiver] = [
-            EMLIOReceiver(
-                node_id=i,
-                plan=self.plan,
-                config=config,
-                profile=profile,
-                gpu=gpu if i == 0 else None,
-                stall_timeout=stall_timeout,
-                ledger=self.ledger,
-                dedup=recovery.dedup if recovery is not None else False,
-                reorder_window=reorder,
-                preprocess_fn=preprocess_fn,
-                telemetry=telemetry,
-            )
-            for i in range(num_nodes)
+            self._make_receiver(i, gpu if i == 0 else None) for i in range(num_nodes)
         ]
         self._endpoints = {i: ("127.0.0.1", r.port) for i, r in enumerate(self.receivers)}
         self._reconnect = recovery.reconnect if recovery is not None else None
@@ -246,45 +240,30 @@ class EMLIOService:
             if claimed != all_shards:
                 raise ValueError(f"unserved shards: {sorted(all_shards - claimed)[:3]}")
         self._failover_daemons: list[EMLIODaemon] = []
-        self._recovery_errors: list[BaseException] = []
-        # Receiver-failover state.  ``_reassigned`` (old key -> new key) is
-        # seeded from the ledger so a restarted service keeps honouring
-        # re-ownership decisions made before the crash.
-        self._dead_nodes: set[int] = set()
-        self._extra_assignments: list[BatchAssignment] = []
-        self._reassigned: dict[DeliveryKey, DeliveryKey] = (
-            self.ledger.reassignments() if self.ledger is not None else {}
+        failover_on = recovery is not None and recovery.failover
+        self.supervisor = Supervisor(
+            self.plan, self.ledger, [(str(d.dataset_root), d.shard_filter) for d in self.daemons],
+            policy=self.elastic, logger=self.logger, failover=failover_on,
         )
-        # Elastic-membership state: members registered but not yet seen
-        # joining via heartbeat, receiver joins awaiting their safe
-        # boundary, storage daemons awaiting epoch-start admission, and
-        # the last observed throughput per retired daemon root (so a
-        # rebalance at epoch start still has load weights to work with).
-        self._pending_scale_out: set[str] = set()
-        self._pending_joins: list[int] = []
-        self._pending_daemons: list[tuple[str, set[str] | None]] = []
+        # Daemon members: the last entry each served (planned daemons keep
+        # theirs across epochs), and the epoch's entries in serve order.
+        planned = zip(self.supervisor.planned, self.daemons)
+        self._members = {m: _DaemonEntry(d, m) for m, d in planned}
+        self._entries: list[_DaemonEntry] = []
+        # Stand-in members of joining roots, beating until admitted.
         self._join_pubs: dict[str, HeartbeatPublisher] = {}
-        self._root_rates: dict[str, float] = {}
-        self._merge_active = False
         # Control plane: heartbeat listener + cluster view + event stream.
         self._events: "queue.Queue[MembershipEvent]" = queue.Queue()
-        self._member_ids = itertools.count()
-        # One publisher (one member) per daemon for its whole life; a new
-        # one only after the last announced a failure.
-        self._daemon_pubs: dict[EMLIODaemon, HeartbeatPublisher] = {}
-        # Members whose lifecycle ended (failover daemons, failed
-        # publishers) are forgotten when the next epoch starts so the view
-        # stays bounded by live membership (kept one epoch for post-mortem
-        # status inspection).
+        # Members whose lifecycle ended (failover daemons) are forgotten
+        # when the next epoch starts so the view stays bounded by live
+        # membership (kept one epoch for post-mortem status inspection).
         self._retired_members: list[str] = []
         self.view: ClusterView | None = None
         self._hb_listener: HeartbeatListener | None = None
         self._receiver_pubs: list[HeartbeatPublisher] = []
-        # The running epoch as the monitor sees it: (epoch, entries), or
-        # None between epochs.  The lock makes each event's handling atomic
-        # with respect to an epoch's setup and teardown.
-        self._active: tuple[int, list[_DaemonEntry]] | None = None
-        self._ctl_lock = threading.RLock()
+        # Held around every supervisor call and the commands it returns, so
+        # each decision is atomic with respect to an epoch's start and end.
+        self._lock = threading.RLock()
         self._monitor_thread: threading.Thread | None = None
         if recovery is not None:
             self.view = ClusterView(recovery.membership, on_event=self._events.put)
@@ -294,7 +273,7 @@ class EMLIOService:
                 # must still be detected (the miss clock starts now).
                 self.view.expect(f"receiver:{i}", "receiver")
                 self._receiver_pubs.append(self._make_receiver_pub(i, r).start())
-            if recovery.failover:
+            if failover_on:
                 self._monitor_thread = threading.Thread(
                     target=self._monitor, daemon=True, name="emlio-monitor"
                 )
@@ -302,48 +281,24 @@ class EMLIOService:
         if telemetry is not None and telemetry.registry.enabled:
             self._register_collectors(telemetry.registry)
 
+    failovers = property(lambda self: self.supervisor.failovers,
+                         doc="Successful mid-epoch daemon replacements.")
+    receiver_failovers = property(lambda self: self.supervisor.receiver_failovers,
+                                  doc="Successful mid-epoch receiver re-plans.")
+    rebalances = property(lambda self: self.supervisor.rebalances,
+                          doc="Elastic scale-out load shifts that landed.")
+
     def _register_collectors(self, registry) -> None:
         """Export the service's existing counters through the registry.
 
-        One collector callback, run at snapshot/scrape time only, pulls
-        from the same subsystem counters :meth:`stats` aggregates — the
-        serving hot paths are untouched (see :mod:`repro.obs.metrics`).
+        One collector callback, run at snapshot/scrape time only, exports
+        what :meth:`stats` aggregates — the serving hot paths are
+        untouched (see :mod:`repro.obs.metrics`).
         """
-        bytes_sent = registry.counter(
-            "emlio_transport_bytes_sent_total",
-            "Wire bytes pushed by all daemons (original + failover)",
-        )
-        bytes_read = registry.counter(
-            "emlio_transport_bytes_read_total",
-            "Storage bytes read by all daemons",
-        )
-        batches_sent = registry.counter(
-            "emlio_transport_batches_sent_total",
-            "Batch payloads pushed by all daemons",
-        )
-        shm_attaches = registry.counter(
-            "emlio_transport_shm_attaches_total",
-            "Shared-memory ring attaches accepted by receivers",
-        )
-        reader_errors = registry.counter(
-            "emlio_transport_reader_errors_total",
-            "Receiver socket reader threads that died on an unexpected exception",
-        )
-        transport_nodes = registry.gauge(
-            "emlio_transport_nodes",
-            "Compute nodes per active daemon→receiver transport",
-            labelnames=("transport",),
-        )
-        window = registry.gauge(
-            "emlio_transport_window_frames",
-            "Credit window of each daemon→node TCP stream set (hwm + link BDP, frames)",
-            labelnames=("daemon", "node"),
-        )
-        link_rtt = registry.gauge(
-            "emlio_transport_link_rtt_seconds",
-            "Link RTT each daemon→node TCP stream set measured from its credits",
-            labelnames=("daemon", "node"),
-        )
+        m = {
+            key: getattr(registry, kind)(name, help_, labelnames=labels)
+            for key, (kind, name, help_, labels) in _SERIES.items()
+        }
         tier_counters = {
             name: registry.counter(
                 f"emlio_storage_tier_{name}_total",
@@ -355,84 +310,57 @@ class EMLIOService:
                 "prefetched", "evictions",
             )
         }
-        prefetch_errors = registry.counter(
-            "emlio_storage_prefetch_errors_total",
-            "Fetch-window range-GETs that failed (fetch or CRC) per tier",
-            labelnames=("tier",),
-        )
-        stage_ns = registry.gauge(
-            "emlio_pipeline_stage_ns",
-            "Mean per-batch consume-pipeline stage cost (nanoseconds)",
-            labelnames=("stage",),
-        )
-        received = registry.counter(
-            "emlio_batches_received_total", "Batch payloads received by all nodes"
-        )
-        dupes = registry.counter(
-            "emlio_duplicates_dropped_total",
-            "Duplicate payloads absorbed by receiver dedup",
-        )
-        failovers = registry.counter(
-            "emlio_failovers_total",
-            "Successful mid-epoch failovers by member kind",
-            labelnames=("kind",),
-        )
-        rebalances = registry.counter(
-            "emlio_rebalances_total", "Elastic scale-out load shifts that landed"
-        )
-        reassigned = registry.gauge(
-            "emlio_ledger_reassigned_batches",
-            "Delivery keys currently re-owned through the reassignment ledger",
-        )
-        hb_malformed = registry.counter(
-            "emlio_heartbeat_decode_errors_total",
-            "Heartbeat frames the listener could not decode",
-        )
-        hb_unknown = registry.counter(
-            "emlio_heartbeat_unknown_fields_total",
-            "Heartbeats carrying fields unknown to this version (mixed-version clusters)",
-        )
 
         def collect() -> None:
-            all_daemons = self.daemons + self._failover_daemons
-            snaps = [d.stats.snapshot() for d in all_daemons]
-            bytes_sent.set(sum(s["bytes_sent"] for s in snaps))
-            bytes_read.set(sum(s["bytes_read"] for s in snaps))
-            batches_sent.set(sum(s["batches_sent"] for s in snaps))
-            shm_attaches.set(sum(r.shm_attaches for r in self.receivers))
-            reader_errors.set(sum(r.pull.reader_errors for r in self.receivers))
-            merged: dict[int, str] = {}
-            for d in all_daemons:
-                for node_id, transport in d.transports.items():
-                    if merged.get(node_id) != "shm":
-                        merged[node_id] = transport
+            s = self.stats()
+            snaps = s["daemons"] + s["failover_daemons"]
+            for key in ("bytes_sent", "bytes_read", "batches_sent"):
+                m[key].set(sum(x[key] for x in snaps))
+            m["shm_attaches"].set(s["shm_attaches"])
+            m["reader_errors"].set(sum(r.pull.reader_errors for r in self.receivers))
             for t in ("shm", "tcp"):
-                transport_nodes.labels(transport=t).set(
-                    sum(1 for v in merged.values() if v == t)
+                m["transport_nodes"].labels(transport=t).set(
+                    list(s["transports"].values()).count(t)
                 )
-            for i, d in enumerate(all_daemons):
+            for i, d in enumerate(self.daemons + self._failover_daemons):
                 for node_id, push in d.streams.items():
                     if isinstance(push, PushSocket):  # a shm ring has no link
-                        window.labels(daemon=i, node=node_id).set(push.window)
-                        link_rtt.labels(daemon=i, node=node_id).set(push.link_rtt_s)
-            for tier, agg in self.storage_stats()["tiers"].items():
+                        m["window"].labels(daemon=i, node=node_id).set(push.window)
+                        m["link_rtt"].labels(daemon=i, node=node_id).set(push.link_rtt_s)
+            for tier, agg in s["storage"]["tiers"].items():
                 for name, counter in tier_counters.items():
                     counter.labels(tier=tier).set(agg[name])
-                prefetch_errors.labels(tier=tier).set(agg["prefetch_errors"])
-            stages = self.pipeline_stage_stats()
+                m["prefetch_errors"].labels(tier=tier).set(agg["prefetch_errors"])
             for stage in ("decode", "preprocess", "starved"):
-                stage_ns.labels(stage=stage).set(stages[f"{stage}_ns"])
-            received.set(sum(r.batches_received for r in self.receivers))
-            dupes.set(sum(r.duplicates_dropped for r in self.receivers))
-            failovers.labels(kind="daemon").set(self.failovers)
-            failovers.labels(kind="receiver").set(self.receiver_failovers)
-            rebalances.set(self.rebalances)
-            reassigned.set(len(self._reassigned))
+                m["stage_ns"].labels(stage=stage).set(s["stages"][f"{stage}_ns"])
+            m["received"].set(s["batches_received"])
+            m["dupes"].set(s["duplicates_dropped"])
+            m["failovers"].labels(kind="daemon").set(s["failovers"])
+            m["failovers"].labels(kind="receiver").set(s["receiver_failovers"])
+            m["rebalances"].set(self.rebalances)
+            m["reassigned"].set(len(self.ledger.reassignments()) if self.ledger is not None else 0)
             if self._hb_listener is not None:
-                hb_malformed.set(self._hb_listener.malformed)
-                hb_unknown.set(self._hb_listener.unknown_fields)
+                m["hb_malformed"].set(self._hb_listener.malformed)
+                m["hb_unknown"].set(self._hb_listener.unknown_fields)
 
         registry.register_collector(collect)
+
+    def _make_receiver(self, node: int, gpu: SimulatedGPU | None = None) -> EMLIOReceiver:
+        recovery = self.recovery
+        return EMLIOReceiver(
+            node_id=node,
+            plan=self.plan,
+            config=self.config,
+            profile=self.profile,
+            gpu=gpu,
+            stall_timeout=self.stall_timeout,
+            ledger=self.ledger,
+            dedup=recovery.dedup if recovery is not None else False,
+            # None inherits EMLIOConfig.reorder_window (the receiver's fallback).
+            reorder_window=recovery.reorder_window if recovery is not None else None,
+            preprocess_fn=self._preprocess_fn,
+            telemetry=self.telemetry,
+        )
 
     def _make_receiver_pub(self, node: int, r: EMLIOReceiver) -> HeartbeatPublisher:
         return HeartbeatPublisher(
@@ -461,15 +389,18 @@ class EMLIOService:
         """Register ``fn(kind, info)`` for lifecycle notifications.
 
         Kinds: ``epoch_start``/``epoch_end`` (info: epoch), ``failover``
-        (a daemon re-plan), ``receiver_failover``, and ``member_event``
-        (every membership transition, info mirroring the event fields).
-        Called synchronously from service/monitor threads; exceptions are
-        logged and swallowed so an observer can never wedge the pipeline.
+        (a daemon re-plan), ``receiver_failover``, ``rebalance`` (a join
+        landed), and ``member_event`` (every membership transition, info
+        mirroring the event fields).  Called synchronously from
+        service/monitor threads; exceptions are logged and swallowed so an
+        observer can never wedge the pipeline.
         """
         self._observers.append(fn)
 
-    def _notify(self, kind: str, **info) -> None:
-        for fn in self._observers:
+    def _announce(self, kind: str, **info) -> None:
+        """Write log line ``kind``; observer kinds also reach the observers."""
+        self.logger.log(kind, **info)
+        for fn in self._observers if kind in _OBSERVED else ():
             try:
                 fn(kind, info)
             except Exception as err:  # noqa: BLE001 - observers are untrusted
@@ -519,86 +450,7 @@ class EMLIOService:
         if index < len(self._receiver_pubs):
             self._receiver_pubs[index].kill()  # crash: silence, no goodbye
 
-    # -- load signals & placement ----------------------------------------------
-
-    def _member_loads(self) -> tuple[dict[int, MemberLoad], dict[str, MemberLoad]]:
-        """Receiver-node and storage-root load signals from the heartbeat
-        substrate: observed throughput (EWMA of progress deltas) plus the
-        queue depth each beat reports.  Roots whose daemons are idle (their
-        epoch's serve is over) fall back to their last observed rate."""
-        node_loads: dict[int, MemberLoad] = {}
-        root_loads: dict[str, MemberLoad] = {}
-        if self.view is not None:
-            for mid, m in self.view.members().items():
-                if m.status in (MemberStatus.DEAD, MemberStatus.LEFT):
-                    # A corpse's last EWMA must not inflate its root's
-                    # weight next to the replacement daemon beating there.
-                    continue
-                if m.role == "daemon" and m.state == STATE_IDLE:
-                    continue  # its rate only decays while it waits
-                if m.role == "receiver" and mid.startswith("receiver:"):
-                    node_loads[int(mid.split(":", 1)[1])] = MemberLoad(
-                        throughput=m.rate, queue_depth=m.queue_depth
-                    )
-                elif m.role == "daemon" and "@" in mid:
-                    root = mid.split("@", 1)[1]
-                    prev = root_loads.get(root, MemberLoad())
-                    root_loads[root] = MemberLoad(
-                        throughput=prev.throughput + m.rate,
-                        queue_depth=prev.queue_depth + m.queue_depth,
-                    )
-        for root, rate in self._root_rates.items():
-            root_loads.setdefault(root, MemberLoad(throughput=rate))
-        # Cache locality comes from direct inspection of the daemons'
-        # storage tiers (the supervisor co-owns them), not from beats:
-        # placement needs the *which shards*, beats only carry counts.
-        for root, shards in self._hot_shards().items():
-            prev = root_loads.get(root, MemberLoad())
-            root_loads[root] = replace(prev, cached_shards=frozenset(shards))
-        return node_loads, root_loads
-
-    def _hot_shards(self) -> dict[str, set[str]]:
-        """``root -> shard paths`` resident in its live daemons' caches."""
-        hot: dict[str, set[str]] = {}
-        for d in self.daemons + self._failover_daemons:
-            if d.killed:
-                continue
-            shards = d.hot_shards()
-            if shards:
-                hot.setdefault(str(d.dataset_root), set()).update(shards)
-        return hot
-
-    def _engine(self, roots: dict[str, set[str] | None]) -> PlacementEngine:
-        """A placement engine over the given roots with fresh load signals."""
-        node_loads, root_loads = self._member_loads()
-        return PlacementEngine(
-            self.plan,
-            self.ledger,
-            roots,
-            logger=self.logger,
-            node_loads=node_loads,
-            root_loads=root_loads,
-            policy=self.elastic,
-        )
-
     # -- elastic membership ----------------------------------------------------
-
-    def _check_admission(self, role: str, current: int) -> None:
-        if self.view is None or self._hb_listener is None:
-            raise RuntimeError(
-                "elastic scale-out needs the control plane: construct the "
-                "service with EMLIOService(recovery=RecoveryConfig(...))"
-            )
-        if self.elastic.admit != "auto":
-            raise FailoverError(
-                f"elastic admit policy {self.elastic.admit!r} rejects a "
-                f"joining {role}"
-            )
-        if self.elastic.max_members and current >= self.elastic.max_members:
-            raise FailoverError(
-                f"elastic max_members={self.elastic.max_members} reached; "
-                f"refusing a joining {role}"
-            )
 
     def add_receiver(self) -> int:
         """Admit a new compute node mid-run (elastic scale-out).
@@ -611,29 +463,15 @@ class EMLIOService:
         vocabulary, so exactly-once delivery holds through scale-out
         exactly as through failover.  Returns the new node id.
         """
-        self._check_admission(
-            "receiver", len([r for r in self.receivers if not r.killed])
-        )
         node = len(self.receivers)
-        receiver = EMLIOReceiver(
-            node_id=node,
-            plan=self.plan,
-            config=self.config,
-            profile=self.profile,
-            stall_timeout=self.stall_timeout,
-            ledger=self.ledger,
-            dedup=self.recovery.dedup,
-            reorder_window=self.recovery.reorder_window,
-            preprocess_fn=self._preprocess_fn,
-            telemetry=self.telemetry,
-        )
+        with self._lock:
+            self.supervisor.admit_receiver(node, sum(not r.killed for r in self.receivers))
+        receiver = self._make_receiver(node)
         self.receivers.append(receiver)
         self._endpoints[node] = ("127.0.0.1", receiver.port)
         self.num_nodes = len(self.receivers)
-        member_id = f"receiver:{node}"
         # Not expect()ed: the *first beat* must surface as a `joined`
         # event — that event is what triggers the rebalance.
-        self._pending_scale_out.add(member_id)
         self._receiver_pubs.append(self._make_receiver_pub(node, receiver).start())
         self.logger.log("receiver_joining", node=node)
         return node
@@ -648,229 +486,133 @@ class EMLIOService:
         takes on a fair share of the plan without a service restart.
         ``shards`` optionally pins its ownership instead.
         """
-        self._check_admission("daemon", len(self.daemons))
-        if any(str(d.dataset_root) == root for d in self.daemons) or any(
-            r == root for r, _s in self._pending_daemons
-        ):
-            raise FailoverError(f"daemon root already registered: {root}")
-        self._pending_daemons.append((root, set(shards) if shards is not None else None))
+        with self._lock:
+            self.supervisor.admit_daemon(root, shards)
         member_id = f"daemon:join@{root}"
-        pub = HeartbeatPublisher(
+        self._join_pubs[member_id] = HeartbeatPublisher(
             member_id=member_id,
             role="daemon",
             endpoint=self._hb_listener.address,
             interval_s=self.recovery.membership.interval_s,
             state_fn=lambda: STATE_IDLE,
-        )
-        pub.start()
-        self._join_pubs[member_id] = pub
+        ).start()
         self.logger.log("daemon_joining", root=root)
 
-    def _admit_daemons(self, epoch: int) -> None:
-        """Epoch-start safe boundary: fold joined roots into the topology.
+    # -- carrying out supervisor decisions -------------------------------------
 
-        Creates the joined daemons and re-divides shard ownership across
-        every root, weighted by observed throughput — the load-aware
-        generalization of the deploy-time round-robin split.
-        """
-        joined, self._pending_daemons = self._pending_daemons, []
-        pinned: dict[str, set[str]] = {}
-        for root, shards in joined:
-            self.daemons.append(self._make_daemon(root, shards))
-            if shards is not None:
-                pinned[root] = set(shards)
-        for member_id, pub in self._join_pubs.items():
-            pub.stop()
-            self.view.forget(member_id)
-        self._join_pubs.clear()
-        # Re-divide the unpinned shards across the unpinned roots, weighted
-        # by observed throughput; roots that joined with an explicit shard
-        # set keep exactly that set.
-        roots = {str(d.dataset_root): d.shard_filter for d in self.daemons}
-        engine = self._engine(roots)
-        pinned_shards = {s for shards in pinned.values() for s in shards}
-        pool = {a.shard for a in self.plan.assignments} - pinned_shards
-        ownership = engine.plan_shard_ownership(
-            [r for r in roots if r not in pinned], only=pool
-        )
-        ownership.update(pinned)
-        for d in self.daemons:
-            d.shard_filter = set(ownership.get(str(d.dataset_root), set()))
-        self.rebalances += 1
-        self._last_rebalance = {
-            "kind": "daemon_join",
-            "epoch": epoch,
-            "roots": {r: sorted(s) for r, s in ownership.items()},
-        }
-        self.logger.log(
-            "daemon_admitted",
-            epoch=epoch,
-            joined=[r for r, _s in joined],
-            ownership={r: len(s) for r, s in ownership.items()},
-        )
-        self._notify(
-            "rebalance", variant="daemon_join", epoch=epoch,
-            joined=[r for r, _s in joined],
-        )
-
-    def _scale_out_receiver(self, epoch: int, node: int, entries: list[_DaemonEntry]) -> None:
-        """Shift load onto a freshly joined compute node (fresh re-target).
-
-        Mirrors receiver failover with live donors: the engine drafts a
-        load-weighted share of the donors' undelivered batches, the
-        serving daemons *relinquish* exactly the not-yet-sent subset (an
-        atomic claim, so no batch is both sent to its donor and re-owned),
-        the re-mappings persist as ``reassign`` ledger lines, donors
-        shrink their expectations, and fresh daemons serve the re-targets
-        to the new node.
-        """
-        assert self.ledger is not None
-        if node in self._dead_nodes or self.receivers[node].killed:
-            return  # joined and died before the rebalance landed
-        excluded = self._excluded(epoch)
-        donors_residual = [
-            a
-            for a in self.plan.residual(excluded, epoch=epoch).assignments
-            if a.node_id != node
-            and a.node_id not in self._dead_nodes
-            and not self.receivers[a.node_id].killed
-        ]
-        live_roots = self._live_roots(entries)
-        engine = self._engine(live_roots)
-        candidates = engine.select_scale_out(donors_residual, node)
-        if not candidates:
-            self.logger.log("scale_out_noop", epoch=epoch, node=node)
-            return
-        wanted = {(a.epoch, a.node_id, a.batch_index) for a in candidates}
-        claimed_keys: set[DeliveryKey] = set()
-        for entry in entries:
-            if entry.handled or entry.error is not None or entry.daemon.killed:
+    def _observe(self) -> Observation:
+        """The load and liveness snapshot one supervisor decision reads."""
+        nodes: dict[int, MemberLoad] = {}
+        roots: dict[str, MemberLoad] = {}
+        members = self.view.members() if self.view is not None else {}
+        for mid, m in members.items():
+            if m.status in (MemberStatus.DEAD, MemberStatus.LEFT):
+                # A corpse's last EWMA must not inflate its root's
+                # weight next to the replacement daemon beating there.
                 continue
-            claimed_keys |= entry.daemon.relinquish(wanted)
-        claimed = [
-            a for a in candidates if (a.epoch, a.node_id, a.batch_index) in claimed_keys
-        ]
-        if not claimed:
-            self.logger.log("scale_out_nothing_claimable", epoch=epoch, node=node)
-            return
-        plan = engine.retarget(
-            claimed,
-            targets=[node],
-            next_seq=self._next_seq_map(epoch),
-            survivor_roots=list(live_roots),
-            context=f" for joined node {node}",
-        )
-        for old, new in plan.key_map.items():
-            self.ledger.record_reassignment(old, new)
-        self._reassigned = self.ledger.reassignments()
-        self._extra_assignments.extend(plan.assignments)
-        # Donors give the moved keys up before the new node's expectation
-        # grows, so no pass can end with a key both expected and re-owned.
-        by_donor: dict[int, list[tuple[int, int]]] = {}
-        for (e, donor, seq) in plan.key_map:
-            by_donor.setdefault(donor, []).append((e, seq))
-        for donor, keys in by_donor.items():
-            self.receivers[donor].relinquish(keys)
-        if not self.receivers[node].adopt(len(plan.assignments)):
-            # The joiner died between admission and adoption.  The moved
-            # keys are already re-owned by its (now dead) id, so leave
-            # them there: its death event is on the way (the kill silenced
-            # its publisher) and the ordinary receiver-failover path will
-            # re-target these `_extra_assignments` onto survivors.
-            # Raising here would kill the monitor and foreclose exactly
-            # that recovery.
-            self.logger.log(
-                "scale_out_joiner_died", epoch=epoch, node=node,
-                stranded=len(plan.assignments),
-            )
-            return
-        for root, assignments in plan.by_root.items():
-            daemon = self._make_daemon(root, None, plan=self.plan.subset(assignments))
-            for dead in self._dead_nodes:
-                daemon.drop_node(dead)
-            self._failover_daemons.append(daemon)
-            entry = _DaemonEntry(
-                daemon=daemon, root=root, shards=set(), extra=assignments
-            )
-            entries.append(entry)
-            self._spawn(entry, epoch, None)
-        self.rebalances += 1
-        self._last_rebalance = {
-            "kind": "receiver_join",
-            "epoch": epoch,
-            "node": node,
-            "moved": len(plan.assignments),
-        }
-        self.logger.log(
-            "scale_out",
-            epoch=epoch,
-            node=node,
-            moved=len(plan.assignments),
-            donors={str(n): len(k) for n, k in by_donor.items()},
-        )
-        self._notify(
-            "rebalance", variant="receiver_join", epoch=epoch, node=node,
-            moved=len(plan.assignments),
-        )
+            if m.role == "daemon" and m.state == STATE_IDLE:
+                continue  # its rate only decays while it waits
+            if m.role == "receiver" and mid.startswith("receiver:"):
+                nodes[int(mid.split(":", 1)[1])] = MemberLoad(m.rate, m.queue_depth)
+            elif m.role == "daemon" and "@" in mid:
+                prev = roots.get(root := mid.split("@", 1)[1], MemberLoad())
+                roots[root] = MemberLoad(prev.throughput + m.rate, prev.queue_depth + m.queue_depth)
+        # Cache locality comes from the daemons' storage tiers, not from
+        # beats: placement needs *which* shards, beats only carry counts.
+        hot: dict[str, set[str]] = {}
+        for d in self.daemons + self._failover_daemons:
+            if not d.killed:
+                hot.setdefault(str(d.dataset_root), set()).update(d.hot_shards())
+        down = {f"receiver:{i}" for i, r in enumerate(self.receivers) if r.killed}
+        # A copy: an epoch's end retires failover members off the lock.
+        entries = list(self._members.items())
+        down.update(m for m, e in entries if e.daemon.killed or e.error is not None)
+        # num_nodes: a joining receiver counts once its endpoint is known.
+        return Observation(self.num_nodes, nodes, roots, hot, frozenset(down))
 
-    # -- ledger coverage -------------------------------------------------------
-
-    def _covered(self, epoch: int) -> set[DeliveryKey]:
-        """Planned keys delivered directly or through a re-targeted copy."""
-        assert self.ledger is not None
-        return {k for k in self.plan.keys(epoch=epoch) if self.ledger.covered(k)}
-
-    def _epoch_covered(self, epoch: int) -> bool:
-        """Whether every planned batch of ``epoch`` landed (incl. re-owned)."""
-        if self.ledger is None:
-            return False
-        if self.ledger.epoch_complete(epoch):
-            return True
-        return all(self.ledger.covered(k) for k in self.plan.keys(epoch=epoch))
-
-    def _excluded(self, epoch: int) -> set[DeliveryKey]:
-        """Keys no daemon should serve: delivered, or re-owned elsewhere."""
-        assert self.ledger is not None
-        return self.ledger.delivered(epoch=epoch) | {
-            k for k in self._reassigned if k[0] == epoch
-        }
-
-    def _next_seq_map(self, epoch: int) -> dict[int, int]:
-        """First unused payload seq per node for ``epoch`` (re-targets get
-        fresh seqs past anything planned or previously re-assigned)."""
-        top = {n: -1 for n in range(self.num_nodes)}
-        for a in self.plan.assignments:
-            if a.epoch == epoch and a.batch_index > top[a.node_id]:
-                top[a.node_id] = a.batch_index
-        for a in self._extra_assignments:
-            if a.epoch == epoch and a.batch_index > top.get(a.node_id, -1):
-                top[a.node_id] = a.batch_index
-        for (e, _dn, _ds), (_e, nn, ns) in self._reassigned.items():
-            if e == epoch and ns > top.get(nn, -1):
-                top[nn] = ns
-        return {n: t + 1 for n, t in top.items()}
-
-    # -- epoch orchestration ---------------------------------------------------
-
-    def _run_daemon(self, entry: _DaemonEntry, epoch: int, skip) -> None:
+    def _decide(self, ask, *args) -> None:
+        """Ask the supervisor (ctl lock held) and carry its decision out:
+        commands run in order, a Claim or an Adopt ends a decision and its
+        answer fetches the rest.  A command that raises drops the rest; the
+        running epoch raises the error at its end (between epochs, logged)."""
         try:
-            entry.daemon.serve_epoch(epoch, skip=skip)
-        except BaseException as err:  # noqa: BLE001 - surfaced in epoch()
-            entry.error = err
-            if entry.publisher is not None:
-                entry.publisher.fail(repr(err))  # fast-path death notice
+            commands = ask(*args, self._observe()).commands
+            while commands:
+                for cmd in commands:
+                    answer = self._do(cmd)
+                if isinstance(commands[-1], Claim):
+                    commands = self.supervisor.claimed(answer).commands
+                elif isinstance(commands[-1], Adopt):
+                    commands = self.supervisor.adopted(answer).commands
+                else:
+                    commands = ()
+        except Exception as err:  # noqa: BLE001 - surfaced by the epoch
+            if not self.supervisor.fail(err):
+                self.logger.log("monitor_error", error=repr(err))
 
-    def _daemon_publisher(self, daemon: EMLIODaemon, root: str) -> HeartbeatPublisher:
-        """The daemon's heartbeat publisher, started on first use."""
-        pub = self._daemon_pubs.get(daemon)
-        if pub is not None and not pub.stopped:
-            return pub
-        if pub is not None:  # it announced a failure: rejoin as a new member
-            self._retired_members.append(pub.member_id)
-        member_id = f"daemon:{next(self._member_ids)}@{root}"
-        self.view.expect(member_id, "daemon")
-        pub = HeartbeatPublisher(
-            member_id=member_id,
+    def _do(self, cmd):
+        """Carry out one command (a Reassign is in the ledger already); a
+        Claim or an Adopt returns its answer."""
+        match cmd:
+            case Serve():
+                self._serve(cmd)
+            case Kill(member=member):
+                entry = self._members[member]
+                entry.handled = True
+                entry.daemon.kill()
+                if entry.publisher is not None:
+                    entry.publisher.kill()
+            case Bury(node=node):
+                self.kill_receiver(node)
+                self._endpoints.pop(node, None)
+                for d in self.daemons + self._failover_daemons:
+                    d.drop_node(node)
+            case Relinquish(node=node, keys=keys):
+                self.receivers[node].relinquish(keys)
+            case Adopt(node=node, n=n):
+                return self.receivers[node].adopt(n)
+            case Claim(keys=keys):
+                daemons = self.daemons + self._failover_daemons
+                return set().union(*(d.relinquish(keys) for d in daemons if not d.killed))
+            case Notify(kind=kind, info=info):
+                self._announce(kind, **info)
+        return None
+
+    def _serve(self, cmd: Serve) -> None:
+        prev = self._members.get(cmd.member)
+        if cmd.assignments is None:
+            shards = set(cmd.shards) if cmd.shards is not None else None
+            if prev is not None:
+                daemon = prev.daemon
+            else:  # a joined root's first epoch: it beats itself now
+                daemon = self._make_daemon(cmd.root, shards)
+                self.daemons.append(daemon)
+                pub = self._join_pubs.pop(f"daemon:join@{cmd.root}", None)
+                if pub is not None:
+                    pub.stop()
+                    self.view.forget(pub.member_id)
+            daemon.shard_filter = shards
+        else:
+            daemon = self._make_daemon(cmd.root, None, plan=self.plan.subset(cmd.assignments))
+            for node in self.supervisor.dead_nodes:
+                daemon.drop_node(node)
+            self._failover_daemons.append(daemon)
+        entry = _DaemonEntry(daemon, cmd.member, prev.publisher if prev is not None else None)
+        if self._hb_listener is not None and (entry.publisher is None or entry.publisher.stopped):
+            entry.publisher = self._daemon_publisher(daemon, cmd.member)
+        self._members[cmd.member] = entry
+        self._entries.append(entry)
+        entry.thread = threading.Thread(
+            target=self._run_daemon, args=(entry, self.supervisor.epoch, cmd.skip),
+            daemon=True, name="emlio-daemon",
+        )
+        entry.thread.start()
+
+    def _daemon_publisher(self, daemon: EMLIODaemon, member: str) -> HeartbeatPublisher:
+        """Start the heartbeat publisher a daemon member beats through."""
+        self.view.expect(member, "daemon")
+        return HeartbeatPublisher(
+            member_id=member,
             role="daemon",
             endpoint=self._hb_listener.address,
             interval_s=self.recovery.membership.interval_s,
@@ -887,251 +629,18 @@ class EMLIOService:
             # the ClusterView (and the status CLI) see tier behaviour.
             cache_fn=lambda d=daemon: d.cache_counters(),
         ).start()
-        self._daemon_pubs[daemon] = pub
-        return pub
 
-    def _spawn(self, entry: _DaemonEntry, epoch: int, skip) -> None:
-        if self._hb_listener is not None:
-            entry.publisher = self._daemon_publisher(entry.daemon, entry.root)
-            entry.member_id = entry.publisher.member_id
-        entry.thread = threading.Thread(
-            target=self._run_daemon, args=(entry, epoch, skip), daemon=True,
-            name="emlio-daemon",
-        )
-        entry.thread.start()
-
-    def _live_roots(self, entries: list[_DaemonEntry], exclude: _DaemonEntry | None = None) -> dict[str, set[str] | None]:
-        """Roots of daemons still considered alive, with their shard sets."""
-        live: dict[str, set[str] | None] = {}
-        for e in entries:
-            if e is exclude or e.handled or e.error is not None or e.daemon.killed:
-                continue
-            live.setdefault(e.root, e.shards)
-        return live
-
-    def _failover(self, epoch: int, dead: _DaemonEntry, entries: list[_DaemonEntry]) -> None:
-        """Re-plan a dead daemon's undelivered batches onto survivors."""
-        assert self.ledger is not None
-        live_roots = self._live_roots(entries, exclude=dead)
-        excluded = self._excluded(epoch)
-        # Dead entry last so its shard set wins if a survivor shares the root
-        # (a failover daemon dying on a root that still has a live daemon).
-        engine = self._engine({**live_roots, dead.root: dead.shards})
-        takeover = engine.plan_failover(dead.root, epoch, survivors=list(live_roots))
-        # Re-targeted assignments the dead daemon carried live outside the
-        # original plan: re-place each on a reachable surviving root.
-        extra_residual = [
-            a
-            for a in dead.extra
-            if a.epoch == epoch
-            and (a.epoch, a.node_id, a.batch_index) not in self.ledger
-            and (a.epoch, a.node_id, a.batch_index) not in self._reassigned
-            and a.node_id not in self._dead_nodes
-        ]
-        extra_by_root = engine.place_assignments(extra_residual, list(live_roots))
-        for root in sorted(set(takeover) | set(extra_by_root)):
-            shards = takeover.get(root, set())
-            residual = (
-                self.plan.residual(excluded, epoch=epoch, shards=shards)
-                if shards
-                else self.plan.residual(excluded, epoch=epoch, shards=())
-            )
-            assignments = residual.assignments + tuple(extra_by_root.get(root, ()))
-            if not assignments:
-                continue
-            daemon = self._make_daemon(
-                root, shards or None, plan=self.plan.subset(assignments)
-            )
-            for node in self._dead_nodes:
-                daemon.drop_node(node)
-            self._failover_daemons.append(daemon)
-            entry = _DaemonEntry(
-                daemon=daemon, root=root, shards=shards,
-                extra=tuple(extra_by_root.get(root, ())),
-            )
-            entries.append(entry)
-            self._spawn(entry, epoch, self._excluded(epoch))
-        self.failovers += 1
-        self.logger.log(
-            "failover",
-            epoch=epoch,
-            dead_root=dead.root,
-            replacements=len(set(takeover) | set(extra_by_root)),
-        )
-        self._notify(
-            "failover",
-            epoch=epoch,
-            dead_root=dead.root,
-            replacements=len(set(takeover) | set(extra_by_root)),
-        )
-
-    def _bury_receiver(self, node: int) -> None:
-        """Silence a dead compute node (socket + beats) and close every
-        daemon's stream to it."""
-        self.receivers[node].kill()
-        if node < len(self._receiver_pubs):
-            self._receiver_pubs[node].kill()
-        self._dead_nodes.add(node)
-        self._endpoints.pop(node, None)
-        for d in self.daemons + self._failover_daemons:
-            d.drop_node(node)
-
-    def _failover_receiver(self, epoch: int, dead_node: int, entries: list[_DaemonEntry]) -> None:
-        """Re-target a dead compute node's undelivered batches onto survivors.
-
-        Sequence matters: silence the corpse (kill socket + beats), stop
-        daemons pushing at it, grow the survivors' expectations, and only
-        then spawn the daemons that serve the re-targets — adopting after
-        spawning could let a survivor finish its epoch early and tear down
-        while re-targeted payloads are in flight.
-        """
-        assert self.ledger is not None
-        self._bury_receiver(dead_node)
-        # Residual: planned-but-undelivered batches of the dead node, plus
-        # any re-targets pointed at it by an earlier receiver failover.
-        excluded = self._excluded(epoch)
-        base = self.plan.residual(excluded, epoch=epoch)
-        residual = [a for a in base.assignments if a.node_id == dead_node]
-        residual += [
-            a
-            for a in self._extra_assignments
-            if a.epoch == epoch
-            and a.node_id == dead_node
-            and (a.epoch, a.node_id, a.batch_index) not in self.ledger
-            and (a.epoch, a.node_id, a.batch_index) not in self._reassigned
-        ]
-        if not residual:
-            self.logger.log("receiver_dead_nothing_owed", epoch=epoch, node=dead_node)
-            return
-        survivors = [
-            i
-            for i in range(self.num_nodes)
-            if i not in self._dead_nodes and not self.receivers[i].killed
-        ]
-        live_roots = self._live_roots(entries)
-        plan = self._engine(live_roots).plan_receiver_failover(
-            dead_node,
-            epoch,
-            surviving_nodes=survivors,
-            next_seq=self._next_seq_map(epoch),
-            survivor_roots=list(live_roots),
-            residual=residual,
-        )
-        for old, new in plan.key_map.items():
-            self.ledger.record_reassignment(old, new)
-        # Re-snapshot rather than merge: the ledger GC-rewrites chains in
-        # place (old -> final) and drops re-reassigned synthetic keys, so
-        # the ledger's map is the truth, not an accumulation of ours.
-        self._reassigned = self.ledger.reassignments()
-        self._extra_assignments.extend(plan.assignments)
-        for node, extra in plan.extra_per_node.items():
-            if not self.receivers[node].adopt(extra):
-                raise FailoverError(
-                    f"receiver {node} finished epoch {epoch} before adopting "
-                    f"{extra} re-targeted batches of dead node {dead_node}"
-                )
-        for root, assignments in plan.by_root.items():
-            daemon = self._make_daemon(root, None, plan=self.plan.subset(assignments))
-            for node in self._dead_nodes:
-                daemon.drop_node(node)
-            self._failover_daemons.append(daemon)
-            entry = _DaemonEntry(
-                daemon=daemon, root=root, shards=set(), extra=assignments
-            )
-            entries.append(entry)
-            self._spawn(entry, epoch, None)
-        self.receiver_failovers += 1
-        self.logger.log(
-            "receiver_failover",
-            epoch=epoch,
-            dead_node=dead_node,
-            re_targeted=len(plan.assignments),
-            adopted={str(n): c for n, c in plan.extra_per_node.items()},
-        )
-        self._notify(
-            "receiver_failover",
-            epoch=epoch,
-            dead_node=dead_node,
-            re_targeted=len(plan.assignments),
-        )
-
-    def _handle_event(
-        self,
-        ev: MembershipEvent,
-        epoch: int | None = None,
-        entries: list[_DaemonEntry] | None = None,
-    ) -> None:
-        """Act on one membership event; ``epoch`` is None between epochs.
-
-        In an epoch, deaths fail over at once.  Between epochs a dead
-        receiver is only buried and a dead daemon only killed: the next
-        epoch start fails both over, before anything serves.
-        """
-        self._notify(
-            "member_event",
-            event=ev.kind,
-            member_id=ev.member_id,
-            role=ev.role,
-            reason=ev.reason,
-            incarnation=ev.incarnation,
-            epoch=epoch,
-        )
-        if ev.kind == "joined" and ev.member_id in self._pending_scale_out:
-            # A registered member's first beat arrived: it is admitted.
-            # Receivers rebalance at the next safe boundary — immediately
-            # (fresh re-target) when the merged consume loop is live, else
-            # at the next epoch start.
-            self._pending_scale_out.discard(ev.member_id)
-            self.logger.log(
-                "member_admitted", member=ev.member_id, role=ev.role, epoch=epoch
-            )
-            if ev.role == "receiver":
-                node = int(ev.member_id.split(":", 1)[1])
-                if self._merge_active and epoch is not None:
-                    self._scale_out_receiver(epoch, node, entries)
-                else:
-                    self._pending_joins.append(node)
-            return
-        if ev.kind != "dead":
-            self.logger.log(
-                "membership_event", event=ev.kind, member=ev.member_id, reason=ev.reason
-            )
-            return
-        self.logger.log(
-            "member_dead", member=ev.member_id, role=ev.role, reason=ev.reason, epoch=epoch
-        )
-        if ev.role == "receiver":
-            node = int(ev.member_id.split(":", 1)[1])
-            if node in self._dead_nodes:
-                return  # already failed over (e.g. at epoch start)
-            if epoch is None:
-                self._bury_receiver(node)
-            else:
-                self._failover_receiver(epoch, node, entries)
-            return
-        if epoch is None:
-            for daemon, pub in self._daemon_pubs.items():
-                if pub.member_id == ev.member_id:
-                    daemon.kill()
-                    pub.kill()
-            return
-        entry = next((e for e in entries if e.member_id == ev.member_id), None)
-        if entry is None or entry.handled:
-            return  # stale event (previous epoch) or already failed over
-        entry.handled = True
-        # A hung daemon is alive and might wake mid-failover: kill it so the
-        # re-plan is the only writer (its replays would dedup anyway, but a
-        # corpse has no business holding send credits).
-        entry.daemon.kill()
-        if entry.publisher is not None:
-            entry.publisher.kill()
-        self._failover(epoch, entry, entries)
+    def _run_daemon(self, entry: _DaemonEntry, epoch: int, skip) -> None:
+        try:
+            entry.daemon.serve_epoch(epoch, skip=skip)
+        except BaseException as err:  # noqa: BLE001 - surfaced in epoch()
+            entry.error = err
+            if entry.publisher is not None:
+                entry.publisher.fail(repr(err))  # fast-path death notice
 
     def _monitor(self) -> None:
-        """Consume membership events for the deployment's life; drive
-        failover within epochs.  Replaces the old thread-state watchdog —
-        liveness comes from the ClusterView only."""
-        assert self.view is not None
+        """Feed membership events to the supervisor for the deployment's
+        life — liveness comes from the ClusterView only."""
         poll_s = max(0.005, self.recovery.membership.interval_s / 2)
         while True:
             self.view.poll()  # timeout/hang sweeps feed self._events
@@ -1141,17 +650,8 @@ class EMLIOService:
                 continue
             if ev is _STOP_MONITOR:
                 return
-            with self._ctl_lock:
-                active = self._active
-                try:
-                    self._handle_event(ev, *(active or ()))
-                except BaseException as err:  # noqa: BLE001 - surfaced in epoch()
-                    if active is None:
-                        self.logger.log("monitor_error", error=repr(err))
-                    else:
-                        self._recovery_errors.append(err)
-                        # The rest of this epoch's events settle as if idle.
-                        self._active = None
+            with self._lock:
+                self._decide(self.supervisor.event, ev)
 
     def _consume_pass(
         self, epoch_index: int, receivers: list[EMLIOReceiver]
@@ -1191,8 +691,6 @@ class EMLIOService:
         for t in threads:
             t.join(timeout=10.0)
         if errors:
-            if self._recovery_errors:
-                raise self._recovery_errors[0] from errors[0]
             raise errors[0]
 
     def _merge_receivers(self, epoch_index: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -1207,48 +705,37 @@ class EMLIOService:
         """
         import time as _time
 
-        failover_on = self._monitor_thread is not None
         deadline = _time.monotonic() + self.stall_timeout
-        # While this loop runs, a joining receiver can be rebalanced onto
-        # immediately: the next consume pass will drain its adopted load.
-        self._merge_active = True
-        try:
+        while True:
+            alive = [r for r in self.receivers if not r.killed]
+            if not alive:
+                raise FailoverError(f"every receiver is dead in epoch {epoch_index}")
+            for item in self._consume_pass(epoch_index, alive):
+                deadline = _time.monotonic() + self.stall_timeout
+                yield item
+            if not self.supervisor.failover:
+                return
+            # Wait (bounded) for the control plane: either the epoch turns
+            # covered, a failover adopts batches for another pass, or the
+            # deadline expires (incompleteness surfaced by the caller).
             while True:
-                alive = [r for r in self.receivers if not r.killed]
-                if not alive:
-                    raise FailoverError(f"every receiver is dead in epoch {epoch_index}")
-                for item in self._consume_pass(epoch_index, alive):
-                    deadline = _time.monotonic() + self.stall_timeout
-                    yield item
-                if self.ledger is None or not failover_on:
+                if self.supervisor.errors or self.supervisor.epoch_covered(epoch_index):
                     return
-                # Wait (bounded) for the control plane: either the epoch turns
-                # covered, a failover adopts batches for another pass, or the
-                # deadline expires (incompleteness surfaced by the caller).
-                while True:
-                    if self._recovery_errors or self._epoch_covered(epoch_index):
-                        return
-                    if any(r.pending_adopt > 0 for r in self.receivers if not r.killed):
-                        break  # drain the adopted re-targets in another pass
-                    if _time.monotonic() > deadline:
-                        return
-                    _time.sleep(0.01)  # detection/re-plan still in flight
-        finally:
-            self._merge_active = False
+                if any(r.pending_adopt > 0 for r in self.receivers if not r.killed):
+                    break  # drain the adopted re-targets in another pass
+                if _time.monotonic() > deadline:
+                    return
+                _time.sleep(0.01)  # detection/re-plan still in flight
 
     def _start_epoch(self, epoch: int) -> list[_DaemonEntry]:
-        """The epoch-start safe boundary (ctl lock held): settle what
-        happened between epochs, re-plan around it, spawn the daemons."""
-        if self.view is not None and self._retired_members:
-            for member_id in self._retired_members:
-                self.view.forget(member_id)
-            self._retired_members.clear()
-        skip = self._covered(epoch) if self.ledger is not None else None
-        failover_on = self._monitor_thread is not None
-        if failover_on:
-            # Events the monitor has not taken yet settle here, before any
-            # daemon serves: receiver deaths before a stream targets a
-            # corpse, joins at their safe boundary.
+        """The epoch-start safe boundary (ctl lock held): forget retired
+        members, settle the events the monitor has not taken — receiver
+        deaths before a stream targets a corpse, joins at their boundary —
+        then carry out the supervisor's placement of the epoch."""
+        for member_id in self._retired_members:  # only with a heartbeat view
+            self.view.forget(member_id)
+        self._retired_members.clear()
+        if self._monitor_thread is not None:
             while True:
                 try:
                     ev = self._events.get_nowait()
@@ -1257,67 +744,16 @@ class EMLIOService:
                 if ev is _STOP_MONITOR:
                     self._events.put(ev)
                     break
-                self._handle_event(ev)
-            # Storage daemons that joined mid-run are admitted at this safe
-            # boundary: ownership re-divides before any entry is built.
-            if self._pending_daemons:
-                try:
-                    self._admit_daemons(epoch)
-                except BaseException as err:  # noqa: BLE001 - surfaced below
-                    self._recovery_errors.append(err)
-        entries = [
-            _DaemonEntry(daemon=d, root=str(d.dataset_root), shards=d.shard_filter)
-            for d in self.daemons
-        ]
-        if failover_on:
-            self._active = (epoch, entries)
-            # A daemon that died outside an epoch (or in an earlier one)
-            # owes this epoch its share: fail it over before anything serves.
-            for entry in list(entries):
-                if entry.daemon.killed:
-                    entry.handled = True
-                    pub = self._daemon_pubs.get(entry.daemon)
-                    if pub is not None:
-                        pub.kill()
-                    try:
-                        self._failover(epoch, entry, entries)
-                    except BaseException as err:  # noqa: BLE001 - surfaced below
-                        self._recovery_errors.append(err)
-            # A node that died in an earlier epoch owes this epoch its
-            # partition too: re-target before any daemon serves.
-            for node in sorted(self._dead_nodes):
-                try:
-                    self._failover_receiver(epoch, node, entries)
-                except BaseException as err:  # noqa: BLE001 - surfaced below
-                    self._recovery_errors.append(err)
-            # Receivers that joined at/near the boundary get their fresh
-            # re-target before the planned daemons spawn: the whole epoch
-            # is still claimable, so the shift is maximally effective.
-            pending, self._pending_joins = self._pending_joins, []
-            for node in sorted(set(pending)):
-                try:
-                    self._scale_out_receiver(epoch, node, entries)
-                except BaseException as err:  # noqa: BLE001 - surfaced below
-                    self._recovery_errors.append(err)
-        for entry in entries:
-            if entry.thread is None and not entry.handled:
-                self._spawn(entry, epoch, skip)
-        return entries
+                self._decide(self.supervisor.event, ev)
+        self._entries = []
+        self._decide(self.supervisor.start_epoch, epoch)
+        return self._entries
 
     def _end_epoch(self, entries: list[_DaemonEntry]) -> None:
         """Join the epoch's daemons; retire the ones failover spawned."""
-        # Entries may have grown (failover); join whatever exists now.
-        for entry in list(entries):
+        for entry in entries:
             if entry.thread is not None:
                 entry.thread.join(timeout=30.0)
-        # Keep each root's last observed throughput: an idle daemon's rate
-        # no longer counts, but an epoch-start rebalance still wants it.
-        if self.view is not None:
-            members = self.view.members()
-            for entry in entries:
-                m = members.get(entry.member_id)
-                if m is not None and m.rate > 0:
-                    self._root_rates[entry.root] = m.rate
         # Failover daemons serve the epoch that spawned them only: close
         # their streams and let their members leave.
         planned = set(self.daemons)
@@ -1325,79 +761,68 @@ class EMLIOService:
             if entry.daemon in planned:
                 continue
             entry.daemon.close_streams()
-            pub = self._daemon_pubs.pop(entry.daemon, None)
-            if pub is not None:
-                pub.stop()
-                self._retired_members.append(pub.member_id)
+            self._members.pop(entry.member, None)
+            if entry.publisher is not None:
+                entry.publisher.stop()
+                self._retired_members.append(entry.member)
 
     def epoch(self, epoch_index: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Serve and consume one epoch end-to-end."""
-        self.logger.log("epoch_start", epoch=epoch_index)
-        self._notify("epoch_start", epoch=epoch_index)
-        self._recovery_errors = []
+        self._announce("epoch_start", epoch=epoch_index)
         if self.ledger is not None and self.ledger.epoch_complete(epoch_index):
             # Compacted checkpoint: everything landed in a previous run.
             self.logger.log("epoch_already_complete", epoch=epoch_index)
-            self.logger.log("epoch_end", epoch=epoch_index)
-            self._notify("epoch_end", epoch=epoch_index)
+            self._announce("epoch_end", epoch=epoch_index)
             return
-        with self._ctl_lock:
+        with self._lock:
             entries = self._start_epoch(epoch_index)
+        errors = self.supervisor.errors
         try:
             if self.num_nodes == 1:
-                try:
-                    yield from self.receivers[0].epoch(epoch_index)
-                except Exception as err:
-                    # A failed failover starves the receiver into a stall;
-                    # surface the root cause (e.g. FailoverError) over the
-                    # symptom.
-                    if self._recovery_errors:
-                        raise self._recovery_errors[0] from err
-                    raise
+                yield from self.receivers[0].epoch(epoch_index)
             else:
                 yield from self._merge_receivers(epoch_index)
+        except Exception as err:
+            # A failed failover starves the consumers into a stall; surface
+            # the root cause (e.g. FailoverError) over the symptom.
+            if errors:
+                raise errors[0] from err
+            raise
         finally:
             # From here on events settle as between epochs: no failover
             # can start while the epoch is torn down.
-            with self._ctl_lock:
-                self._active = None
+            with self._lock:
+                members = self.view.members() if self.view is not None else {}
+                self.supervisor.end_epoch({mid: m.rate for mid, m in members.items()})
             self._end_epoch(entries)
-        if self._recovery_errors:
-            raise self._recovery_errors[0]
+        if errors:
+            raise errors[0]
+        covered = self.supervisor.epoch_covered(epoch_index)
         unhandled = [e.error for e in entries if e.error is not None and not e.handled]
         if unhandled:
             # A daemon may die in the last instants of an epoch, after the
             # receivers already consumed everything — the monitor never got
             # a sweep in.  A fully-covered ledger proves the error is moot.
-            if self._epoch_covered(epoch_index):
-                self.logger.log(
-                    "late_daemon_error_ignored",
-                    epoch=epoch_index,
-                    errors=[repr(err) for err in unhandled],
-                )
-            else:
+            if not covered:
                 raise unhandled[0]
-        if self.num_nodes > 1 and self.ledger is not None and not self._epoch_covered(epoch_index):
+            self.logger.log(
+                "late_daemon_error_ignored",
+                epoch=epoch_index,
+                errors=[repr(err) for err in unhandled],
+            )
+        if self.num_nodes > 1 and self.ledger is not None and not covered:
             # Single-node epochs surface incompleteness from the receiver
             # itself; merged consumption needs the ledger-level check.
-            missing = [
-                k for k in sorted(self.plan.keys(epoch=epoch_index))
-                if not self.ledger.covered(k)
-            ]
+            missing = [k for k in sorted(self.plan.keys(epoch=epoch_index))
+                       if not self.ledger.covered(k)]
             raise RuntimeError(
                 f"epoch {epoch_index} incomplete after merge: "
                 f"{len(missing)} planned batches undelivered (first: {missing[:3]})"
             )
-        if (
-            self.ledger is not None
-            and self.recovery is not None
-            and self.recovery.compact_ledger
-            and self._epoch_covered(epoch_index)
-        ):
+        if self.ledger is not None and self.recovery.compact_ledger and covered:
             count = self.ledger.complete_epoch(epoch_index)
             self.logger.log("ledger_compacted", epoch=epoch_index, batches=count)
-        self.logger.log("epoch_end", epoch=epoch_index)
-        self._notify("epoch_end", epoch=epoch_index)
+        self._announce("epoch_end", epoch=epoch_index)
 
     def epochs(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Iterate every planned epoch: yields (epoch, tensors, labels)."""
@@ -1450,27 +875,21 @@ class EMLIOService:
         consumed batch's time goes (payload decode, preprocess work,
         consumer starvation), plus per-node detail.
         """
-        decode_s = preprocess_s = wait_s = 0.0
-        decode_batches = batches = 0
+        totals = dict.fromkeys(
+            ("decode_s", "decode_batches", "preprocess_s", "wait_s", "batches"), 0
+        )
         per_node = {}
         for i, r in enumerate(self.receivers):
             snap = r.pipeline_stats.snapshot()
-            decode_s += snap["decode_s"]
-            preprocess_s += snap["preprocess_s"]
-            wait_s += snap["wait_s"]
-            decode_batches += snap["decode_batches"]
-            batches += snap["batches"]
+            for name in totals:
+                totals[name] += snap[name]
             per_node[str(i)] = {
-                "decode_ns": snap["decode_ns"],
-                "preprocess_ns": snap["preprocess_ns"],
-                "starved_ns": snap["starved_ns"],
-                "batches": snap["batches"],
+                name: snap[name]
+                for name in ("decode_ns", "preprocess_ns", "starved_ns", "batches")
             }
         return {
-            "decode_ns": int(decode_s / decode_batches * 1e9) if decode_batches else 0,
-            "preprocess_ns": int(preprocess_s / batches * 1e9) if batches else 0,
-            "starved_ns": int(wait_s / batches * 1e9) if batches else 0,
-            "batches": batches,
+            **stage_ns(**totals),
+            "batches": totals["batches"],
             "workers": self.config.workers,
             "nodes": per_node,
         }
@@ -1502,7 +921,7 @@ class EMLIOService:
         return {
             "membership": self.view.snapshot() if self.view is not None else None,
             "num_nodes": self.num_nodes,
-            "dead_nodes": sorted(self._dead_nodes),
+            "dead_nodes": sorted(self.supervisor.dead_nodes),
             "endpoints": {str(n): list(ep) for n, ep in self._endpoints.items()},
             "ownership": {
                 str(d.dataset_root): sorted(d.shard_filter)
@@ -1512,9 +931,11 @@ class EMLIOService:
             },
             "failovers": self.failovers,
             "receiver_failovers": self.receiver_failovers,
-            "reassigned_batches": len(self._reassigned),
+            "reassigned_batches": (
+                len(self.ledger.reassignments()) if self.ledger is not None else 0
+            ),
             "rebalances": self.rebalances,
-            "last_rebalance": self._last_rebalance,
+            "last_rebalance": self.supervisor.last_rebalance,
         }
 
     def close(self) -> None:
@@ -1522,7 +943,8 @@ class EMLIOService:
         if self._monitor_thread is not None:
             self._events.put(_STOP_MONITOR)  # wakes it now, not at a poll
             self._monitor_thread.join(timeout=10.0)
-        for pub in [*self._receiver_pubs, *self._join_pubs.values(), *self._daemon_pubs.values()]:
+        daemon_pubs = [e.publisher for e in self._members.values() if e.publisher is not None]
+        for pub in [*self._receiver_pubs, *self._join_pubs.values(), *daemon_pubs]:
             pub.stop()
         for d in self.daemons + self._failover_daemons:
             d.kill()

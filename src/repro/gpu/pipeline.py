@@ -71,38 +71,15 @@ class PipelineStats:
             self.decode_batches += 1
 
     def per_batch_ns(self) -> dict[str, int]:
-        """Mean per-batch stage costs in integer nanoseconds.
-
-        ``decode_ns`` averages over decoded payloads, ``preprocess_ns`` and
-        ``starved_ns`` over consumed batches; all 0 until the first batch.
-        """
+        """Mean per-batch stage costs in integer nanoseconds (see :func:`stage_ns`)."""
         with self._lock:
-            return {
-                "decode_ns": (
-                    int(self.decode_s / self.decode_batches * 1e9)
-                    if self.decode_batches
-                    else 0
-                ),
-                "preprocess_ns": (
-                    int(self.preprocess_s / self.batches * 1e9) if self.batches else 0
-                ),
-                "starved_ns": (
-                    int(self.wait_s / self.batches * 1e9) if self.batches else 0
-                ),
-            }
+            return stage_ns(
+                self.decode_s, self.decode_batches, self.preprocess_s, self.wait_s, self.batches
+            )
 
     def snapshot(self) -> dict:
         """Point-in-time totals plus the per-batch stage view."""
         with self._lock:
-            decode_ns = (
-                int(self.decode_s / self.decode_batches * 1e9)
-                if self.decode_batches
-                else 0
-            )
-            preprocess_ns = (
-                int(self.preprocess_s / self.batches * 1e9) if self.batches else 0
-            )
-            starved_ns = int(self.wait_s / self.batches * 1e9) if self.batches else 0
             return {
                 "batches": self.batches,
                 "samples": self.samples,
@@ -110,10 +87,26 @@ class PipelineStats:
                 "preprocess_s": self.preprocess_s,
                 "decode_s": self.decode_s,
                 "decode_batches": self.decode_batches,
-                "decode_ns": decode_ns,
-                "preprocess_ns": preprocess_ns,
-                "starved_ns": starved_ns,
+                **stage_ns(
+                    self.decode_s, self.decode_batches, self.preprocess_s,
+                    self.wait_s, self.batches,
+                ),
             }
+
+
+def stage_ns(
+    decode_s: float, decode_batches: int, preprocess_s: float, wait_s: float, batches: int
+) -> dict[str, int]:
+    """Mean per-batch stage costs in integer nanoseconds.
+
+    ``decode_ns`` averages over decoded payloads, ``preprocess_ns`` and
+    ``starved_ns`` over consumed batches; all 0 until the first batch.
+    """
+    return {
+        "decode_ns": int(decode_s / decode_batches * 1e9) if decode_batches else 0,
+        "preprocess_ns": int(preprocess_s / batches * 1e9) if batches else 0,
+        "starved_ns": int(wait_s / batches * 1e9) if batches else 0,
+    }
 
 
 class Pipeline:

@@ -585,7 +585,7 @@ def test_service_member_loads_carry_hot_shards(small_imagenet):
     )
     with EMLIOService(cfg, small_imagenet, storage_factory=factory) as svc:
         svc.daemons[0].backend.wait_prefetch(timeout=30.0)
-        _node_loads, root_loads = svc._member_loads()
+        _node_loads, root_loads = svc.supervisor.member_loads(svc._observe())
         root = str(small_imagenet.root)
         assert root in root_loads
         assert root_loads[root].cached_shards == {
