@@ -223,11 +223,12 @@ class StorageSpec:
 
     ``verify_reads`` sets the daemons' CRC policy: ``True`` checks every
     record as it is read (the default) — with ``cache_bytes`` > 0, every
-    record's CRC once as it leaves the tier, then every cache hit against
-    the SHA-256 seal its block was admitted with; ``"open"`` walks the
-    whole shard's CRCs once at open (a cache: once per fetch) and trusts
-    the mapping or the cached copy afterwards; ``False`` skips
-    verification entirely.
+    record's CRC on its block's first fetch from the tier, each later
+    fetch by SHA-256 equality with the seal kept from that walk, and
+    every cache hit against the seal its block was admitted with;
+    ``"open"`` walks the whole shard's CRCs once at open (a cache: each
+    fetch, as above) and trusts the mapping or the cached copy
+    afterwards; ``False`` skips verification entirely.
     """
 
     num_daemons: int = 1

@@ -65,8 +65,10 @@ class EMLIOConfig:
         ``True`` verifies every record as it is read — corruption must
         surface at read time, not as garbage tensors, even when a shard
         mutates mid-run.  Behind a hot-set cache, "as it is read" means
-        as it leaves the tier: a cache hit is checked against the SHA-256
-        seal taken when its block was admitted, not CRC-walked again.
+        as it leaves the tier: a block's first fetch is CRC-walked, a
+        later fetch whose SHA-256 equals the seal kept from that walk is
+        admitted on it (any other digest is CRC-walked again), and a cache
+        hit is checked against the seal its block was admitted with.
         ``"open"`` verifies the whole shard once when its reader is
         first opened and then serves the hot loop without per-record CRC
         work (trusts storage to stay immutable after open); ``False``

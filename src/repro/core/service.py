@@ -307,7 +307,7 @@ class EMLIOService:
             )
             for name in (
                 "reads", "bytes_read", "cache_hits", "cache_misses",
-                "prefetched", "evictions",
+                "prefetched", "evictions", "crc_walks",
             )
         }
 
@@ -853,6 +853,7 @@ class EMLIOService:
                     "cache_misses": 0,
                     "prefetched": 0,
                     "evictions": 0,
+                    "crc_walks": 0,
                     "prefetch_errors": 0,
                 },
             )
@@ -864,6 +865,7 @@ class EMLIOService:
                 agg["cache_misses"] += cache.get("misses", 0)
                 agg["prefetched"] += cache.get("prefetched", 0)
                 agg["evictions"] += cache.get("evictions", 0)
+                agg["crc_walks"] += cache.get("crc_walks", 0)
                 agg["prefetch_errors"] += cache.get("prefetch_errors", 0)
         return {"daemons": daemons, "tiers": tiers}
 

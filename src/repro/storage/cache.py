@@ -33,19 +33,39 @@ sets is how many request latencies overlap — ``_FETCHERS`` / latency
 must exceed the serve rate, and sixteen cover a 5 ms store at 3 200
 batches/s; the cache capacity, not the pool, bounds memory.
 
-Correctness across tiers: a fetched block is CRC-parsed **before**
+Correctness across tiers: a fetched block is checked **before**
 admission (corrupt bytes never enter the cache) and admitted together
 with its SHA-256 *seal*, in one entry, so eviction never separates them.
+A block's first fetch walks TFRecord's CRC-32C over every record in it.
+Its seal is then *kept* for as long as the plan names the block — one
+32-byte digest per planned key, outliving the block's eviction and
+dropped when a new plan no longer names the key.  A later fetch hashes
+the bytes it got (every fetch takes that one digest for its seal
+anyway): if the digest equals the kept seal, the bytes are exactly those
+that passed the walk, so the block is admitted with no second walk; a
+mismatch (the shard changed on the tier, or a corrupt GET) walks
+CRC-32C again, and a bad record raises
+:class:`~repro.tfrecord.reader.TFRecordCorruption`.  On a cache a
+quarter the size of the dataset nearly every block is fetched again
+each epoch, and the walk costs ~6× the digest.
+
 Under the strict ``True`` policy every hit re-hashes the block and
 compares it with its seal — one C-speed digest instead of a second
 per-record CRC-32C walk, and stronger: the digest covers the whole
 block, framing and stored CRCs included.  A block that fails its seal is
 dropped and raises :class:`~repro.tfrecord.reader.TFRecordCorruption`;
-the next read of the range re-fetches it from the tier.  ``"open"``
-verifies at admission only (the cached copy is immutable, the same trust
-model as verify-on-open mmap).  An evicted block is simply re-fetched on
-next use — stale bytes cannot be served because blocks are immutable
-copies keyed by exact range.
+the next read of the range re-fetches it from the tier (and, its kept
+seal intact, admits it without a walk).  ``"open"`` verifies at
+admission only (the cached copy is immutable, the same trust model as
+verify-on-open mmap).  An evicted block is simply re-fetched on next
+use — stale bytes cannot be served because blocks are immutable copies
+keyed by exact range.
+
+Every seal digest goes through :func:`seal_digest`, which feeds SHA-256
+in slices below CPython's 2 KiB GIL-release size: a block's ~30 µs
+digest then runs without giving up the GIL, instead of paying two thread
+switches (and letting every waiting fetcher run) in the middle of the
+serve path's hit check.
 
 Victims are chosen from a lazily maintained max-heap on next planned use
 (stale entries are skipped when popped), so an admission under pressure
@@ -78,6 +98,25 @@ _FETCHERS = 16
 _MAX_KEPT_ERRORS = 32
 #: ``close()`` waits this long, in total, for fetchers caught mid-GET.
 _CLOSE_JOIN_S = 2.0
+#: :func:`seal_digest` feeds SHA-256 this many bytes per update: below
+#: CPython's 2 048-byte ``HASHLIB_GIL_MINSIZE``, so an update never drops
+#: the GIL, and a multiple of SHA-256's 64-byte block, so none is buffered.
+_SEAL_CHUNK = 1984
+
+
+def seal_digest(data: bytes | bytearray | memoryview) -> bytes:
+    """SHA-256 of ``data``, hashed while holding the GIL.
+
+    Equal to ``hashlib.sha256(data).digest()``.  A single update of a
+    whole block would release the GIL for its ~30 µs, handing it to every
+    thread waiting on it and taking two switches to get it back; the
+    serve path's hit check would then advance one batch per switch.
+    """
+    h = hashlib.sha256()
+    view = memoryview(data)
+    for start in range(0, len(view), _SEAL_CHUNK):
+        h.update(view[start : start + _SEAL_CHUNK])
+    return h.digest()
 
 
 class PlanRange(NamedTuple):
@@ -110,6 +149,7 @@ class CacheStats:
         self.misses = 0
         self.prefetched = 0
         self.evictions = 0
+        self.crc_walks = 0
 
     def record(self, field: str, n: int = 1) -> None:
         with self._lock:
@@ -117,14 +157,19 @@ class CacheStats:
 
     def snapshot(self) -> dict[str, int]:
         """Counters behind ``emlio_storage_tier_cache_hits_total`` /
-        ``_cache_misses`` / ``_prefetched`` / ``_evictions`` in the
-        metrics registry (:mod:`repro.obs.metrics`)."""
+        ``_cache_misses`` / ``_prefetched`` / ``_evictions`` /
+        ``_crc_walks`` in the metrics registry (:mod:`repro.obs.metrics`).
+
+        ``crc_walks`` counts fetched blocks that took the CRC-32C walk:
+        each planned block's first fetch, plus any whose bytes no longer
+        match the block's kept seal."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "prefetched": self.prefetched,
                 "evictions": self.evictions,
+                "crc_walks": self.crc_walks,
             }
 
 
@@ -133,7 +178,9 @@ class HotSetCache:
     next-planned-use eviction.
 
     Each block is stored with the SHA-256 of its bytes (its seal);
-    ``get``/``peek`` with ``verify`` check a hit against it.
+    ``get``/``peek`` with ``verify`` check a hit against it.  The seal of
+    every planned key is also kept after its block is evicted, until a
+    new :meth:`plan` stops naming the key (:meth:`sealed`).
     ``nbytes + reserved_bytes <= capacity_bytes`` holds at every step:
     room for a block about to be fetched is made (and held) by
     :meth:`reserve`, so the block's later :meth:`put` cannot be refused.
@@ -156,15 +203,29 @@ class HotSetCache:
         # plus stale items (evicted, re-admitted, or next use moved on)
         # that are dropped when they surface.
         self._victims: list[tuple[float, int, BlockKey]] = []
+        # Planned key -> seal of its last admitted bytes, evicted or not.
+        self._seals: dict[BlockKey, bytes] = {}
 
-    def plan(self, keys: Iterable[BlockKey]) -> None:
-        """Replace the lookahead: ``keys`` in the order they will be read."""
+    def plan(self, keys: Iterable[BlockKey]) -> int:
+        """Replace the lookahead: ``keys`` in the order they will be read.
+
+        Drops the kept seals of keys the new plan no longer names.
+        Returns how many of the planned reads miss the cache right now.
+        """
         schedule: dict[BlockKey, deque[int]] = {}
         for pos, key in enumerate(keys):
             schedule.setdefault(key, deque()).append(pos)
         with self._lock:
             self._schedule = schedule
+            self._seals = {k: v for k, v in self._seals.items() if k in schedule}
             self._rebuild_victims()
+            return sum(len(uses) for key, uses in schedule.items() if key not in self._blocks)
+
+    def sealed(self, key: BlockKey, digest: bytes) -> bool:
+        """Whether ``digest`` is ``key``'s kept seal: the SHA-256 of bytes
+        that earlier passed their checks and were admitted for ``key``."""
+        with self._lock:
+            return self._seals.get(key) == digest
 
     def _next_use(self, key: BlockKey) -> float:
         uses = self._schedule.get(key)
@@ -205,7 +266,7 @@ class HotSetCache:
     def _checked(self, key: BlockKey, entry: _Entry) -> bytes:
         """``entry``'s block if it still matches its admission seal; else
         drop it (the next read re-fetches) and raise."""
-        if hashlib.sha256(entry.block).digest() == entry.seal:
+        if seal_digest(entry.block) == entry.seal:
             return entry.block
         with self._lock:
             if self._blocks.get(key) is entry:
@@ -307,20 +368,26 @@ class HotSetCache:
         with self._lock:
             self._reserved_bytes -= self._reserved.pop(key, 0)
 
-    def put(self, key: BlockKey, data: bytes, prefetched: bool = False) -> bool:
+    def put(
+        self, key: BlockKey, data: bytes, seal: bytes | None = None, prefetched: bool = False
+    ) -> bool:
         """Admit a block with its seal, evicting strictly-later-needed
         blocks if required.
 
         Returns ``False`` (and caches nothing) when admission would
         require evicting a block needed sooner than ``key`` — by the
         plan, that trade always loses.  A reserved block always fits.
-        The seal is hashed here, on the caller's (fetcher's) thread, from
-        bytes the caller has already CRC-verified.
+        ``seal`` is ``seal_digest(data)``, taken by a caller that has
+        already checked ``data`` (hashed here when not given); it is kept
+        for ``key`` while the plan names it, admitted or not.
         """
         data = bytes(data)
-        seal = hashlib.sha256(data).digest()
+        if seal is None:
+            seal = seal_digest(data)
         with self._lock:
             self._reserved_bytes -= self._reserved.pop(key, 0)
+            if key in self._schedule:
+                self._seals[key] = seal
             if key in self._blocks:
                 return True
             if not self._make_room(key, len(data)):
@@ -464,9 +531,16 @@ class CachedBackend(StorageBackend):
                     self._parked = False
                     self._cv.notify()
 
-    def _get_verified(self, rng: PlanRange) -> bytes:
+    def _get_verified(self, rng: PlanRange) -> tuple[bytes, bytes]:
+        """Range-GET ``rng`` and check it: ``(block, seal)``.
+
+        The CRC-32C walk is skipped only when the block's digest equals
+        its kept seal — the bytes are exactly ones that passed it before.
+        """
         block = self.inner.read_bytes(rng.shard_path, rng.offset, rng.nbytes)
-        if self.verify_fetch:
+        seal = seal_digest(block)
+        if self.verify_fetch and not self.cache.sealed(rng.key, seal):
+            self.cache.stats.record("crc_walks")
             parse_record_block(
                 block,
                 rng.count,
@@ -474,7 +548,7 @@ class CachedBackend(StorageBackend):
                 shard_path=rng.shard_path,
                 offset=rng.offset,
             )
-        return block
+        return block, seal
 
     def fetch_block(self, rng: PlanRange) -> bytes:
         """A serve-path miss: join the range's fetch if one is in flight,
@@ -497,8 +571,8 @@ class CachedBackend(StorageBackend):
             # That fetch failed; fetch again here so the real error
             # surfaces on the batch that needs the bytes.
         try:
-            fetch.block = self._get_verified(rng)
-            self.cache.put(key, fetch.block)
+            fetch.block, seal = self._get_verified(rng)
+            self.cache.put(key, fetch.block, seal)
             return fetch.block
         finally:
             self._finish(key, fetch)
@@ -526,8 +600,7 @@ class CachedBackend(StorageBackend):
         are not in the cache right now.
         """
         plan = [PlanRange(*r) for r in ranges]
-        self.cache.plan(r.key for r in plan)
-        uncached = sum(r.key not in self.cache for r in plan)
+        uncached = self.cache.plan(r.key for r in plan)
         with self._lock:
             if self._closed:
                 return 0
@@ -580,8 +653,8 @@ class CachedBackend(StorageBackend):
                     return
             rng, fetch = claim
             try:
-                fetch.block = self._get_verified(rng)
-                self.cache.put(rng.key, fetch.block, prefetched=True)
+                fetch.block, seal = self._get_verified(rng)
+                self.cache.put(rng.key, fetch.block, seal, prefetched=True)
             except Exception as err:  # noqa: BLE001 — serve path re-raises loudly
                 # Never cache a failed fetch; the serve-path re-fetch
                 # surfaces the real error on the batch that needs it.
@@ -658,4 +731,5 @@ __all__ = [
     "CachedShardHandle",
     "HotSetCache",
     "PlanRange",
+    "seal_digest",
 ]
