@@ -5,10 +5,13 @@
   per-epoch batches from index metadata alone.
 * :class:`~repro.core.daemon.EMLIODaemon` — the storage-side service:
   mmap → slice B records → msgpack-serialize → PUSH over parallel streams
-  with HWM backpressure, ``T`` worker threads per target node.
+  with HWM backpressure, ``T`` worker threads per target node, driving
+  the pure :class:`~repro.core.sendqueue.SendQueue` of what it still owes.
 * :class:`~repro.core.receiver.EMLIOReceiver` — Algorithm 3: PULL socket →
   deserialize thread → shared queue → :class:`BatchProvider`
-  (``external_source``) → DALI-like pipeline with prefetch ``Q``.
+  (``external_source``, driving the pure
+  :class:`~repro.core.deliverywindow.DeliveryWindow`) → DALI-like pipeline
+  with prefetch ``Q``.
 * :class:`~repro.core.service.EMLIOService` — single-call orchestration of
   daemon(s) + receiver over (emulated) TCP for examples and tests.
 * :mod:`~repro.core.recovery` — fault tolerance: persistent delivery

@@ -4,38 +4,31 @@ One daemon runs next to each storage node's shards and keeps one PUSH
 stream per compute node for as long as it lives: opened on first serve,
 reused by every later epoch, closed when the node is dropped, the daemon
 is killed or closed, or a send on it fails (the next epoch reconnects).
-Per epoch and target node it splits the node's batch plan into ``T``
-SendWorker work lists — a single list runs inline on the calling thread —
-and each worker, for every assignment:
 
-1. range-reads the ``count`` consecutive records at ``offset`` through
-   its storage tier (:mod:`repro.storage.backend` — the local tier
-   ``mmap``-slices with no per-record syscalls; remote tiers fetch the
-   whole planned range in one request and CRC-verify locally);
-2. unpacks the examples and msgpack-serializes the whole batch into one
-   :class:`~repro.serialize.payload.BatchPayload`, stamped with the
-   per-(epoch, node) sequence number the receiver dedups on;
-3. PUSHes it — the socket's HWM provides the back-off (paper §4.5).
+What it still owes lives in one :class:`~repro.core.sendqueue.SendQueue`
+for the deployment; the daemon is its driver, holding one lock around each
+queue call and doing the I/O.  Per epoch each node's batches are split
+round-robin over ``T`` SendWorkers (a single list runs inline), and each
+worker, for every batch the queue lets it commit to:
 
-Reading/serializing of batch *k+1* proceeds while batch *k* sits in the
-send pipeline: the network-pipeline concurrency of design principle (1).
+1. range-reads the ``count`` records at ``offset`` through its storage tier
+   (:mod:`repro.storage.backend`: the local tier ``mmap``-slices, remote
+   tiers fetch the planned range in one request and CRC-verify locally);
+2. serializes them into one :class:`~repro.serialize.payload.BatchPayload`,
+   stamped with the per-(epoch, node) sequence number the receiver dedups on;
+3. PUSHes it — the socket's HWM provides the back-off (paper §4.5), so
+   batch *k+1* is read while batch *k* is in flight.
 
-Recovery design (see :mod:`repro.core.recovery`): with a
-:class:`~repro.net.mq.ReconnectPolicy` the PUSH streams survive transient
-transport errors by reconnecting and replaying unacknowledged batches
-(at-least-once; the receiver dedups).  ``serve_epoch`` accepts a ``skip``
-set of already-delivered keys so a resumed or failover daemon sends only
-the residual, aggregates *all* worker errors into an
-:class:`~repro.core.recovery.EpochServeError` instead of dropping all but
-the first, and :meth:`EMLIODaemon.kill` lets a supervisor (or a chaos test)
-stop a daemon mid-epoch — workers abort with
-:class:`~repro.core.recovery.DaemonKilled` and in-flight messages are
-dropped, exactly like a crash.
+Recovery (see :mod:`repro.core.recovery`): with a
+:class:`~repro.net.mq.ReconnectPolicy` the PUSH streams reconnect and
+replay unacknowledged batches (at-least-once; the receiver dedups).
+``serve_epoch`` skips already-delivered keys and aggregates *all* worker
+errors into an :class:`~repro.core.recovery.EpochServeError`;
+:meth:`EMLIODaemon.kill` stops a daemon mid-epoch like a crash.
 """
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
 from collections import Counter, OrderedDict
@@ -46,13 +39,19 @@ from typing import Callable, Collection
 from repro.core.config import EMLIOConfig
 from repro.core.planner import BatchAssignment, BatchPlan
 from repro.core.recovery import DaemonKilled, EpochServeError, NodeUnreachable
+from repro.core.sendqueue import SendQueue
 from repro.energy.power_models import BusyWindowTracker
 from repro.net.emulation import NetworkProfile
 from repro.net.mq import PushSocket, ReconnectPolicy
 from repro.net.buffers import ColumnarSamples
 from repro.net.shm import ShmHandshakeRefused, ShmPushSocket, shm_eligible
 from repro.serialize.payload import BatchPayload, encode_batch_parts, stamp_trace
-from repro.storage.backend import LocalFSBackend, ShardHandle, StorageBackend
+from repro.storage.backend import (
+    LocalFSBackend,
+    ShardHandle,
+    StorageBackend,
+    parse_record_block,
+)
 from repro.tfrecord.sharder import scan_example_spans, unpack_example
 from repro.util.clock import MonotonicClock
 from repro.util.logging import TimestampLogger
@@ -120,8 +119,7 @@ class EMLIODaemon:
     dataset_root:
         Directory containing this node's TFRecord shards.
     plan:
-        The global batch plan (this daemon sends only assignments whose
-        shard lives under ``dataset_root`` — checked lazily at send time).
+        The global batch plan.
     node_endpoints:
         ``node_id -> (host, port)`` of each compute node's PULL socket.
     config:
@@ -130,6 +128,9 @@ class EMLIODaemon:
         Egress shaping (storage → compute direction).
     cpu_tracker:
         Optional busy tracker feeding the storage node's power model.
+    work:
+        The :class:`~repro.core.sendqueue.SendQueue` this daemon serves;
+        ``None`` serves the whole plan.
     reconnect:
         PUSH-stream reconnect policy; ``None`` dies on the first transport
         error (pre-recovery behaviour).
@@ -162,20 +163,20 @@ class EMLIODaemon:
         profile: NetworkProfile | None = None,
         cpu_tracker: BusyWindowTracker | None = None,
         logger: TimestampLogger | None = None,
-        shard_filter: set[str] | None = None,
+        work: SendQueue | None = None,
         reconnect: ReconnectPolicy | None = None,
         fault_injector: Callable[[BatchAssignment, PushSocket], None] | None = None,
         backend: StorageBackend | None = None,
         telemetry=None,
     ) -> None:
         self.dataset_root = Path(dataset_root)
-        self.plan = plan
         self.node_endpoints = dict(node_endpoints)
         self.config = config
         self.profile = profile
         self.cpu_tracker = cpu_tracker
         self.logger = logger or TimestampLogger(name="daemon")
-        self.shard_filter = shard_filter
+        self.work = work if work is not None else SendQueue(plan)
+        self._work_lock = threading.Lock()  # around every self.work call
         self.reconnect = reconnect
         self.fault_injector = fault_injector
         self.stats = DaemonStats()
@@ -194,27 +195,13 @@ class EMLIODaemon:
         self._clock = MonotonicClock()
         self._killed = threading.Event()
         self._hung = threading.Event()
-        self._dropped_nodes: set[int] = set()
         self._serving = False
         # node_id -> the long-lived PUSH stream to it (see module docstring).
         self._pushes: dict[int, PushSocket | ShmPushSocket] = {}
         self._pushes_lock = threading.Lock()
-        # Serve order of the whole plan, cached per (shard filter, dropped
-        # nodes): ranges plus each one's epoch, so an epoch's remainder is
-        # one bisect and one slice.
-        self._order_key: tuple | None = None
-        self._order_epochs: list[int] = []
-        self._order_ranges: list[tuple[str, int, int, int]] = []
         # node_id -> "shm" | "tcp": the transport the last connect actually
         # used (shm attach can fall back to TCP; observability needs truth).
         self.transports: dict[int, str] = {}
-        # Scale-out claim protocol: a send worker *commits* to a batch key
-        # under the claim lock before touching it; relinquish() can only
-        # take keys not yet committed.  Either side wins atomically, so a
-        # rebalanced batch is never both sent here and re-owned elsewhere.
-        self._claim_lock = threading.Lock()
-        self._committed: set[tuple[int, int, int]] = set()
-        self._relinquished: set[tuple[int, int, int]] = set()
         self.backend = (
             backend
             if backend is not None
@@ -225,7 +212,7 @@ class EMLIODaemon:
         self._readers: OrderedDict[str, ShardHandle] = OrderedDict()
         self._readers_in_use: Counter[str] = Counter()
         self._readers_lock = threading.Lock()
-        for node_id in {a.node_id for a in plan.assignments}:
+        for node_id in {a.node_id for a in self.work.assignments}:
             if node_id not in self.node_endpoints:
                 raise ValueError(f"plan targets node {node_id} with no endpoint")
 
@@ -267,30 +254,22 @@ class EMLIODaemon:
         """
         self._hung.set()
 
-    def unhang(self) -> None:
-        """Chaos hook: resume a hung daemon (partition heals, disk unsticks)."""
-        self._hung.clear()
+    @property
+    def shard_filter(self) -> frozenset[str] | None:
+        """The plan shards this daemon owns (None: all, or an explicit list)."""
+        return self.work.shards
+
+    def own(self, shards: set[str] | None) -> None:
+        """Serve ``shards`` of the plan (an epoch start re-divided them)."""
+        with self._work_lock:
+            self.work.own(shards)
 
     def relinquish(self, keys: Collection[tuple[int, int, int]]) -> set[tuple[int, int, int]]:
-        """Give up delivery keys this daemon owns but has not yet served.
-
-        The supervisor's elastic scale-out path asks every live daemon to
-        relinquish the batches it wants to shift onto a joined receiver;
-        only the returned subset — owned here, not yet committed by a send
-        worker — may be re-targeted.  Claimed keys are skipped by the send
-        workers from then on (including a later ``serve_epoch`` call), so
-        exactly one side ever serves each batch.
-        """
-        wanted = set(keys)
-        own = {
-            (a.epoch, a.node_id, a.batch_index)
-            for a in self.plan.assignments
-            if (self.shard_filter is None or a.shard in self.shard_filter)
-            and a.node_id not in self._dropped_nodes
-        }
-        with self._claim_lock:
-            claimed = (wanted & own) - self._committed
-            self._relinquished |= claimed
+        """Give up delivery keys owned here and not yet committed by a send
+        worker (a scale-out ``Claim``): only the returned ones may be
+        re-targeted, and they are never served here again."""
+        with self._work_lock:
+            claimed = self.work.claim(keys)
         if claimed:
             self.logger.log("batches_relinquished", count=len(claimed))
         return claimed
@@ -304,14 +283,18 @@ class EMLIODaemon:
         losing them here is not a failure of *this* daemon.  The stream to
         the node closes without a flush.
         """
+        # Marked dropped before the stream is taken, so a racing connect
+        # in _stream() sees the drop and closes its new stream itself.
+        with self._work_lock:
+            self.work.drop(node_id)
         with self._pushes_lock:
-            self._dropped_nodes.add(node_id)
             push = self._pushes.pop(node_id, None)
         if push is not None:
             push.close(timeout=0.0)
 
     def _is_dropped(self, node_id: int) -> bool:
-        return node_id in self._dropped_nodes
+        with self._work_lock:
+            return self.work.has_dropped(node_id)
 
     @property
     def streams(self) -> dict[int, PushSocket | ShmPushSocket]:
@@ -351,7 +334,7 @@ class EMLIODaemon:
             return None
         # A kill or drop racing the connect must not leave a stream behind.
         with self._pushes_lock:
-            keep = not (self._killed.is_set() or node_id in self._dropped_nodes)
+            keep = not (self._killed.is_set() or self._is_dropped(node_id))
             if keep:
                 self._pushes[node_id] = push
         if keep:
@@ -408,40 +391,15 @@ class EMLIODaemon:
             self._evict_readers_locked()
 
     def schedule_prefetch(self, start_epoch: int = 0) -> int:
-        """Feed the plan's remaining serve order to the backend's cache.
-
-        The plan *is* the future: every assignment from ``start_epoch``
-        onward names the exact ``(shard_path, offset, nbytes, count)``
-        range this daemon will read, in order.  Tiers without a cache
-        accept the plan as a no-op; a
-        :class:`~repro.storage.cache.CachedBackend` runs its fetch window
-        along it, ahead of the serve path, and orders eviction by next
-        planned use.
-
-        The serve order is computed once per (shard filter, dropped nodes)
-        and sliced per epoch; tiers without a cache are not walked at all.
-        """
+        """Feed the serve order from ``start_epoch`` on to the backend's cache:
+        a :class:`~repro.storage.cache.CachedBackend` runs its fetch window
+        along the exact ranges this daemon will read, and orders eviction
+        by next planned use.  Tiers without a cache are not fed."""
         if type(self.backend).schedule_prefetch is StorageBackend.schedule_prefetch:
             return 0
-        key = (
-            None if self.shard_filter is None else frozenset(self.shard_filter),
-            frozenset(self._dropped_nodes),
-        )
-        if key != self._order_key:
-            mine = [
-                a
-                for a in self.plan.assignments
-                if (self.shard_filter is None or a.shard in self.shard_filter)
-                and a.node_id not in self._dropped_nodes
-            ]
-            # Serve order, not plan order: every node's list is served at
-            # once, each in dispatch (batch_index) order.
-            mine.sort(key=lambda a: (a.epoch, a.batch_index, a.node_id))
-            self._order_epochs = [a.epoch for a in mine]
-            self._order_ranges = [(a.shard_path, a.offset, a.nbytes, a.count) for a in mine]
-            self._order_key = key
-        start = bisect.bisect_left(self._order_epochs, start_epoch)
-        return self.backend.schedule_prefetch(self._order_ranges[start:])
+        with self._work_lock:
+            ranges = self.work.ranges(start_epoch)
+        return self.backend.schedule_prefetch(ranges)
 
     def cache_counters(self) -> tuple[int, int, int]:
         """``(cache_hits, cache_misses, fetches_in_flight)`` for heartbeats."""
@@ -468,22 +426,17 @@ class EMLIODaemon:
         would have served, with the epoch path's error reporting.
         """
         self.schedule_prefetch(start_epoch=0)
-        shards = {
-            a.shard_path
-            for a in self.plan.assignments
-            if self.shard_filter is None or a.shard in self.shard_filter
-        }
-        for shard_path in sorted(shards):
+        order = self.work.assignments
+        for shard_path in sorted({a.shard_path for a in order}):
             try:
                 self._reader(shard_path)
             except (OSError, ValueError):
                 pass  # surfaces again, properly, on the serve path
-        # Throwaway serialize of the first assigned batch: the encoder's
-        # first-call costs (packer setup, buffer growth) land here rather
-        # than inside the first epoch's send loop.  Discarded, not sent.
-        for a in self.plan.assignments:
-            if self.shard_filter is not None and a.shard not in self.shard_filter:
-                continue
+        # Throwaway serialize of the first batch: the encoder's first-call
+        # costs (packer setup, buffer growth) land here rather than inside
+        # the first epoch's send loop.  Discarded, not sent.
+        if order:
+            a = order[0]
             try:
                 samples, labels = self._read_batch(a, self._reader(a.shard_path))
                 encode_batch_parts(
@@ -499,7 +452,6 @@ class EMLIODaemon:
                 )
             except (OSError, ValueError):
                 pass  # surfaces again, properly, on the serve path
-            break
 
     def _connect_push(self, host: str, port: int, node_id: int) -> PushSocket | None:
         """Open the PUSH socket to one node, retrying refused connections.
@@ -553,12 +505,6 @@ class EMLIODaemon:
                 self._clock.sleep(delay)
                 delay = min(delay * 2 if delay > 0 else 0.02, policy.max_delay_s)
 
-    def _my_assignments(self, epoch: int, node_id: int) -> list[BatchAssignment]:
-        batches = self.plan.for_epoch_node(epoch, node_id)
-        if self.shard_filter is not None:
-            batches = [a for a in batches if a.shard in self.shard_filter]
-        return batches
-
     def _push(self, parts: list, push: PushSocket, node_id: int) -> bool:
         """HWM-backpressured send that stays killable while blocked.
 
@@ -594,21 +540,27 @@ class EMLIODaemon:
         one framing scan — the batch goes out as a
         :class:`~repro.net.buffers.ColumnarSamples` over the region itself,
         so the encoder emits O(1) segments and nothing walks the records in
-        Python.  Any layout the scanner rejects (or a handle without
-        ``read_region``) degrades to the per-record zero-copy path, which
-        also re-raises CRC failures with proper diagnostics.
+        Python.  A layout the scanner rejects is parsed per record from the
+        same region (a handle without ``read_region`` reads per record).
+        Either way the tier is read once, and a CRC failure raises
+        :class:`~repro.tfrecord.reader.TFRecordCorruption` naming the shard
+        and the absolute offset.
         """
         read_region = getattr(reader, "read_region", None)
-        if read_region is not None:
+        if read_region is None:
+            records = reader.read_range_views(a.offset, a.count, nbytes=a.nbytes)
+        else:
+            region, needs_verify = read_region(a.offset, a.count, a.nbytes)
             try:
-                region, needs_verify = read_region(a.offset, a.count, a.nbytes)
-                offsets, labels = scan_example_spans(
-                    region, a.count, verify=needs_verify
-                )
+                offsets, labels = scan_example_spans(region, a.count, verify=needs_verify)
                 return ColumnarSamples(region, offsets), labels
             except ValueError:
-                pass
-        records = reader.read_range_views(a.offset, a.count, nbytes=a.nbytes)
+                # An unknown layout, or a CRC failure: walking the same
+                # region per record parses the one and names the shard and
+                # absolute offset of the other.
+                records = parse_record_block(
+                    region, a.count, needs_verify, shard_path=a.shard_path, offset=a.offset
+                )
         samples = []
         labels = []
         for record in records:
@@ -617,12 +569,7 @@ class EMLIODaemon:
             labels.append(label)
         return samples, labels
 
-    def _send_worker(
-        self,
-        assignments: list[BatchAssignment],
-        push: PushSocket,
-        skip: Collection[tuple[int, int, int]] | None = None,
-    ) -> None:
+    def _send_worker(self, assignments: list[BatchAssignment], push: PushSocket) -> None:
         """The paper's SendWorker: mmap-slice, serialize, PUSH."""
         for a in assignments:
             while self._hung.is_set():  # chaos: alive, beating, useless
@@ -631,15 +578,12 @@ class EMLIODaemon:
                 self._clock.sleep(_KILL_POLL_S)
             if self._killed.is_set():
                 raise DaemonKilled(f"daemon killed before batch (epoch={a.epoch}, index={a.batch_index})")
-            key = (a.epoch, a.node_id, a.batch_index)
-            if skip is not None and key in skip:
+            # The one policy call per batch: claimed by a rebalance or for
+            # a dropped node means it is no longer owed here.
+            with self._work_lock:
+                owed = self.work.commit(a)
+            if not owed:
                 continue
-            if self._is_dropped(a.node_id):
-                continue  # the node is dead; its batches are re-targeted
-            with self._claim_lock:
-                if key in self._relinquished:
-                    continue  # re-owned by a scale-out rebalance
-                self._committed.add(key)
             if self.fault_injector is not None:
                 self.fault_injector(a, push)
             # Trace origin: the sampling decision is made here, once, from
@@ -689,6 +633,7 @@ class EMLIODaemon:
                 continue
             if sampled:
                 w3 = time.time_ns()
+                key = (a.epoch, a.node_id, a.batch_index)
                 tracer.span(key, "read", w0, w1)
                 tracer.span(key, "encode", w1, w2)
                 tracer.span(key, "send", w2, w3, nbytes=nbytes)
@@ -717,7 +662,7 @@ class EMLIODaemon:
         """Send every assigned batch of one epoch to all compute nodes.
 
         Returns once every batch has been handed to its node's stream; the
-        receiver's provider, not a flush here, is the epoch barrier.
+        receiver's window, not a flush here, is the epoch barrier.
         Algorithm 2 lines 6–8: per node, split into T work lists; a single
         list runs inline on the calling thread, several run on threads.
 
@@ -732,17 +677,14 @@ class EMLIODaemon:
         self.logger.log("epoch_start", epoch=epoch)
         self._serving = True
         try:
+            with self._work_lock:
+                per_node = self.work.serve(epoch, skip)
             # Re-feed the plan from this epoch forward: prefetch runs ahead
             # of the serve loop and eviction lookahead stays aligned.
             self.schedule_prefetch(start_epoch=epoch)
             work: list[tuple[int, list[BatchAssignment], PushSocket | ShmPushSocket]] = []
             errors: list[tuple[int, BaseException]] = []
-            for node_id in list(self.node_endpoints):
-                if self._is_dropped(node_id):
-                    continue
-                assignments = self._my_assignments(epoch, node_id)
-                if not assignments:
-                    continue
+            for node_id, assignments in per_node.items():
                 try:
                     push = self._stream(node_id)
                 except NodeUnreachable as err:
@@ -757,7 +699,7 @@ class EMLIODaemon:
 
             def run(node_id, split, push) -> None:
                 try:
-                    self._send_worker(split, push, skip=skip)
+                    self._send_worker(split, push)
                 except BaseException as err:  # noqa: BLE001 - propagate to caller
                     errors.append((node_id, err))  # list.append is atomic
 
@@ -779,26 +721,15 @@ class EMLIODaemon:
                 push = self._pushes.pop(node_id, None)
             if push is not None:
                 push.close(timeout=0.0)
-        errors = [err for _node, err in errors]
         # A dropped node's unreachability is expected, not a daemon fault
         # (checked post-join: the drop may land after the error was raised).
-        errors = [
-            e
-            for e in errors
-            if not (isinstance(e, NodeUnreachable) and self._is_dropped(e.node_id))
-        ]
+        errors = [e for _node, e in errors
+                  if not (isinstance(e, NodeUnreachable) and self._is_dropped(e.node_id))]
         if len(errors) == 1:
             raise errors[0]
         if errors:
-            raise EpochServeError(
-                f"{len(errors)} send workers failed in epoch {epoch}", errors
-            )
+            raise EpochServeError(f"{len(errors)} send workers failed in epoch {epoch}", errors)
         self.logger.log("epoch_end", epoch=epoch)
-
-    def serve(self) -> None:
-        """Serve every epoch in the plan, in order."""
-        for epoch in range(self.plan.epochs):
-            self.serve_epoch(epoch)
 
     def close(self) -> None:
         """Release resources: flush the streams (bounded), then close them,

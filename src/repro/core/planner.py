@@ -20,7 +20,7 @@ Invariants (tested property-style):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection, Iterable
 
 import numpy as np
@@ -69,9 +69,6 @@ class BatchPlan:
             if a.epoch == epoch and a.node_id == node_id
         ]
 
-    def for_node(self, node_id: int) -> list[BatchAssignment]:
-        return [a for a in self.assignments if a.node_id == node_id]
-
     def thread_splits(
         self, epoch: int, node_id: int, threads: int
     ) -> list[list[BatchAssignment]]:
@@ -110,22 +107,6 @@ class BatchPlan:
             if epoch is None or a.epoch == epoch
         }
 
-    def subset(self, assignments: Iterable[BatchAssignment]) -> "BatchPlan":
-        """A plan carrying the given assignments under this plan's metadata.
-
-        The supervisor hands these to failover/scale-out daemons: the
-        assignment tuple *is* the work list (it may hold re-targeted
-        copies from outside the original plan), while batch size, epoch
-        count and coverage still describe the deployment.
-        """
-        return BatchPlan(
-            assignments=tuple(assignments),
-            num_nodes=self.num_nodes,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            coverage=self.coverage,
-        )
-
     def residual(
         self,
         delivered: Collection[tuple[int, int, int]],
@@ -142,13 +123,13 @@ class BatchPlan:
         """
         delivered = set(delivered)
         shard_set = None if shards is None else set(shards)
-        return self.subset(
+        return replace(self, assignments=tuple(
             a
             for a in self.assignments
             if (a.epoch, a.node_id, a.batch_index) not in delivered
             and (epoch is None or a.epoch == epoch)
             and (shard_set is None or a.shard in shard_set)
-        )
+        ))
 
 
 class Planner:

@@ -7,17 +7,18 @@ Per compute node:
    (line 2);
 3. a DALI-like pipeline with ``BatchProvider(queue)`` as external source and
    prefetch depth ``Q`` (line 3), warmed up with ``Q`` iterations (line 4);
-4. :meth:`epoch` iterates ``pipe.run()`` until the planned batch count is
-   consumed (lines 5–9).
+4. :meth:`epoch` iterates ``pipe.run()`` until the epoch owes nothing
+   (lines 5–9).
 
-Recovery design (see :mod:`repro.core.recovery`): given a
-:class:`~repro.core.recovery.DeliveryLedger`, the receiver records every
-batch it hands to the pipeline and, on restart, subtracts the ledger from
-the plan — a resumed epoch expects (and daemons resend) only the residual.
-``dedup=True`` absorbs the duplicates an at-least-once transport produces
-(reconnect replays, failover overlap); ``allow_partial=True`` turns a
-mid-epoch stall into a clean partial stop instead of an error, so callers
-can persist progress and resume later.
+What the node still expects lives in one
+:class:`~repro.core.deliverywindow.DeliveryWindow` for the deployment: each
+epoch's expectation (planned − ledger-covered − relinquished + adopted),
+dedup of an at-least-once transport's replays, the reorder heap,
+future-epoch holds and the emitted order.  The receiver is its driver: it
+holds one lock around each window call, nets the plan against the
+:class:`~repro.core.recovery.DeliveryLedger` when an epoch opens, and
+records each batch in the ledger as it reaches the consumer, so a restart
+resumes with only the residual.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.core.config import EMLIOConfig
+from repro.core.deliverywindow import DeliveryWindow
 from repro.core.planner import BatchPlan
-from repro.core.provider import BatchProvider, ProviderAborted
+from repro.core.provider import ABORT, WAKE, BatchProvider, ProviderAborted
 from repro.core.recovery import DeliveryLedger
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.pipeline import EndOfData, Pipeline, PipelineStats
+from repro.net.buffers import release_samples
 from repro.net.emulation import NetworkProfile
 from repro.net.framing import ConnectionClosed
 from repro.net.mq import PullSocket
@@ -138,21 +141,14 @@ class EMLIOReceiver:
         # preprocess / starved timing accumulates deployment-wide and feeds
         # heartbeats + Deployment.status()["pipeline"].
         self.pipeline_stats = PipelineStats()
-        # Future-epoch payloads parked by one epoch's provider for the next
-        # (daemons may pipeline epoch e+1 while epoch e still drains).
-        self._holdover: collections.deque = collections.deque()
+        # What this node still expects, for the deployment.  Session-local
+        # on purpose — after a restart the ledger says what is owed where.
+        self.window = DeliveryWindow(dedup=self.dedup, reorder=self.reorder_window)
+        self._window_lock = threading.Lock()
+        self._consuming: int | None = None  # the epoch a consume pass runs
         self._stop = threading.Event()
         self.batches_received = 0
         self.batches_consumed = 0  # handed to the *training* side (yielded)
-        self.duplicates_dropped = 0  # cumulative across epochs
-        self._provider: BatchProvider | None = None  # the active epoch's
-        self._pending_adopt = 0  # adopted outside a provider's lifetime
-        self._adopt_lock = threading.Lock()  # adopt()/relinquish() vs. _make_provider()
-        # (epoch, seq) keys re-owned *away* from this node by a scale-out
-        # rebalance: excluded from every later provider's expectation.
-        # Session-local on purpose — after a restart the keys are owed
-        # wherever the ledger's reassignment chain says they are.
-        self._relinquished: set[tuple[int, int]] = set()
         self._killed = threading.Event()
         # Starvation ticks for heartbeat progress: advance only while the
         # receive loop is idle with *nothing pending for the pipeline* —
@@ -218,25 +214,24 @@ class EMLIOReceiver:
         return self._killed.is_set()
 
     @property
-    def shm_rings(self) -> int:
-        """Live shared-memory rings feeding this node's PULL socket."""
-        return self.pull.num_rings
-
-    @property
     def shm_attaches(self) -> int:
         """Cumulative shm ring attaches accepted over this node's lifetime."""
         return self.pull.shm_attaches
 
     @property
     def epoch_active(self) -> bool:
-        """Whether an epoch is mid-flight and can still adopt batches."""
-        provider = self._provider
-        return provider is not None and provider.active
+        """Whether a consume pass is running (heartbeat state)."""
+        return self._consuming is not None and not self._killed.is_set()
 
     @property
-    def pending_adopt(self) -> int:
-        """Adopted batches waiting for the next consume pass."""
-        return self._pending_adopt
+    def duplicates_dropped(self) -> int:
+        """Duplicate payloads the window absorbed, across epochs."""
+        return self.window.duplicates
+
+    def owes(self, epoch: int) -> bool:
+        """Whether ``epoch`` still expects batches here (adopted late)."""
+        with self._window_lock:
+            return self.window.remaining(epoch) > 0
 
     @property
     def queue_depth(self) -> int:
@@ -267,41 +262,31 @@ class EMLIOReceiver:
             return
         self._killed.set()
         self._stop.set()
-        provider = self._provider
-        if provider is not None:
-            provider.abort()
+        self._payload_q.put(ABORT)  # a waiting provider fails at once
         self.pull.close()
         self.logger.log("receiver_killed", node=self.node_id)
 
-    def adopt(self, extra: int) -> bool:
-        """Grow the epoch's expectation by ``extra`` re-targeted batches
-        (receiver failover).  An active provider absorbs them mid-flight;
-        otherwise (epoch not started, or it finished before the failover
-        settled) they defer into the next provider — the service drives
-        another consume pass to drain them.  False only for a dead node."""
+    def adopt(self, epoch: int, extra: int) -> bool:
+        """Expect ``extra`` more batches of ``epoch``, re-targeted here
+        (receiver failover or scale-out).  A running pass emits them; one
+        that already finished leaves them for the next.  False only for a
+        dead node."""
         if self._killed.is_set():
             return False
-        with self._adopt_lock:
-            provider = self._provider
-            if provider is not None and provider.extend(extra):
-                return True
-            self._pending_adopt += extra
-            return True
+        with self._window_lock:
+            self.window.adopt(epoch, extra)
+        return True
 
     def relinquish(self, keys: Iterable[tuple[int, int]]) -> bool:
-        """Shrink this node's expectation: ``(epoch, seq)`` keys re-owned
-        elsewhere (elastic scale-out).  An active provider gives them up
-        mid-flight; either way they stay excluded from every later
-        provider this session.  False only for a dead node (its whole
-        residual moves through receiver failover instead)."""
+        """Stop expecting ``(epoch, seq)`` keys re-owned elsewhere (elastic
+        scale-out), this pass and every later one.  False only for a dead
+        node (its whole residual moves through receiver failover instead)."""
         if self._killed.is_set():
             return False
-        with self._adopt_lock:
-            fresh = {tuple(k) for k in keys} - self._relinquished
-            self._relinquished |= fresh
-            provider = self._provider
-            if provider is not None and fresh:
-                provider.shrink(fresh)
+        with self._window_lock:
+            shrank = self.window.relinquish(tuple(k) for k in keys)
+        if shrank:
+            self._payload_q.put(WAKE)  # a waiting provider looks again
         return True
 
     def _note_sampled(self, epoch: int, seq: int) -> None:
@@ -382,77 +367,44 @@ class EMLIOReceiver:
             )
             self._payload_q.put(payload)
 
-    def _make_provider(self, epoch_index: int) -> BatchProvider:
-        """Build (and register) the epoch's provider, netting out ledgered
-        deliveries and keys relinquished to a scale-out rebalance.
+    def _open(self, epoch: int) -> BatchProvider:
+        """Open ``epoch`` in the window — its plan netted against the
+        ledger — and the provider for one consume pass of it."""
+        planned = [a.batch_index for a in self.plan.for_epoch_node(epoch, self.node_id)]
+        covered = ()
+        if self.ledger is not None:
+            # covered_set also follows receiver-failover re-mappings: a
+            # batch delivered under its re-assigned key is not owed here.
+            keys = self.ledger.covered_set((epoch, self.node_id, s) for s in planned)
+            covered = [s for _e, _n, s in keys]
+        with self._window_lock:
+            dropped = self.window.open(epoch, planned, covered)
+        for payload in dropped:
+            release_samples(payload.samples)
+        return BatchProvider(
+            self._payload_q, self.window, self._window_lock, epoch, timeout=self.stall_timeout
+        )
 
-        Runs entirely under the adopt lock so a concurrent
-        :meth:`relinquish`/:meth:`adopt` either lands in the sets read
-        here or finds the provider registered and adjusts it directly —
-        never falls between the two.
-        """
-        planned = self.plan.for_epoch_node(epoch_index, self.node_id)
-        with self._adopt_lock:
-            already: set[tuple[int, int]] = set()
-            if self.ledger is not None:
-                if self.ledger.epoch_complete(epoch_index):
-                    # Compacted epoch: per-batch keys are gone, but the
-                    # checkpoint vouches for every planned batch.
-                    already = {(a.epoch, a.batch_index) for a in planned}
-                else:
-                    # covered() also honours receiver-failover re-mappings: a
-                    # batch delivered under its re-assigned key is not owed here.
-                    already = {
-                        (a.epoch, a.batch_index)
-                        for a in planned
-                        if self.ledger.covered((a.epoch, a.node_id, a.batch_index))
-                    }
-            already |= {
-                (a.epoch, a.batch_index)
-                for a in planned
-                if (a.epoch, a.batch_index) in self._relinquished
-            }
-            pending, self._pending_adopt = self._pending_adopt, 0
-            provider = BatchProvider(
-                self._payload_q,
-                expected_batches=len(planned) - len(already) + pending,
-                timeout=self.stall_timeout,
-                dedup=self.dedup,
-                already_delivered=already,
-                reorder_window=self.reorder_window,
-                epoch=epoch_index,
-                holdover=self._holdover,
-            )
-            self._provider = provider  # visible to kill()/adopt()/relinquish()
-        return provider
-
-    def epoch(
-        self, epoch_index: int = 0, allow_partial: bool = False
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield preprocessed (tensors, labels) batches for one epoch.
-
-        With ``allow_partial=True`` a stalled stream ends the iteration
-        cleanly instead of raising — the delivery ledger then holds exactly
-        what landed, ready for a later resume.
-        """
+    def epoch(self, epoch_index: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield preprocessed (tensors, labels) batches for one epoch — one
+        consume pass: until the window owes nothing, for now."""
         if self._killed.is_set():
             raise ReceiverKilled(f"node {self.node_id} was killed")
-        provider = self._make_provider(epoch_index)
+        provider = self._open(epoch_index)
         span_fn = None
         if self._preproc_hist is not None or self._tracer is not None:
             hist = self._preproc_hist
             tracer = self._tracer
 
             def span_fn(seq: int, t0: int, t1: int) -> None:
-                # The pipeline's seq is its source-call ordinal — identical
-                # to provider.emitted order — which joins the preprocess
-                # span back to the batch's delivery key (and trace id).
+                # The pipeline's seq is its source-call ordinal — this
+                # pass's emission order — which joins the preprocess span
+                # back to the batch's delivery key (and trace id).
                 if hist is not None:
                     hist.observe((t1 - t0) / 1e9)
-                if tracer is not None and seq < len(provider.emitted):
-                    e, n, s = provider.emitted[seq]
-                    if self._is_sampled(e, s):
-                        tracer.span((e, n, s), "preprocess", t0, t1)
+                key = provider.key(seq) if tracer is not None else None
+                if key is not None and self._is_sampled(key[0], key[2]):
+                    tracer.span(key, "preprocess", t0, t1)
 
         # Line 3: build the pipeline over the provider.
         pipe = Pipeline(
@@ -466,11 +418,11 @@ class EMLIOReceiver:
             stats=self.pipeline_stats,
             span_fn=span_fn,
         )
-        pipe.warmup()  # line 4
-        self.logger.log("epoch_start", epoch=epoch_index)
-        stalled = False
+        self._consuming = epoch_index
         consumed = 0
         try:
+            pipe.warmup()  # line 4
+            self.logger.log("epoch_start", epoch=epoch_index)
             while True:  # lines 6-9
                 try:
                     tensors, labels = pipe.run()
@@ -478,42 +430,32 @@ class EMLIOReceiver:
                     break
                 except ProviderAborted:
                     raise ReceiverKilled(
-                        f"node {self.node_id} killed mid-epoch: "
-                        f"{provider.delivered}/{provider.expected_batches} batches"
+                        f"node {self.node_id} killed mid-epoch: {provider.progress()} batches"
                     ) from None
-                except RuntimeError as err:
-                    if allow_partial and "stalled" in str(err):
-                        stalled = True
-                        self.logger.log("epoch_partial", epoch=epoch_index)
-                        break
-                    raise
                 # Ledger at the consumption boundary, not pipeline handoff:
                 # batches prefetched but never consumed (crash, early close,
                 # teardown dropping buffers) must count as undelivered so a
                 # resume resends them.  The pipeline is FIFO, so the k-th
-                # run() output is the k-th provider emission.
+                # run() output is the pass's k-th emission.
+                key = provider.key(consumed)
                 if self.ledger is not None:
-                    self.ledger.record(*provider.emitted[consumed])
-                if self._tracer is not None:
-                    e, n, s = provider.emitted[consumed]
-                    if self._pop_sampled(e, s):
-                        # The consume span marks the handoff to training —
-                        # a point event, recorded as a minimal interval.
-                        w = time.time_ns()
-                        self._tracer.span((e, n, s), "consume", w, time.time_ns())
+                    self.ledger.record(*key)
+                if self._tracer is not None and self._pop_sampled(key[0], key[2]):
+                    # The consume span marks the handoff to training — a
+                    # point event, recorded as a minimal interval.
+                    w = time.time_ns()
+                    self._tracer.span(key, "consume", w, time.time_ns())
                 consumed += 1
                 self.batches_consumed += 1
                 yield tensors, labels
         finally:
-            self._provider = None
+            self._consuming = None
             pipe.teardown()
-            self.duplicates_dropped += provider.duplicates
+            # What the pipeline emitted but nobody consumed is owed again.
+            provider.settle(consumed)
             self.logger.log("epoch_end", epoch=epoch_index)
-        if not provider.complete and not (allow_partial and stalled):
-            raise RuntimeError(
-                f"epoch {epoch_index} ended early: "
-                f"{provider.delivered}/{provider.expected_batches} batches"
-            )
+        if not provider.complete:
+            raise RuntimeError(f"epoch {epoch_index} ended early: {provider.progress()} batches")
 
     def close(self) -> None:
         """Line 11: teardown sockets and threads.  Closing the socket wakes

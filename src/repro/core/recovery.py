@@ -25,8 +25,8 @@ Re-planning a dead member's undelivered batches onto survivors is
 :class:`~repro.core.placement.PlacementEngine`'s job.
 
 Delivery semantics: daemons + reconnecting PUSH streams give *at-least-once*
-transport; the receiver's dedup window (:class:`~repro.core.provider
-.BatchProvider`) plus the ledger turn that into *exactly-once* delivery to
+transport; the receiver's :class:`~repro.core.deliverywindow.DeliveryWindow`
+(dedup) plus the ledger turn that into *exactly-once* delivery to
 the training pipeline.  Receiver failover preserves exactly-once end to end:
 an original key counts as covered when either it or its reassigned
 descendant is in the ledger.
@@ -38,6 +38,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from repro.core.membership import MembershipConfig
 from repro.core.placement import FailoverError, ReceiverReassignment  # noqa: F401 - re-exported
@@ -302,14 +303,25 @@ class DeliveryLedger:
 
     def covered(self, key: DeliveryKey) -> bool:
         """Whether ``key`` (or its reassigned descendant) was delivered."""
+        return bool(self.covered_set((key,)))
+
+    def covered_set(self, keys: Iterable[DeliveryKey]) -> set[DeliveryKey]:
+        """The ``keys`` that were delivered (or whose reassigned descendant
+        was), under one lock acquisition; a compacted epoch's key costs one
+        lookup."""
+        out = set()
         with self._lock:
-            if key[0] in self._completed:
-                return True
-            seen = set()
-            while key not in self._keys and key in self._reassigned and key not in seen:
-                seen.add(key)
-                key = self._reassigned[key]
-            return key in self._keys
+            for key in keys:
+                if key[0] in self._completed:
+                    out.add(key)
+                    continue
+                k, seen = key, set()
+                while k not in self._keys and k in self._reassigned and k not in seen:
+                    seen.add(k)
+                    k = self._reassigned[k]
+                if k in self._keys:
+                    out.add(key)
+        return out
 
     def complete_epoch(self, epoch: int) -> int:
         """Compact one finished epoch to a single checkpoint line.

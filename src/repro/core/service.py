@@ -37,6 +37,7 @@ from repro.core.placement import ElasticPolicy, MemberLoad, PlacementEngine
 from repro.core.planner import BatchPlan
 from repro.core.receiver import EMLIOReceiver, ReceiverKilled
 from repro.core.recovery import DeliveryLedger, FailoverError, RecoveryConfig
+from repro.core.sendqueue import SendQueue
 from repro.core.supervisor import (
     Adopt,
     Bury,
@@ -225,26 +226,26 @@ class EMLIOService:
         self._reconnect = recovery.reconnect if recovery is not None else None
         self._cpu_tracker = cpu_tracker
         self._storage_factory = storage_factory
-        self.daemons: list[EMLIODaemon] = []
         if storage_shards is None:
-            self.daemons.append(self._make_daemon(str(dataset.root), None))
+            roots: list[tuple[str, set[str] | None]] = [(str(dataset.root), None)]
         else:
+            roots = [(root, set(shards)) for root, shards in storage_shards.items()]
             claimed: set[str] = set()
-            for root, shards in storage_shards.items():
+            for _root, shards in roots:
                 overlap = claimed & shards
                 if overlap:
                     raise ValueError(f"shards owned by two daemons: {sorted(overlap)[:3]}")
                 claimed |= shards
-                self.daemons.append(self._make_daemon(root, set(shards)))
             all_shards = {ix.shard for ix in dataset.indexes}
             if claimed != all_shards:
                 raise ValueError(f"unserved shards: {sorted(all_shards - claimed)[:3]}")
-        self._failover_daemons: list[EMLIODaemon] = []
         failover_on = recovery is not None and recovery.failover
         self.supervisor = Supervisor(
-            self.plan, self.ledger, [(str(d.dataset_root), d.shard_filter) for d in self.daemons],
+            self.plan, self.ledger, roots,
             policy=self.elastic, logger=self.logger, failover=failover_on,
         )
+        self.daemons = [self._make_daemon(root, shards) for root, shards in roots]
+        self._failover_daemons: list[EMLIODaemon] = []
         # Daemon members: the last entry each served (planned daemons keep
         # theirs across epochs), and the epoch's entries in serve order.
         planned = zip(self.supervisor.planned, self.daemons)
@@ -406,23 +407,18 @@ class EMLIOService:
             except Exception as err:  # noqa: BLE001 - observers are untrusted
                 self.logger.log("observer_error", kind=kind, error=repr(err))
 
-    def _make_daemon(
-        self,
-        root: str,
-        shards: set[str] | None,
-        plan: BatchPlan | None = None,
-    ) -> EMLIODaemon:
+    def _make_daemon(self, root: str, shards, plan=None) -> EMLIODaemon:
+        """A daemon at ``root`` serving ``shards`` of the plan (None: all) —
+        or, for a failover daemon, exactly the assignments ``plan``."""
+        work = SendQueue(self.plan, shards, plan, dropped=self.supervisor.dead_nodes)
         daemon = EMLIODaemon(
             dataset_root=Path(root),
-            plan=plan if plan is not None else self.plan,
+            plan=self.plan,
             node_endpoints=self._endpoints,
             config=self.config,
             profile=self.profile,
             cpu_tracker=self._cpu_tracker,
-            # An explicit plan is already exactly the work list (it may
-            # contain re-targeted assignments from shards outside any
-            # original ownership set) — a shard filter would drop them.
-            shard_filter=None if plan is not None else shards,
+            work=work,
             reconnect=self._reconnect,
             backend=(
                 self._storage_factory(root)
@@ -570,7 +566,7 @@ class EMLIOService:
             case Relinquish(node=node, keys=keys):
                 self.receivers[node].relinquish(keys)
             case Adopt(node=node, n=n):
-                return self.receivers[node].adopt(n)
+                return self.receivers[node].adopt(self.supervisor.epoch, n)
             case Claim(keys=keys):
                 daemons = self.daemons + self._failover_daemons
                 return set().union(*(d.relinquish(keys) for d in daemons if not d.killed))
@@ -580,23 +576,19 @@ class EMLIOService:
 
     def _serve(self, cmd: Serve) -> None:
         prev = self._members.get(cmd.member)
-        if cmd.assignments is None:
-            shards = set(cmd.shards) if cmd.shards is not None else None
-            if prev is not None:
-                daemon = prev.daemon
+        if prev is not None:  # a planned daemon: its shards may have moved
+            daemon = prev.daemon
+            daemon.own(cmd.shards)
+        else:
+            daemon = self._make_daemon(cmd.root, cmd.shards, plan=cmd.assignments)
+            if cmd.assignments is not None:
+                self._failover_daemons.append(daemon)
             else:  # a joined root's first epoch: it beats itself now
-                daemon = self._make_daemon(cmd.root, shards)
                 self.daemons.append(daemon)
                 pub = self._join_pubs.pop(f"daemon:join@{cmd.root}", None)
                 if pub is not None:
                     pub.stop()
                     self.view.forget(pub.member_id)
-            daemon.shard_filter = shards
-        else:
-            daemon = self._make_daemon(cmd.root, None, plan=self.plan.subset(cmd.assignments))
-            for node in self.supervisor.dead_nodes:
-                daemon.drop_node(node)
-            self._failover_daemons.append(daemon)
         entry = _DaemonEntry(daemon, cmd.member, prev.publisher if prev is not None else None)
         if self._hb_listener is not None and (entry.publisher is None or entry.publisher.stopped):
             entry.publisher = self._daemon_publisher(daemon, cmd.member)
@@ -700,8 +692,9 @@ class EMLIOService:
         survivors drain their own partitions: a node can die after the
         others already finished consuming, in which case the failure
         detector fires between passes and the re-targeted batches (adopted
-        as ``pending_adopt``) are drained by a further pass.  Gives up when
-        the control plane stops making progress for ``stall_timeout``.
+        by a receiver whose pass already ended) are drained by a further
+        pass.  Gives up when the control plane stops making progress for
+        ``stall_timeout``.
         """
         import time as _time
 
@@ -721,7 +714,7 @@ class EMLIOService:
             while True:
                 if self.supervisor.errors or self.supervisor.epoch_covered(epoch_index):
                     return
-                if any(r.pending_adopt > 0 for r in self.receivers if not r.killed):
+                if any(r.owes(epoch_index) for r in self.receivers if not r.killed):
                     break  # drain the adopted re-targets in another pass
                 if _time.monotonic() > deadline:
                     return
@@ -813,8 +806,8 @@ class EMLIOService:
         if self.num_nodes > 1 and self.ledger is not None and not covered:
             # Single-node epochs surface incompleteness from the receiver
             # itself; merged consumption needs the ledger-level check.
-            missing = [k for k in sorted(self.plan.keys(epoch=epoch_index))
-                       if not self.ledger.covered(k)]
+            keys = self.plan.keys(epoch=epoch_index)
+            missing = sorted(keys - self.ledger.covered_set(keys))
             raise RuntimeError(
                 f"epoch {epoch_index} incomplete after merge: "
                 f"{len(missing)} planned batches undelivered (first: {missing[:3]})"
@@ -927,8 +920,7 @@ class EMLIOService:
             "endpoints": {str(n): list(ep) for n, ep in self._endpoints.items()},
             "ownership": {
                 str(d.dataset_root): sorted(d.shard_filter)
-                if d.shard_filter is not None
-                else "all"
+                if d.shard_filter is not None else "all"
                 for d in self.daemons
             },
             "failovers": self.failovers,

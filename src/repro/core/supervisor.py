@@ -287,10 +287,12 @@ class Supervisor:
 
     def epoch_covered(self, epoch: int) -> bool:
         """Whether every planned batch of ``epoch`` landed (incl. re-owned)."""
-        return self.ledger is not None and (
-            self.ledger.epoch_complete(epoch)
-            or all(self.ledger.covered(k) for k in self.plan.keys(epoch=epoch))
-        )
+        if self.ledger is None:
+            return False
+        if self.ledger.epoch_complete(epoch):
+            return True
+        keys = self.plan.keys(epoch=epoch)
+        return len(self.ledger.covered_set(keys)) == len(keys)
 
     # -- the decision runner ---------------------------------------------------
 
@@ -370,7 +372,7 @@ class Supervisor:
             yield from self._guarded(self._fail_over_receiver(node))
         skip = None
         if self.ledger is not None:
-            skip = frozenset(k for k in self.plan.keys(epoch=epoch) if self.ledger.covered(k))
+            skip = frozenset(self.ledger.covered_set(self.plan.keys(epoch=epoch)))
         for d in self.planned.values():
             if not d.handled:
                 shards = frozenset(d.shards) if d.shards is not None else None

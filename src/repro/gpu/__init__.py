@@ -10,8 +10,8 @@ and feeds it through ``external_source`` with asynchronous prefetch.  Here:
   normalize); the data transformations are genuine, only their placement on
   a "GPU" is simulated.
 * :mod:`~repro.gpu.pipeline` — the DALI-like :class:`Pipeline`:
-  ``external_source`` callback, prefetch queue depth Q, ``exec_async`` /
-  ``exec_pipelined`` behaviour, warm-up (Algorithm 3 line 4).
+  ``external_source`` callback, prefetch queue depth Q, background
+  preprocess workers, warm-up (Algorithm 3 line 4).
 """
 
 from repro.gpu.device import GpuCostModel, SimulatedGPU

@@ -6,8 +6,9 @@ Reproduces the DALI behaviours EMLIO depends on (paper §4.4, Algorithm 3):
   BatchProvider plugs in here; baselines plug in their own readers);
 * prefetch queue depth ``Q`` with warm-up (Algorithm 3 line 4 runs ``Q``
   iterations to fill internal buffers);
-* ``exec_async``/``exec_pipelined`` — background workers decode and
-  augment *ahead* of the consumer, overlapping preprocess with training;
+* background workers decode and augment *ahead* of the consumer,
+  overlapping preprocess with training (DALI's ``exec_async``/
+  ``exec_pipelined``);
 * ``workers`` — DALI's ``num_threads``: with N > 1 a bounded pool
   preprocesses batches concurrently (sjpg/scipy/numpy release the GIL)
   and a sequence-ordered reassembly stage keeps output in source order.
@@ -130,10 +131,6 @@ class Pipeline:
         serial — EMLIO's provider is stateful), N workers preprocess
         concurrently, and output is reassembled in sequence order, so
         consumers observe the exact single-worker batch order.
-    exec_async:
-        When True (DALI default), worker threads prefetch; when False,
-        ``run()`` preprocesses synchronously (used to measure the benefit
-        of pipelining in ablations; ``workers`` is then moot).
     seed:
         Seed for augmentation randomness.  Under a pool, each batch's rng
         derives from ``(seed, sequence)`` so augmentation is deterministic
@@ -151,7 +148,7 @@ class Pipeline:
         Optional ``(seq, t0_ns, t1_ns)`` callback invoked after each
         batch's preprocess with wall-clock nanoseconds bracketing it.
         ``seq`` is the source-call ordinal (identical to the pooled path's
-        reassembly sequence and to :attr:`BatchProvider.emitted` order),
+        reassembly sequence and to :meth:`BatchProvider.key`'s order),
         which is how the receiver joins preprocess spans back to their
         batch's trace id — see :mod:`repro.obs.trace`.  When ``None`` (the
         default) no wall clocks are read.
@@ -164,7 +161,6 @@ class Pipeline:
         output_hw: tuple[int, int] = (64, 64),
         prefetch: int = 2,
         workers: int = 1,
-        exec_async: bool = True,
         seed: int = 0,
         preprocess_fn: Callable[[list[bytes], tuple[int, int], np.random.Generator], np.ndarray]
         | None = None,
@@ -180,7 +176,6 @@ class Pipeline:
         self.output_hw = output_hw
         self.prefetch = prefetch
         self.workers = workers
-        self.exec_async = exec_async
         self.seed = seed
         self.preprocess_fn = preprocess_fn or preprocess_batch
         self.stats = stats if stats is not None else PipelineStats()
@@ -193,7 +188,6 @@ class Pipeline:
         self._pool: list[threading.Thread] = []
         self._pending: dict[int, object] = {}
         self._next_emit = 0
-        self._sync_seq = 0  # source-call ordinal for the exec_async=False path
         self._emit_lock = threading.Lock()
         self._stopped = threading.Event()
         self._built = False
@@ -205,8 +199,6 @@ class Pipeline:
         if self._built:
             return self
         self._built = True
-        if not self.exec_async:
-            return self
         if self.workers == 1:
             self._worker = threading.Thread(
                 target=self._prefetch_loop, daemon=True, name="dali-worker"
@@ -236,8 +228,6 @@ class Pipeline:
         """Algorithm 3 line 4: wait until Q batches are buffered (or the
         source ends first)."""
         self.build()
-        if not self.exec_async:
-            return
         deadline = self._clock.now() + 60.0
         while (
             self._out.qsize() < self.prefetch
@@ -374,24 +364,14 @@ class Pipeline:
         """
         self.build()
         start = self._clock.now()
-        if self.exec_async:
-            item = self._out.get()
-            self.stats.record_wait(self._clock.now() - start)
-            if item is EndOfData:
-                self._out.put(EndOfData)  # keep raising for later callers
-                raise EndOfData
-            if isinstance(item, Exception):
-                raise item
-            return item
-        try:
-            samples, labels = self.external_source()
-        except EndOfData:
-            self.stats.record_wait(self._clock.now() - start)
-            raise
-        result = self._preprocess(samples, labels, seq=self._sync_seq)
-        self._sync_seq += 1
-        self.stats.record_wait(0.0)
-        return result
+        item = self._out.get()
+        self.stats.record_wait(self._clock.now() - start)
+        if item is EndOfData:
+            self._out.put(EndOfData)  # keep raising for later callers
+            raise EndOfData
+        if isinstance(item, Exception):
+            raise item
+        return item
 
     def __iter__(self):
         while True:

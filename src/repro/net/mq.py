@@ -44,7 +44,7 @@ transport error reconnects with exponential backoff and resends every
 message it cannot prove was consumed (sent but not yet credited).  That
 makes the transport *at-least-once* — a resend can duplicate a message the
 receiver already dequeued — so receivers that care pair this with
-application-level dedup (see :class:`~repro.core.provider.BatchProvider`).
+application-level dedup (see :class:`~repro.core.deliverywindow.DeliveryWindow`).
 """
 
 from __future__ import annotations
@@ -312,6 +312,14 @@ class PushSocket:
         self._stop_event = threading.Event()
         # Notified as messages leave ``unflushed`` while close() flushes.
         self._flushed = threading.Condition()
+        try:
+            self._connect(endpoints, profile, hwm, streams_per_endpoint)
+        except BaseException:
+            # A later stream's connect failed: stop the ones already running.
+            self.close(timeout=0.0)
+            raise
+
+    def _connect(self, endpoints, profile, hwm: int, streams_per_endpoint: int) -> None:
         for host, port in endpoints:
             link = _Link()
             for i in range(streams_per_endpoint):

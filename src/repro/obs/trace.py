@@ -1,7 +1,7 @@
 """Per-batch distributed tracing: sampled span chains across the wire.
 
 A batch's trace id is ``"{epoch}:{node}:{seq}"`` — the same triple the
-assignment ledger and :attr:`BatchProvider.emitted` already key on, so a
+assignment ledger and :meth:`DeliveryWindow.emitted` already key on, so a
 trace joins against every other subsystem for free.  The sampling decision
 is made **once**, at the daemon, deterministically from the trace id
 (:func:`trace_sampled`), and rides the payload's ``meta`` dict over both

@@ -7,12 +7,16 @@ import time
 import pytest
 
 from repro.core.config import EMLIOConfig
+from repro.core.deliverywindow import DeliveryWindow
 from repro.core.planner import Planner
 from repro.core.provider import BatchProvider
 from repro.gpu.pipeline import EndOfData
 from repro.net.framing import ConnectionClosed
 from repro.net.mq import PullSocket, PushSocket
 from repro.serialize.payload import BatchPayload
+from repro.storage.backend import LocalFSBackend
+from repro.storage.cache import CachedBackend
+from repro.storage.objectstore import ObjectStoreBackend
 from repro.tfrecord.reader import TFRecordCorruption
 
 
@@ -35,9 +39,51 @@ def test_daemon_detects_corrupted_shard(small_imagenet):
     pull.close()
 
 
+@pytest.mark.parametrize("tier", ["localfs", "objectstore", "objectstore+cache"])
+def test_a_corrupt_batch_reads_the_tier_once_and_names_the_shard(small_imagenet, tier):
+    """One flipped byte inside a planned batch: the serve path reads the
+    tier once, and the error names the shard and an absolute offset
+    inside the planned range."""
+    from repro.core.daemon import EMLIODaemon
+
+    cfg = EMLIOConfig(batch_size=4)
+    plan = Planner(small_imagenet, num_nodes=1, config=cfg).plan()
+    a = plan.assignments[0]
+    shard = small_imagenet.root / a.shard_path
+    raw = bytearray(shard.read_bytes())
+    raw[a.offset + 20] ^= 0xFF  # inside the first record's data
+    shard.write_bytes(bytes(raw))
+    backend = {
+        "localfs": lambda: LocalFSBackend(small_imagenet.root),
+        "objectstore": lambda: ObjectStoreBackend(small_imagenet.root),
+        "objectstore+cache": lambda: CachedBackend(
+            ObjectStoreBackend(small_imagenet.root), capacity_bytes=1 << 20
+        ),
+    }[tier]()
+    daemon = EMLIODaemon(
+        small_imagenet.root, plan, {0: ("127.0.0.1", 1)}, cfg, backend=backend
+    )
+    try:
+        reader = daemon._reader(a.shard_path)
+        reads = backend.stats.snapshot()["reads"]
+        with pytest.raises(TFRecordCorruption) as err:
+            daemon._read_batch(a, reader)
+        assert backend.stats.snapshot()["reads"] - reads == 1
+        assert repr(a.shard_path) in str(err.value)
+        assert a.offset <= err.value.offset < a.offset + a.nbytes
+    finally:
+        daemon.close()
+
+
+def _provider(q, expected: int, timeout: float) -> BatchProvider:
+    window = DeliveryWindow()
+    window.open(0, range(expected))
+    return BatchProvider(q, window, threading.Lock(), 0, timeout=timeout)
+
+
 def test_provider_times_out_on_stalled_stream():
     q: queue.Queue = queue.Queue()
-    provider = BatchProvider(q, expected_batches=3, timeout=0.2)
+    provider = _provider(q, 3, timeout=0.2)
     with pytest.raises(RuntimeError, match="stalled"):
         provider()
 
@@ -47,7 +93,7 @@ def test_provider_rejects_duplicate_delivery():
     payload = BatchPayload(epoch=0, batch_index=5, shard="s", samples=[b"x"], labels=[0])
     q.put(payload)
     q.put(payload)
-    provider = BatchProvider(q, expected_batches=4, timeout=1.0)
+    provider = _provider(q, 4, timeout=1.0)
     provider()
     with pytest.raises(RuntimeError, match="duplicate"):
         provider()
@@ -56,7 +102,7 @@ def test_provider_rejects_duplicate_delivery():
 def test_provider_signals_end_after_expected():
     q: queue.Queue = queue.Queue()
     q.put(BatchPayload(epoch=0, batch_index=0, shard="s", samples=[b"x"], labels=[0]))
-    provider = BatchProvider(q, expected_batches=1, timeout=1.0)
+    provider = _provider(q, 1, timeout=1.0)
     provider()
     assert provider.complete
     with pytest.raises(EndOfData):

@@ -280,11 +280,6 @@ def test_pipeline_warmup_fills_prefetch(rng):
     pipe.teardown()
 
 
-def test_pipeline_sync_mode(rng):
-    pipe = Pipeline(make_source(rng, 3), output_hw=(16, 16), exec_async=False)
-    assert len(list(pipe)) == 3
-
-
 def test_pipeline_source_error_propagates(rng):
     def bad_source():
         raise RuntimeError("source exploded")

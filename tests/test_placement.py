@@ -3,7 +3,7 @@
 Three layers of coverage:
 
 * unit — scale-out selection/weighting, shard-ownership re-division, the
-  provider shrink / daemon claim primitives the supervisor builds on, and
+  window relinquish / daemon claim primitives the supervisor builds on, and
   the new load signals (queue-depth beats, throughput EWMA);
 * property — hypothesis over arbitrary interleavings of join and death
   events: every planned batch stays covered exactly once (none lost, none
@@ -31,7 +31,8 @@ from repro.core.placement import (
     PlacementEngine,
 )
 from repro.core.planner import BatchAssignment, BatchPlan
-from repro.core.provider import BatchProvider
+from repro.core.deliverywindow import DeliveryWindow
+from repro.core.provider import WAKE, BatchProvider
 from repro.core.recovery import DeliveryLedger, RecoveryConfig
 from repro.net.heartbeat import Heartbeat, decode_heartbeat, encode_heartbeat
 from repro.serialize.payload import BatchPayload
@@ -323,7 +324,7 @@ def test_elastic_policy_validation():
         ElasticPolicy(rebalance_threshold=1.5)
 
 
-# -- the provider shrink / daemon claim primitives -----------------------------
+# -- the window relinquish / daemon claim primitives ---------------------------
 
 
 def _payload(epoch, seq, node=0):
@@ -333,17 +334,24 @@ def _payload(epoch, seq, node=0):
     )
 
 
+def _provider(q, expected, timeout):
+    window = DeliveryWindow(dedup=True)
+    window.open(0, range(expected))
+    return BatchProvider(q, window, threading.Lock(), 0, timeout=timeout)
+
+
 def test_provider_shrink_reduces_expectation_and_dedups_stragglers():
     q = queue.Queue()
-    provider = BatchProvider(q, expected_batches=4, timeout=5.0, dedup=True, epoch=0)
+    provider = _provider(q, 4, timeout=5.0)
     q.put(_payload(0, 0))
     provider()
-    assert provider.shrink([(0, 2), (0, 3)])
+    with provider.lock:
+        assert provider.window.relinquish([(0, 2), (0, 3)])
     q.put(_payload(0, 1))
     provider()
     # Expectation fell from 4 to 2: the epoch is complete.
     assert provider.complete
-    # A straggler copy of a shrunk key dedups instead of delivering.
+    # A straggler copy of a relinquished key dedups instead of delivering.
     q.put(_payload(0, 2))
     from repro.gpu.pipeline import EndOfData
 
@@ -353,7 +361,7 @@ def test_provider_shrink_reduces_expectation_and_dedups_stragglers():
 
 def test_provider_shrink_is_idempotent_and_wakes_a_blocked_fill():
     q = queue.Queue()
-    provider = BatchProvider(q, expected_batches=2, timeout=10.0, dedup=True, epoch=0)
+    provider = _provider(q, 2, timeout=10.0)
     q.put(_payload(0, 0))
     provider()
     out: list = []
@@ -369,8 +377,11 @@ def test_provider_shrink_is_idempotent_and_wakes_a_blocked_fill():
     t = threading.Thread(target=consume, daemon=True)
     t.start()
     time.sleep(0.2)  # the provider is now blocked waiting for seq 1
-    assert provider.shrink([(0, 1)])
-    assert provider.shrink([(0, 1)])  # second shrink of the same key: no-op
+    with provider.lock:
+        assert provider.window.relinquish([(0, 1)])
+    q.put(WAKE)  # what EMLIOReceiver.relinquish does when the window shrank
+    with provider.lock:  # second relinquish of the same key: no-op
+        assert not provider.window.relinquish([(0, 1)])
     t.join(timeout=5.0)
     assert out == ["end"] and provider.complete
 
@@ -387,8 +398,9 @@ def test_daemon_relinquish_claims_only_unsent_batches(small_imagenet, tmp_path):
         node_endpoints={0: ("127.0.0.1", 1)}, config=cfg,
     )
     # Simulate a send worker having already committed to the first key.
-    with daemon._claim_lock:
-        daemon._committed.add(keys[0])
+    first = next(a for a in plan.assignments if (a.epoch, a.node_id, a.batch_index) == keys[0])
+    with daemon._work_lock:
+        assert daemon.work.commit(first)
     claimed = daemon.relinquish(keys[:3])
     assert claimed == set(keys[1:3])
     # Idempotent in effect: already-relinquished keys stay relinquished,
@@ -409,8 +421,8 @@ def test_receiver_relinquish_excludes_keys_from_future_providers(small_imagenet)
         planned = plan.for_epoch_node(0, 0)
         moved = [(a.epoch, a.batch_index) for a in planned[:2]]
         assert receiver.relinquish(moved)
-        provider = receiver._make_provider(0)
-        assert provider.expected_batches == len(planned) - 2
+        receiver._open(0)
+        assert receiver.window.remaining(0) == len(planned) - 2
     finally:
         receiver.close()
 

@@ -1,7 +1,7 @@
 """Chaos suite for the recovery subsystem (ledger, reconnect, failover).
 
-Fast unit tests cover the building blocks (DeliveryLedger, BatchProvider
-dedup/reorder, PUSH reconnect, serve_epoch error aggregation, the resume
+Fast unit tests cover the building blocks (DeliveryLedger, the delivery
+window's dedup/reorder driven by a BatchProvider, PUSH reconnect, serve_epoch error aggregation, the resume
 CLI).  The ``slow``-marked scenarios are the end-to-end chaos experiments:
 kill-daemon-mid-epoch with failover, transient connection drops, and a
 receiver restart resuming from the persistent ledger — each asserting that
@@ -19,6 +19,7 @@ from repro.core.config import EMLIOConfig
 from repro.core.daemon import EMLIODaemon
 from repro.core.placement import PlacementEngine
 from repro.core.planner import Planner
+from repro.core.deliverywindow import DeliveryWindow
 from repro.core.provider import BatchProvider
 from repro.core.recovery import (
     DaemonKilled,
@@ -143,43 +144,45 @@ def _payload(seq, epoch=0):
     )
 
 
+def _provider(q, expected, *, epoch=0, already=(), window=None, dedup=False, reorder=0):
+    """A provider over a window that opens ``epoch`` expecting ``expected``
+    new batches; ``already`` holds ``(epoch, seq)`` keys a ledger covers."""
+    window = window if window is not None else DeliveryWindow(dedup=dedup, reorder=reorder)
+    window.open(epoch, range(expected + len(already)), [s for _e, s in already])
+    return BatchProvider(q, window, threading.Lock(), epoch, timeout=1.0)
+
+
 def test_provider_dedup_drops_duplicates_silently():
     q: queue.Queue = queue.Queue()
     for seq in (0, 1, 1, 0, 2):
         q.put(_payload(seq))
-    provider = BatchProvider(q, expected_batches=3, timeout=1.0, dedup=True)
+    provider = _provider(q, 3, dedup=True)
     for _ in range(3):
         provider()
     assert provider.complete
-    assert provider.duplicates == 2
+    assert provider.window.duplicates == 2
 
 
 def test_provider_already_delivered_treated_as_duplicates():
     q: queue.Queue = queue.Queue()
     for seq in (0, 1, 2, 3):
         q.put(_payload(seq))
-    provider = BatchProvider(
-        q, expected_batches=2, timeout=1.0, dedup=True, already_delivered={(0, 0), (0, 1)}
-    )
+    provider = _provider(q, 2, dedup=True, already={(0, 0), (0, 1)})
     provider()
     provider()
     assert provider.complete
-    assert provider.duplicates == 2  # the replayed 0 and 1
+    assert provider.window.duplicates == 2  # the replayed 0 and 1
 
 
 def _emission_order(arrival, window):
     q: queue.Queue = queue.Queue()
     for seq in arrival:
         q.put(_payload(seq))
-    emitted = []
-    provider = BatchProvider(
-        q, expected_batches=len(arrival), timeout=1.0, reorder_window=window,
-        on_deliver=lambda p: emitted.append(p.seq),
-    )
+    provider = _provider(q, len(arrival), reorder=window)
     for _ in range(len(arrival)):
         provider()
     assert provider.complete
-    return emitted
+    return [seq for _e, _n, seq in provider.window.emitted(0)]
 
 
 def test_provider_reorder_window_covering_stream_fully_sorts():
@@ -196,17 +199,14 @@ def test_provider_reorder_disabled_preserves_arrival_order():
 
 
 def test_provider_on_deliver_fires_once_per_batch():
+    """The emitted order the ledger records names each batch once."""
     q: queue.Queue = queue.Queue()
     for seq in (0, 0, 1):
         q.put(_payload(seq))
-    seen = []
-    provider = BatchProvider(
-        q, expected_batches=2, timeout=1.0, dedup=True,
-        on_deliver=lambda p: seen.append(p.seq),
-    )
+    provider = _provider(q, 2, dedup=True)
     provider()
     provider()
-    assert sorted(seen) == [0, 1]
+    assert sorted(seq for _e, _n, seq in provider.window.emitted(0)) == [0, 1]
 
 
 def test_provider_drops_stale_epoch_payloads():
@@ -216,47 +216,43 @@ def test_provider_drops_stale_epoch_payloads():
     q.put(_payload(4, epoch=0))  # stale replay from epoch 0
     q.put(_payload(0, epoch=1))
     q.put(_payload(1, epoch=1))
-    provider = BatchProvider(q, expected_batches=2, timeout=1.0, dedup=True, epoch=1)
+    provider = _provider(q, 2, dedup=True, epoch=1)
     provider()
     provider()
     assert provider.complete
-    assert provider.stale == 1
+    assert provider.window.stale == 1
 
 
 def test_provider_strict_mode_rejects_stale_epoch_payloads():
     q: queue.Queue = queue.Queue()
     q.put(_payload(4, epoch=0))
-    provider = BatchProvider(q, expected_batches=1, timeout=1.0, epoch=1)
+    provider = _provider(q, 1, epoch=1)
     with pytest.raises(RuntimeError, match="epoch 0 payload in epoch 1"):
         provider()
 
 
 def test_provider_parks_future_epoch_payloads_for_next_epoch():
     """Daemons may pipeline epoch e+1 while epoch e drains: early arrivals
-    are parked in the shared holdover, not dropped as stale."""
-    import collections
-
+    are held by the window for the next epoch, not dropped as stale."""
     q: queue.Queue = queue.Queue()
-    holdover: collections.deque = collections.deque()
+    window = DeliveryWindow(dedup=True)
     q.put(_payload(0, epoch=1))  # epoch 1 arrives early
     q.put(_payload(0, epoch=0))
-    p0 = BatchProvider(q, expected_batches=1, timeout=1.0, dedup=True,
-                       epoch=0, holdover=holdover)
+    p0 = _provider(q, 1, window=window, epoch=0)
     p0()
-    assert p0.complete and p0.stale == 0
-    assert len(holdover) == 1
-    # The next epoch's provider consumes the parked payload, queue untouched.
-    p1 = BatchProvider(q, expected_batches=1, timeout=1.0, dedup=True,
-                       epoch=1, holdover=holdover)
+    assert p0.complete and window.stale == 0
+    assert q.empty() and window.duplicates == 0  # taken off the queue, held
+    # The next epoch's provider consumes the held payload, queue untouched.
+    p1 = _provider(q, 1, window=window, epoch=1)
     p1()
-    assert p1.complete and not holdover
+    assert p1.complete and q.empty()
 
 
 def test_provider_without_dedup_still_rejects_duplicates():
     q: queue.Queue = queue.Queue()
     q.put(_payload(5))
     q.put(_payload(5))
-    provider = BatchProvider(q, expected_batches=4, timeout=1.0)
+    provider = _provider(q, 4)
     provider()
     with pytest.raises(RuntimeError, match="duplicate"):
         provider()

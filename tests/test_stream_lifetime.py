@@ -245,7 +245,8 @@ def test_kill_after_the_serve_call_returned_still_fails_over(
         storage_shards=shared_roots, stall_timeout=20.0, recovery=recovery,
     ) as svc:
         victim = svc.daemons[0]
-        assert len(victim._my_assignments(1, 0)) > 2 * cfg.hwm * cfg.streams_per_node
+        epoch1 = [a for a in victim.work.assignments if a.epoch == 1 and a.node_id == 0]
+        assert len(epoch1) > 2 * cfg.hwm * cfg.streams_per_node
         pushes: set = set()
         held: list[int] = []
         serve = victim.serve_epoch
@@ -473,7 +474,7 @@ def test_cached_serve_order_feeds_the_same_ranges(small_imagenet):
     try:
         expected = []
         for shard_filter in (None, set(shards[1:]), None):
-            daemon.shard_filter = shard_filter
+            daemon.own(shard_filter)
             for start in range(4):
                 daemon.schedule_prefetch(start_epoch=start)
                 expected.append(_reference_order(plan, start, shard_filter, set()))

@@ -1,15 +1,18 @@
 """The socket-free supervisor: decisions as data, replayed and fuzzed.
 
-* structure — ``core/supervisor.py`` imports no thread, socket, clock,
-  queue or transport module, and ``core/service.py`` makes no placement
-  call of its own;
+* structure — ``core/supervisor.py`` and the data plane's policy objects
+  (``core/sendqueue.py``, ``core/deliverywindow.py``) import no thread,
+  socket, clock, queue or transport module, and ``core/service.py`` makes
+  no placement call of its own;
 * replay — a recorded membership sequence (receiver death mid-epoch →
   daemon death → receiver join → next epoch start) yields exactly the
   recorded command list;
 * property — hypothesis drives seeded schedules of receiver/daemon deaths
-  and joins, deliveries and epoch boundaries through the supervisor with
-  an in-memory driver: every planned batch of each epoch lands exactly
-  once, and no batch is ever owed by two live senders.
+  and joins, sends, duplicate and out-of-order deliveries and epoch
+  boundaries through the supervisor with an in-memory driver over the real
+  :class:`SendQueue` and :class:`DeliveryWindow` objects: every planned
+  batch of each epoch is emitted exactly once, and no batch is ever owed
+  by two live senders.
 """
 
 from __future__ import annotations
@@ -17,17 +20,22 @@ from __future__ import annotations
 import ast
 import random
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.deliverywindow as deliverywindow_module
+import repro.core.sendqueue as sendqueue_module
 import repro.core.service as service_module
 import repro.core.supervisor as supervisor_module
+from repro.core.deliverywindow import DONE, WAIT, DeliveryWindow
 from repro.core.membership import MembershipEvent
 from repro.core.planner import BatchAssignment, BatchPlan
 from repro.core.recovery import DeliveryLedger
+from repro.core.sendqueue import SendQueue
 from repro.core.supervisor import (
     Adopt,
     Bury,
@@ -47,8 +55,12 @@ SHARDS = ("s0", "s1")
 # -- structure -----------------------------------------------------------------
 
 
-def test_supervisor_imports_no_threads_sockets_clocks_or_transport():
-    tree = ast.parse(Path(supervisor_module.__file__).read_text())
+@pytest.mark.parametrize(
+    "module", [supervisor_module, sendqueue_module, deliverywindow_module],
+    ids=["supervisor", "sendqueue", "deliverywindow"],
+)
+def test_policy_module_imports_no_threads_sockets_clocks_or_transport(module):
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -106,14 +118,37 @@ def _batch(a: BatchAssignment) -> tuple:
     return (a.epoch, a.shard, a.start_record)
 
 
-class FakeCluster:
-    """The driver, in memory: a Serve owes its batches, a delivery step
-    lands them, and a Claim gives up a random subset of what it asks.  (A
-    Reassign needs nothing: the supervisor wrote the ledger line.)"""
+def _key(a: BatchAssignment) -> tuple:
+    return (a.epoch, a.node_id, a.batch_index)
 
-    def __init__(self, plan, roots, seed=0, give_up=0.7):
+
+@dataclass(frozen=True)
+class Payload:
+    """One batch on the wire: its delivery key and what it carries."""
+
+    epoch: int
+    node_id: int
+    seq: int
+    batch: tuple
+
+
+def _payload(a: BatchAssignment) -> Payload:
+    return Payload(a.epoch, a.node_id, a.batch_index, _batch(a))
+
+
+class FakeCluster:
+    """The driver, in memory, over the real data-plane policy.  A Serve
+    builds (or re-owns) the member's :class:`SendQueue`; a send commits a
+    batch and puts it on its node's wire, maybe twice; a node consumes its
+    wire in any order through its :class:`DeliveryWindow`, writing what it
+    emits to the ledger; a Claim races the send workers, which win a key
+    with chance ``1 - give_up``.  (A Reassign needs nothing: the supervisor
+    wrote the ledger line.)"""
+
+    def __init__(self, plan, roots, seed=0, give_up=0.7, dup=0.0):
         self.plan = plan
-        self.give_up = give_up  # chance a claimed, unsent batch is given up
+        self.give_up = give_up
+        self.dup = dup  # chance a send is delivered twice
         self.ledger = DeliveryLedger(None)
         self.rng = random.Random(seed)
         self.sup = Supervisor(
@@ -122,8 +157,11 @@ class FakeCluster:
         self.receivers = plan.num_nodes
         self.dead_receivers: set[int] = set()
         self.dead_daemons: set[str] = set()
-        self.owed: dict[str, list[BatchAssignment]] = {}  # member -> unsent work
-        self.dropped: set[int] = set()
+        self.queues: dict[str, SendQueue] = {}  # member -> its queue
+        self.work: dict[str, list[BatchAssignment]] = {}  # member -> this epoch's unsent
+        self.windows: dict[int, DeliveryWindow] = {}
+        self.wire: dict[int, list[Payload]] = {}  # node -> arrived, not yet taken
+        self.sent: list[Payload] = []  # every payload ever sent, for replays
         self.landed: Counter = Counter()
         self.log: list = []
 
@@ -143,59 +181,114 @@ class FakeCluster:
             else:
                 commands = ()
 
+    def window(self, node: int) -> DeliveryWindow:
+        return self.windows.setdefault(node, DeliveryWindow(dedup=True, reorder=2))
+
     def do(self, cmd):
         self.log.append(cmd)
         if isinstance(cmd, Serve):
-            if cmd.assignments is None:
-                work = [a for a in self.plan.assignments
-                        if a.epoch == self.sup.epoch and a.shard in cmd.shards]
+            queue = self.queues.get(cmd.member)
+            if queue is None:
+                queue = SendQueue(self.plan, cmd.shards, cmd.assignments, self.sup.dead_nodes)
+                self.queues[cmd.member] = queue
             else:
-                work = list(cmd.assignments)
-            skip = cmd.skip or set()
-            self.owed[cmd.member] = [
-                a for a in work if (a.epoch, a.node_id, a.batch_index) not in skip
-            ]
+                queue.own(cmd.shards)
+            per_node = queue.serve(self.sup.epoch, cmd.skip)
+            self.work[cmd.member] = [a for node in per_node for a in per_node[node]]
         elif isinstance(cmd, Kill):
             self.dead_daemons.add(cmd.member)
-            self.owed.pop(cmd.member, None)
+            self.work.pop(cmd.member, None)
         elif isinstance(cmd, Bury):
             self.dead_receivers.add(cmd.node)
-            self.dropped.add(cmd.node)
+            for queue in self.queues.values():
+                queue.drop(cmd.node)
+            self.wire.pop(cmd.node, None)  # what reached a dead node is lost
         elif isinstance(cmd, Adopt):
-            return cmd.node not in self.dead_receivers
+            if cmd.node in self.dead_receivers:
+                return False
+            self.window(cmd.node).adopt(self.sup.epoch, cmd.n)
+            return True
+        elif isinstance(cmd, Relinquish):
+            self.window(cmd.node).relinquish(cmd.keys)
         elif isinstance(cmd, Claim):
+            # The send workers race the claim: each wins a key with chance
+            # 1 - give_up and sends it before the queues are asked.
+            for member, a in self.sendable():
+                if _key(a) in cmd.keys and self.rng.random() >= self.give_up:
+                    self.send(member, a)
             given = set()
-            for work in self.owed.values():
-                for a in list(work):
-                    key = (a.epoch, a.node_id, a.batch_index)
-                    if key in cmd.keys and self.rng.random() < self.give_up:
-                        work.remove(a)
-                        given.add(key)
+            for member in sorted(self.work):
+                queue = self.queues[member]
+                taken = queue.claim(cmd.keys)
+                # A claimed key is never committed here again.
+                assert not [a for a in self.work[member] if _key(a) in taken and queue.commit(a)]
+                self.work[member] = [a for a in self.work[member] if _key(a) not in taken]
+                given |= taken
             return given
         return None
 
-    def sendable(self):
+    def sendable(self) -> list[tuple[str, BatchAssignment]]:
         return [
-            (member, a) for member, work in self.owed.items() for a in work
-            if a.node_id not in self.dropped
+            (member, a) for member in sorted(self.work) for a in self.work[member]
+            if a.node_id not in self.dead_receivers
         ]
+
+    def send(self, member: str, a: BatchAssignment) -> None:
+        self.work[member].remove(a)
+        if self.queues[member].commit(a):
+            copies = 2 if self.rng.random() < self.dup else 1
+            for _ in range(copies):
+                self.wire.setdefault(a.node_id, []).append(_payload(a))
+            self.sent.append(_payload(a))
 
     def deliver(self, fraction: float) -> None:
         for member, a in self.sendable():
             if self.rng.random() < fraction:
-                self.owed[member].remove(a)
-                self.ledger.record(a.epoch, a.node_id, a.batch_index)
-                self.landed[_batch(a)] += 1
+                self.send(member, a)
+
+    def replay(self) -> None:
+        """An at-least-once transport re-delivers something already sent
+        (maybe of an earlier epoch) to its node, if the node lives."""
+        if self.sent:
+            p = self.rng.choice(self.sent)
+            if p.node_id not in self.dead_receivers:
+                self.wire.setdefault(p.node_id, []).append(p)
+
+    def consume(self, node: int) -> None:
+        """``node`` takes what arrived, in any order, and emits what its
+        window lets out into the ledger."""
+        window = self.window(node)
+        if window.epoch != self.sup.epoch:
+            planned = [a.batch_index for a in self.plan.assignments
+                       if a.epoch == self.sup.epoch and a.node_id == node]
+            keys = self.ledger.covered_set((self.sup.epoch, node, s) for s in planned)
+            window.open(self.sup.epoch, planned, [s for _e, _n, s in keys])
+        arrived = self.wire.pop(node, [])
+        self.rng.shuffle(arrived)
+        for p in arrived:
+            window.offer(p)
+        while (p := window.pop(more=False)) not in (DONE, WAIT):
+            assert self.ledger.record(p.epoch, p.node_id, p.seq), "a key emitted twice"
+            self.landed[p.batch] += 1
+            assert self.landed[p.batch] == 1, f"batch {p.batch} emitted twice"
+
+    def live_nodes(self) -> list[int]:
+        return [n for n in range(self.receivers) if n not in self.dead_receivers]
 
     # -- the schedule's steps --------------------------------------------------
 
     def start(self, epoch: int) -> None:
         self.run(self.sup.start_epoch(epoch, self.observe()))
+        for node in self.live_nodes():
+            self.consume(node)
 
     def end(self) -> None:
         self.deliver(1.0)
+        for node in self.live_nodes():
+            self.consume(node)
+            assert self.window(node).remaining(self.sup.epoch) == 0, f"node {node} owed more"
         self.sup.end_epoch({})
-        self.owed.clear()
+        self.work.clear()
 
     def kill_receiver(self, node: int) -> None:
         self.dead_receivers.add(node)
@@ -204,7 +297,7 @@ class FakeCluster:
 
     def kill_daemon(self, member: str) -> None:
         self.dead_daemons.add(member)
-        self.owed.pop(member, None)
+        self.work.pop(member, None)
         ev = MembershipEvent("dead", member, "daemon", reason="failed")
         self.run(self.sup.event(ev, self.observe()))
 
@@ -256,8 +349,8 @@ def test_replay_recorded_membership_sequence(roots):
     cluster = FakeCluster(_plan(per_shard=4), roots, give_up=1.0)
     cluster.start(0)
     # Node 0's first s0 batch landed; everything else is still owed.
-    cluster.ledger.record(0, 0, 0)
-    cluster.owed["daemon:0@" + roots["a"]].remove(cluster.plan.assignments[0])
+    cluster.send("daemon:0@" + roots["a"], cluster.plan.assignments[0])
+    cluster.consume(0)
     cluster.kill_receiver(1)
     cluster.kill_daemon("daemon:0@" + roots["a"])
     cluster.join_receiver()
@@ -313,14 +406,16 @@ def test_replay_recorded_membership_sequence(roots):
         {"variant": "receiver_join", "epoch": 0, "node": 2, "moved": 1}
     ]
     assert cluster.sup.errors == []
-    # Epoch 0 landed every other planned batch exactly once.
-    first, *rest = [_batch(a) for a in cluster.plan.assignments if a.epoch == 0]
-    assert cluster.landed == Counter(rest)
+    # Epoch 0 emitted every planned batch exactly once.
+    assert cluster.landed == Counter(_batch(a) for a in cluster.plan.assignments if a.epoch == 0)
 
 
 # -- property ------------------------------------------------------------------
 
-STEPS = ("deliver", "kill_receiver", "kill_daemon", "join_receiver", "join_daemon", "epoch")
+STEPS = (
+    "deliver", "consume", "replay", "kill_receiver", "kill_daemon", "join_receiver",
+    "join_daemon", "epoch",
+)
 
 
 @settings(max_examples=80, deadline=None)
@@ -331,7 +426,7 @@ STEPS = ("deliver", "kill_receiver", "kill_daemon", "join_receiver", "join_daemo
 )
 def test_any_schedule_lands_every_batch_exactly_once(roots, steps, seed, data):
     plan = _plan(nodes=3, epochs=3, per_shard=6)
-    cluster = FakeCluster(plan, roots, seed=seed)
+    cluster = FakeCluster(plan, roots, seed=seed, dup=0.3)
     epoch, daemon_joined = 0, False
 
     def finish_epoch() -> None:
@@ -343,11 +438,15 @@ def test_any_schedule_lands_every_batch_exactly_once(roots, steps, seed, data):
 
     cluster.start(epoch)
     for step in steps:
-        live_nodes = [n for n in range(cluster.receivers) if n not in cluster.dead_receivers]
-        live_daemons = sorted(m for m in cluster.owed if m not in cluster.dead_daemons)
+        live_nodes = cluster.live_nodes()
+        live_daemons = sorted(m for m in cluster.work if m not in cluster.dead_daemons)
         live_planned = [m for m in live_daemons if m in cluster.sup.planned]
         if step == "deliver":
             cluster.deliver(0.5)
+        elif step == "consume":
+            cluster.consume(data.draw(st.sampled_from(live_nodes), label="consumer"))
+        elif step == "replay":
+            cluster.replay()
         elif step == "kill_receiver" and len(live_nodes) > 1:
             cluster.kill_receiver(data.draw(st.sampled_from(live_nodes), label="receiver"))
         elif step == "kill_daemon" and len(live_daemons) > 1:
@@ -364,8 +463,7 @@ def test_any_schedule_lands_every_batch_exactly_once(roots, steps, seed, data):
             finish_epoch()
             epoch += 1
             cluster.start(epoch)
-        # No batch is ever owed by two live senders, nor owed once landed.
+        # No batch is ever owed by two live senders.
         owed = [_batch(a) for _member, a in cluster.sendable()]
         assert len(owed) == len(set(owed)), "a batch owed by two live senders"
-        assert not set(owed) & set(cluster.landed), "a landed batch is owed again"
     finish_epoch()
