@@ -1,10 +1,10 @@
 """SJPG: a simple JPEG-like block-DCT image codec.
 
 Pipeline (encode): uint8 HxWxC image → level shift → 8×8 block 2-D DCT
-(scipy, orthonormal) → quality-scaled quantization → zigzag scan → run-length
-encoding of zero runs → varint packing.  Decode reverses each stage; the
-inverse DCT dominates, so decode cost scales with pixel count exactly like
-real JPEG decode does.
+(orthonormal, two float64 matrix products) → quality-scaled quantization →
+zigzag scan → run-length encoding of zero runs → varint packing.  Decode
+reverses each stage; the inverse DCT dominates, so decode cost scales with
+pixel count exactly like real JPEG decode does.
 
 Wire format::
 
@@ -36,7 +36,6 @@ import itertools
 import struct
 
 import numpy as np
-from scipy.fft import dctn
 
 from repro.util.arena import Arena, scratch_arena
 
@@ -96,6 +95,16 @@ def _to_blocks(channel: np.ndarray) -> tuple[np.ndarray, int, int]:
     return np.ascontiguousarray(blocks), hh // 8, ww // 8
 
 
+#: The float64 orthonormal 8-point DCT-II matrix ``D[u, x]``.
+_DCT = np.sqrt(2 / 8) * np.cos(np.pi * (2 * np.arange(8) + 1) * np.arange(8)[:, None] / 16)
+_DCT[0] /= np.sqrt(2)
+
+
+def _dct_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D DCT of each trailing 8×8 block: ``D @ X @ D.T``."""
+    return _DCT @ blocks @ _DCT.T
+
+
 @functools.lru_cache(maxsize=None)  # one per quality level: at most 100
 def _idct_matrix(quality: int) -> np.ndarray:
     """The (64, 64) float32 ``M`` with ``block_pixels = zigzag_coeffs @ M``.
@@ -104,10 +113,7 @@ def _idct_matrix(quality: int) -> np.ndarray:
     zigzag position ``z``, times its quantization step: un-zigzag, dequantize
     and inverse DCT in one matrix (the level shift is left to the caller).
     """
-    k = np.arange(8)
-    dct = np.sqrt(2 / 8) * np.cos(np.pi * (2 * k[None, :] + 1) * k[:, None] / 16)
-    dct[0] /= np.sqrt(2)  # dct[u, x]: scipy's orthonormal DCT-II matrix
-    basis = np.kron(dct, dct)  # basis[u*8 + v, x*8 + y] = dct[u, x] * dct[v, y]
+    basis = np.kron(_DCT, _DCT)  # basis[u*8 + v, x*8 + y] = D[u, x] * D[v, y]
     q = _quant_table(quality).ravel()
     m = (q[_ZIGZAG, None] * basis[_ZIGZAG]).astype(np.float32)
     m.setflags(write=False)
@@ -170,7 +176,7 @@ def sjpg_encode(image: np.ndarray, quality: int = 75) -> bytes:
     all_tokens: list[np.ndarray] = []
     for ch in range(channels):
         blocks, _nby, _nbx = _to_blocks(image[:, :, ch].astype(np.float64) - 128.0)
-        coeffs = dctn(blocks, axes=(-2, -1), norm="ortho")
+        coeffs = _dct_blocks(blocks)
         quantized = np.round(coeffs / q).astype(np.int64)
         flat = quantized.reshape(-1, 64)[:, _ZIGZAG].ravel()
         all_tokens.append(_rle_encode(flat))

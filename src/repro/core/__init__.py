@@ -8,8 +8,8 @@
   with HWM backpressure, ``T`` worker threads per target node, driving
   the pure :class:`~repro.core.sendqueue.SendQueue` of what it still owes.
 * :class:`~repro.core.receiver.EMLIOReceiver` — Algorithm 3: PULL socket →
-  deserialize thread → shared queue → :class:`BatchProvider`
-  (``external_source``, driving the pure
+  :class:`BatchProvider` (``external_source``: deserializes each frame on
+  the pipeline's thread and drives the pure
   :class:`~repro.core.deliverywindow.DeliveryWindow`) → DALI-like pipeline
   with prefetch ``Q``.
 * :class:`~repro.core.service.EMLIOService` — single-call orchestration of

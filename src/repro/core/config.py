@@ -42,7 +42,7 @@ class EMLIOConfig:
     workers:
         Receiver-side preprocess worker threads (the DALI-style pool).
         1 keeps the single prefetch thread; >1 decodes/augments batches
-        concurrently — sjpg/scipy/numpy release the GIL — with
+        concurrently — sjpg/numpy release the GIL — with
         order-preserving reassembly on output.
     output_hw:
         Spatial size of preprocessed tensors.

@@ -1,56 +1,50 @@
-"""BatchProvider — the glue between the receiver queue and the pipeline.
+"""BatchProvider — the glue between the receiver's socket and the pipeline.
 
-Exposes decoded :class:`~repro.serialize.payload.BatchPayload` objects as a
-DALI ``external_source`` callable (paper §4.1: "A BatchProvider deserializes
-each payload and exposes the samples as DALI's external_source").
+A DALI ``external_source`` callable (paper §4.1: "A BatchProvider
+deserializes each payload and exposes the samples as DALI's
+external_source").  It runs on its caller's thread — the pipeline's
+``dali-worker`` — and takes payloads from a ``source(block, timeout)``
+callable: the receiver's read and decode of its PULL socket.
 
 The provider decides nothing: it drives its receiver's
 :class:`~repro.core.deliverywindow.DeliveryWindow` — offers the payloads
-it pulls off the receiver's queue and pops the next one to emit, holding
-the window lock around each call and never while it blocks on the queue.
-One provider serves one consume pass.
+its source yields and pops the next one to emit, holding the window lock
+around each call and never while it waits on the source.  One provider
+serves one consume pass.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+from typing import Callable
 
 from repro.core.deliverywindow import DONE, MORE, WAIT, DeliveryWindow
 from repro.gpu.pipeline import EndOfData
 from repro.net.buffers import release_samples
 from repro.serialize.payload import BatchPayload
 
-#: Queue sentinel a receiver kill injects to unblock a waiting provider.
-ABORT = object()
-
-#: Queue sentinel that makes a waiting provider look at its window again
-#: (a relinquish shrank the epoch's expectation).
-WAKE = object()
-
-
-class ProviderAborted(RuntimeError):
-    """The provider was aborted mid-epoch (receiver killed / torn down)."""
-
 
 class BatchProvider:
     """One consume pass of ``epoch`` over a receiver's window.
 
-    ``source_queue`` is what the receive thread fills with payloads (or, if
-    that thread dies, with its exception — which fails the epoch at once);
-    ``lock`` guards ``window``; ``timeout`` is how long to wait for the
-    next payload before declaring the stream stalled.
+    ``source(block, timeout)`` has ``queue.Queue.get``'s contract: the next
+    payload, ``queue.Empty`` when none arrives in time — and ``None`` when
+    woken to look at the window again (a relinquish shrank the epoch's
+    expectation).  Whatever else it raises fails the pass.  ``lock`` guards
+    ``window``; ``timeout`` is how long to wait for the next payload before
+    declaring the stream stalled.
     """
 
     def __init__(
         self,
-        source_queue: "queue.Queue[BatchPayload]",
+        source: Callable[[bool, float], BatchPayload | None],
         window: DeliveryWindow,
         lock: threading.Lock,
         epoch: int,
         timeout: float = 60.0,
     ) -> None:
-        self.source_queue = source_queue
+        self.source = source
         self.window = window
         self.lock = lock
         self.epoch = epoch
@@ -90,7 +84,7 @@ class BatchProvider:
             if step is not WAIT and step is not MORE:
                 return step.samples, step.labels
             try:  # block only when the window holds nothing to emit
-                payload = self.source_queue.get(step is WAIT, self.timeout)
+                payload = self.source(step is WAIT, self.timeout)
             except queue.Empty:
                 if step is WAIT:
                     raise RuntimeError(
@@ -99,15 +93,8 @@ class BatchProvider:
                     ) from None
                 more = False  # nothing else ready: emit what the window holds
                 continue
-            if payload is ABORT:
-                raise ProviderAborted(f"provider aborted: {self.progress()} delivered")
-            if payload is WAKE:
-                continue
-            if isinstance(payload, BaseException):
-                # The receive thread died with this error: nothing more
-                # arrives.  Left queued so later epochs fail fast too.
-                self.source_queue.put(payload)
-                raise RuntimeError(f"receive thread died: {payload!r}") from payload
+            if payload is None:
+                continue  # woken: the window may owe less now
             with self.lock:
                 kept = self.window.offer(payload)
             if not kept:

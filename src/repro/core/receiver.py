@@ -3,9 +3,9 @@
 Per compute node:
 
 1. bind a PULL socket on ``(ip, port)`` (line 1);
-2. a ``zmq_receiver`` thread unpacks msgpack payloads into a shared queue
-   (line 2);
-3. a DALI-like pipeline with ``BatchProvider(queue)`` as external source and
+2. the provider unpacks each msgpack payload as it takes the frame off the
+   socket, on the pipeline's own thread (line 2, :meth:`_next_payload`);
+3. a DALI-like pipeline with that ``BatchProvider`` as external source and
    prefetch depth ``Q`` (line 3), warmed up with ``Q`` iterations (line 4);
 4. :meth:`epoch` iterates ``pipe.run()`` until the epoch owes nothing
    (lines 5–9).
@@ -35,21 +35,21 @@ import numpy as np
 from repro.core.config import EMLIOConfig
 from repro.core.deliverywindow import DeliveryWindow
 from repro.core.planner import BatchPlan
-from repro.core.provider import ABORT, WAKE, BatchProvider, ProviderAborted
+from repro.core.provider import BatchProvider
 from repro.core.recovery import DeliveryLedger
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.pipeline import EndOfData, Pipeline, PipelineStats
-from repro.net.buffers import release_samples
+from repro.net.buffers import PooledFrame, release_samples
 from repro.net.emulation import NetworkProfile
 from repro.net.framing import ConnectionClosed
 from repro.net.mq import PullSocket
-from repro.serialize.payload import decode_batch, trace_stamped
+from repro.serialize.payload import BatchPayload, decode_batch, trace_stamped
 from repro.util.logging import TimestampLogger
 
 _log = logging.getLogger(__name__)
 
 #: Bound on the remembered trace-sampled delivery keys (epoch, seq) —
-#: recv-side bookkeeping between the socket thread and the consume loop.
+#: recv-side bookkeeping between the provider and the consume loop.
 #: Keys pop as their batches are consumed; the bound only matters when a
 #: traced batch is dropped (dedup, relinquish) and never consumed.
 _SAMPLED_KEYS_BOUND = 4096
@@ -112,7 +112,7 @@ class EMLIOReceiver:
         if telemetry is not None and telemetry.registry.enabled:
             self._decode_hist = telemetry.registry.histogram(
                 "emlio_decode_seconds",
-                "Per-payload deserialize time on the receive thread",
+                "Per-payload deserialize time in the batch provider",
             )
             self._preproc_hist = telemetry.registry.histogram(
                 "emlio_preprocess_seconds",
@@ -124,8 +124,8 @@ class EMLIOReceiver:
             )
         else:
             self._decode_hist = self._preproc_hist = self._warm_errors = None
-        # (epoch, seq) keys of trace-sampled payloads, noted by the socket
-        # thread and popped by the consume loop (preprocess/consume spans).
+        # (epoch, seq) keys of trace-sampled payloads, noted by the provider
+        # and popped by the consume loop (preprocess/consume spans).
         self._sampled_keys: collections.OrderedDict = collections.OrderedDict()
         self._sampled_lock = threading.Lock()
         # None inherits the config; AUTO (here or in the config) derives
@@ -136,7 +136,6 @@ class EMLIOReceiver:
         self.pull = PullSocket(
             host=host, port=port, hwm=config.hwm, profile=profile, pooled=True
         )
-        self._payload_q: queue.Queue = queue.Queue()
         # One stats object across every epoch's pipeline: per-stage decode /
         # preprocess / starved timing accumulates deployment-wide and feeds
         # heartbeats + Deployment.status()["pipeline"].
@@ -146,33 +145,29 @@ class EMLIOReceiver:
         self.window = DeliveryWindow(dedup=self.dedup, reorder=self.reorder_window)
         self._window_lock = threading.Lock()
         self._consuming: int | None = None  # the epoch a consume pass runs
-        self._stop = threading.Event()
         self.batches_received = 0
         self.batches_consumed = 0  # handed to the *training* side (yielded)
         self._killed = threading.Event()
-        # Starvation ticks for heartbeat progress: advance only while the
-        # receive loop is idle with *nothing pending for the pipeline* —
-        # starved is the daemons' problem, not this node's.  Progress is
-        # otherwise driven from the pipeline-consumption boundary
-        # (``batches_consumed``), so a wedged consumer sitting on queued
-        # payloads freezes :attr:`progress` and trips the hang detector.
+        # Starvation ticks for heartbeat progress: advance only while
+        # *nothing is pending for the pipeline* — starved is the daemons'
+        # problem, not this node's.  Progress is otherwise driven from the
+        # pipeline-consumption boundary (``batches_consumed``), so a wedged
+        # consumer sitting on queued frames freezes :attr:`progress` and
+        # trips the hang detector.
         self.ticks = 0
-        # Line 2: the zmq_receiver thread (deserializer).
-        self._receiver_thread = threading.Thread(
-            target=self._zmq_receiver, daemon=True, name=f"zmq-receiver{node_id}"
-        )
-        self._receiver_thread.start()
+        # Payloads the provider decoded ahead, in arrival order.
+        self._decoded: collections.deque[BatchPayload] = collections.deque()
         self._warm_kernels()
 
     def _warm_kernels(self) -> None:
         """Run one throwaway batch through the preprocess kernels.
 
-        First execution of the numpy/scipy decode-and-resize path pays
-        one-time costs (FFT plan setup, ufunc dispatch caches, allocator
-        growth) that would otherwise land inside the first epoch a
-        deployment serves.  GPU runtimes warm kernels at init for the same
-        reason.  Only the default image path is warmed — a custom
-        ``preprocess_fn`` has its own input format we can't synthesize.
+        First execution of the numpy decode-and-resize path pays one-time
+        costs (BLAS setup, ufunc dispatch caches, allocator growth) that
+        would otherwise land inside the first epoch a deployment serves.
+        GPU runtimes warm kernels at init for the same reason.  Only the
+        default image path is warmed — a custom ``preprocess_fn`` has its
+        own input format we can't synthesize.
         """
         if self.preprocess_fn is not None:
             return
@@ -183,8 +178,8 @@ class EMLIOReceiver:
             rng = np.random.default_rng(0)
             img = rng.integers(0, 256, (32, 32, 3), dtype=np.uint8)
             samples = [sjpg_encode(img, quality=75)] * self.config.batch_size
-            # A handful of repetitions, not one: allocator arenas, FFT plan
-            # caches, and ufunc loops all warm progressively, and a single
+            # A handful of repetitions, not one: allocator arenas, BLAS
+            # buffers, and ufunc loops all warm progressively, and a single
             # call leaves the first real batches still paying for growth.
             for _ in range(4):
                 self.gpu.submit(
@@ -235,35 +230,36 @@ class EMLIOReceiver:
 
     @property
     def queue_depth(self) -> int:
-        """Payloads received but not yet handed to the pipeline — the
+        """Payloads received but not yet offered to the window — the
         backpressure signal this node's heartbeats report and the
         placement engine weighs rebalances by."""
-        return self._payload_q.qsize()
+        return self.pull.pending + len(self._decoded)
 
     @property
     def progress(self) -> int:
         """Heartbeat progress counter, advanced from the consumption
         boundary: grows while batches reach the training side *or* while
         the node is starved of payloads (daemons slow — not our hang).
-        Frozen exactly when received payloads sit unconsumed: the wedged-
-        consumer signature the hang detector is meant to catch."""
+        Frozen exactly when received frames sit unconsumed: the wedged-
+        consumer signature the hang detector is meant to catch.  Each read
+        with nothing pending is one starvation tick."""
+        if self.queue_depth == 0:
+            self.ticks += 1
         return self.batches_consumed + self.ticks
 
     def kill(self) -> None:
         """Chaos hook: this compute node crashes, abruptly.
 
-        The PULL socket closes (peers see connection resets), the active
-        epoch's provider aborts instead of stalling out its timeout, and
-        in-flight batches are dropped — the transport-level signature of a
-        dead compute node.  The supervisor re-targets its undelivered
-        batches through the placement engine.
+        The PULL socket closes (peers see connection resets), which fails
+        the active epoch's provider at once instead of at its stall
+        timeout, and in-flight batches are dropped — the transport-level
+        signature of a dead compute node.  The supervisor re-targets its
+        undelivered batches through the placement engine.
         """
         if self._killed.is_set():
             return
         self._killed.set()
-        self._stop.set()
-        self._payload_q.put(ABORT)  # a waiting provider fails at once
-        self.pull.close()
+        self.close()
         self.logger.log("receiver_killed", node=self.node_id)
 
     def adopt(self, epoch: int, extra: int) -> bool:
@@ -286,7 +282,7 @@ class EMLIOReceiver:
         with self._window_lock:
             shrank = self.window.relinquish(tuple(k) for k in keys)
         if shrank:
-            self._payload_q.put(WAKE)  # a waiting provider looks again
+            self.pull.wake()  # a waiting provider looks again
         return True
 
     def _note_sampled(self, epoch: int, seq: int) -> None:
@@ -303,69 +299,75 @@ class EMLIOReceiver:
         with self._sampled_lock:
             return self._sampled_keys.pop((epoch, seq), None) is not None
 
-    def _zmq_receiver(self) -> None:
-        try:
-            self._receive_loop()
-        except BaseException as err:  # noqa: BLE001 - handed to the provider
-            # Nothing will reach the payload queue any more: fail the
-            # active epoch (and every later one) now, not at its stall
-            # timeout.  The provider re-raises this marker.
-            _log.exception("receiver %d: receive thread died", self.node_id)
-            self._payload_q.put(err)
+    def _next_payload(self, block: bool, timeout: float) -> BatchPayload | None:
+        """The provider's source (Algorithm 3 line 2): the next payload, or
+        ``None`` when a relinquish woke the wait.  Raises ``queue.Empty`` on
+        timeout and :class:`ReceiverKilled` once the socket is closed.
 
-    def _receive_loop(self) -> None:
-        tracer = self._tracer
-        while not self._stop.is_set():
+        The frame it waits for is decoded together with every frame queued
+        behind it: decode then lengthens one consumer wait per burst of
+        arrivals, not every wait.
+        """
+        if not self._decoded:
             try:
-                frame = self.pull.recv_frame(timeout=0.2)
-            except ConnectionClosed:
-                return  # close()/kill() closed the socket
+                frame = self.pull.recv_frame(timeout=timeout if block else 0)
+                while frame is not None:
+                    self._decoded.append(self._decode(frame))
+                    frame = self.pull.recv_frame(timeout=0)
             except queue.Empty:
-                # Starved *and* nothing backed up for the pipeline: the
-                # node is healthy-but-waiting, so liveness progress ticks.
-                # With payloads queued, progress must come from consumption.
-                if self._payload_q.empty():
-                    self.ticks += 1
-                continue
-            # Samples decode as views over the pooled frame buffer; the
-            # lease travels with them (ColumnarSamples) and is released by
-            # the final consumer — pipeline after preprocess, or provider
-            # on dedup/stale drop.  A frame that fails to decode has no
-            # consumer, so its lease is returned here.
-            wr0 = time.time_ns() if tracer is not None else 0
-            t0 = time.perf_counter()
-            wr1 = time.time_ns() if tracer is not None else 0
-            try:
-                payload = decode_batch(frame.data, zero_copy=True, release=frame.release)
-            except BaseException:
-                frame.release()
-                raise
-            decode_s = time.perf_counter() - t0
-            self.pipeline_stats.record_decode(decode_s)
-            if self._decode_hist is not None:
-                self._decode_hist.observe(decode_s)
-            if payload.node_id != self.node_id:
-                frame.release()
-                raise RuntimeError(
-                    f"node {self.node_id} received a batch planned for node {payload.node_id}"
-                )
-            if tracer is not None and trace_stamped(payload):
-                # Only the daemon's stamp costs anything downstream: the
-                # sampling decision travelled in the payload meta.
-                wr2 = time.time_ns()
-                key = (payload.epoch, payload.node_id, payload.seq)
-                tracer.span(key, "recv", wr0, wr1, nbytes=payload.nbytes)
-                tracer.span(key, "decode", wr1, wr2)
-                self._note_sampled(payload.epoch, payload.seq)
-            self.batches_received += 1
-            self.logger.log(
-                "batch_recv",
-                epoch=payload.epoch,
-                index=payload.batch_index,
-                seq=payload.seq,
-                nbytes=payload.nbytes,
+                if not self._decoded:
+                    raise
+            except ConnectionClosed:
+                if not self._decoded:
+                    raise ReceiverKilled(f"node {self.node_id} killed mid-epoch") from None
+        try:
+            return self._decoded.popleft()
+        except IndexError:  # woken, or a stale pass's worker took it
+            return None
+
+    def _decode(self, frame: PooledFrame) -> BatchPayload:
+        """One frame's payload; a frame that fails to decode, or was
+        planned for another node, fails the pass."""
+        # Samples decode as views over the pooled frame buffer; the lease
+        # travels with them (ColumnarSamples) and is released by the final
+        # consumer — pipeline after preprocess, or provider on dedup/stale
+        # drop.  A frame that fails to decode has no consumer, so its lease
+        # is returned here.
+        tracer = self._tracer
+        wr0 = time.time_ns() if tracer is not None else 0
+        t0 = time.perf_counter()
+        wr1 = time.time_ns() if tracer is not None else 0
+        try:
+            payload = decode_batch(frame.data, zero_copy=True, release=frame.release)
+        except Exception as err:
+            frame.release()
+            raise RuntimeError(f"node {self.node_id}: frame failed to decode: {err!r}") from err
+        decode_s = time.perf_counter() - t0
+        self.pipeline_stats.record_decode(decode_s)
+        if self._decode_hist is not None:
+            self._decode_hist.observe(decode_s)
+        if payload.node_id != self.node_id:
+            frame.release()
+            raise RuntimeError(
+                f"node {self.node_id} received a batch planned for node {payload.node_id}"
             )
-            self._payload_q.put(payload)
+        if tracer is not None and trace_stamped(payload):
+            # Only the daemon's stamp costs anything downstream: the
+            # sampling decision travelled in the payload meta.
+            wr2 = time.time_ns()
+            key = (payload.epoch, payload.node_id, payload.seq)
+            tracer.span(key, "recv", wr0, wr1, nbytes=payload.nbytes)
+            tracer.span(key, "decode", wr1, wr2)
+            self._note_sampled(payload.epoch, payload.seq)
+        self.batches_received += 1
+        self.logger.log(
+            "batch_recv",
+            epoch=payload.epoch,
+            index=payload.batch_index,
+            seq=payload.seq,
+            nbytes=payload.nbytes,
+        )
+        return payload
 
     def _open(self, epoch: int) -> BatchProvider:
         """Open ``epoch`` in the window — its plan netted against the
@@ -382,7 +384,7 @@ class EMLIOReceiver:
         for payload in dropped:
             release_samples(payload.samples)
         return BatchProvider(
-            self._payload_q, self.window, self._window_lock, epoch, timeout=self.stall_timeout
+            self._next_payload, self.window, self._window_lock, epoch, timeout=self.stall_timeout
         )
 
     def epoch(self, epoch_index: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -428,10 +430,6 @@ class EMLIOReceiver:
                     tensors, labels = pipe.run()
                 except EndOfData:
                     break
-                except ProviderAborted:
-                    raise ReceiverKilled(
-                        f"node {self.node_id} killed mid-epoch: {provider.progress()} batches"
-                    ) from None
                 # Ledger at the consumption boundary, not pipeline handoff:
                 # batches prefetched but never consumed (crash, early close,
                 # teardown dropping buffers) must count as undelivered so a
@@ -458,8 +456,9 @@ class EMLIOReceiver:
             raise RuntimeError(f"epoch {epoch_index} ended early: {provider.progress()} batches")
 
     def close(self) -> None:
-        """Line 11: teardown sockets and threads.  Closing the socket wakes
-        the receive thread at once (no poll to wait out)."""
-        self._stop.set()
+        """Line 11: teardown the socket — which wakes a waiting provider at
+        once — and return the buffers of payloads decoded ahead."""
         self.pull.close()
-        self._receiver_thread.join(timeout=10.0)
+        for payload in list(self._decoded):
+            release_samples(payload.samples)
+        self._decoded.clear()

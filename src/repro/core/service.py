@@ -370,8 +370,8 @@ class EMLIOService:
             endpoint=self._hb_listener.address,
             interval_s=self.recovery.membership.interval_s,
             # Consumption-boundary progress: frozen when received
-            # payloads sit unconsumed, so a wedged consumer (not
-            # just a dead receive loop) trips the hang detector.
+            # frames sit unconsumed, so a wedged consumer trips the
+            # hang detector.
             progress_fn=lambda r=r: r.progress,
             state_fn=lambda r=r: STATE_SERVING if r.epoch_active else STATE_IDLE,
             # Backpressure signal the placement engine weighs re-plans by.
@@ -776,10 +776,13 @@ class EMLIOService:
             else:
                 yield from self._merge_receivers(epoch_index)
         except Exception as err:
-            # A failed failover starves the consumers into a stall; surface
-            # the root cause (e.g. FailoverError) over the symptom.
+            # A failed failover, or a daemon error nobody failed over,
+            # starves the consumers into a stall: raise the cause instead.
             if errors:
                 raise errors[0] from err
+            unhandled = [e.error for e in entries if e.error is not None and not e.handled]
+            if unhandled and not isinstance(err, ReceiverKilled):
+                raise unhandled[0] from err
             raise
         finally:
             # From here on events settle as between epochs: no failover

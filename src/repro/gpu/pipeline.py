@@ -10,7 +10,7 @@ Reproduces the DALI behaviours EMLIO depends on (paper §4.4, Algorithm 3):
   overlapping preprocess with training (DALI's ``exec_async``/
   ``exec_pipelined``);
 * ``workers`` — DALI's ``num_threads``: with N > 1 a bounded pool
-  preprocesses batches concurrently (sjpg/scipy/numpy release the GIL)
+  preprocesses batches concurrently (sjpg/numpy release the GIL)
   and a sequence-ordered reassembly stage keeps output in source order.
 
 ``run()`` returns the next preprocessed batch (float32 NCHW + labels),

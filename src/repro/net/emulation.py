@@ -172,8 +172,6 @@ class DelayPipe:
                     self._closed = True
                     self._heap.clear()
                     self._cond.notify_all()
-                with DelayPipe._failures_lock:
-                    DelayPipe.delivery_failures += 1
                 # A vanished peer (OSError) is the usual cause and expected
                 # at teardown; anything else is a bug in the callback.
                 _log.log(
@@ -181,6 +179,9 @@ class DelayPipe:
                     "%s: delivery failed (%r); dropped %d queued item(s)",
                     self._thread.name, err, dropped,
                 )
+                # Counted after logging: the counter never runs ahead of it.
+                with DelayPipe._failures_lock:
+                    DelayPipe.delivery_failures += 1
                 return
 
     def close(self, drain: bool = True) -> None:

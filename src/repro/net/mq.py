@@ -95,8 +95,8 @@ _RTTS_AVERAGED = 4
 _JITTER_DIVISOR = 8
 #: Ceiling on an endpoint's bandwidth-delay term, in frames.
 _MAX_BDP_FRAMES = 1024
-#: Put into a stream's queue (and its room condition notified) to wake its
-#: writer for a stop or a broken connection — the writer never polls.
+#: Wakes a stream's writer for a stop or a broken connection (it never
+#: polls: put into its queue, room condition notified), or a PullSocket's.
 _WAKE = object()
 #: Put into a PullSocket's queue by close(): wakes blocked receivers.
 _CLOSED = (None, None)
@@ -989,45 +989,44 @@ class PullSocket:
                 else:
                     self._retired_bytes += ring.bytes_received
 
-    def _pop(self, timeout: float | None = None, block: bool = True) -> tuple:
-        """Next queued ``(msg, lease)``; raises ``ConnectionClosed`` once
-        the socket is closed (close() wakes blocked callers)."""
-        item = self._queue.get(block, timeout)
-        if item is _CLOSED:
-            self._queue.put(_CLOSED)  # keep waking every later caller
-            raise ConnectionClosed("recv() on a closed PullSocket")
-        return item
+    def wake(self) -> None:
+        """Make one blocked receive — or the next one — return ``None``."""
+        self._queue.put(_WAKE)
 
-    def recv(self, timeout: float | None = None) -> bytes:
+    def recv(self, timeout: float | None = None) -> bytes | None:
         """Pop the next message from any peer as ``bytes`` (its credit is
-        granted at once); raises ``queue.Empty`` on timeout and
-        ``ConnectionClosed`` once the socket is closed."""
-        msg, lease = self._pop(timeout)
-        msg = bytes(msg)
-        lease.release()
+        granted at once); ``None`` after a :meth:`wake`.  Raises
+        ``queue.Empty`` on timeout and ``ConnectionClosed`` once the
+        socket is closed."""
+        frame = self.recv_frame(timeout)
+        if frame is None:
+            return None
+        msg = bytes(frame.data)
+        frame.release()
         return msg
 
-    def recv_frame(self, timeout: float | None = None) -> PooledFrame:
+    def recv_frame(self, timeout: float | None = None) -> PooledFrame | None:
         """Pop the next message as a :class:`PooledFrame` (zero-copy mode).
 
         The frame's ``data`` aliases the receive buffer; the caller must
         ``release()`` it after the last use of any view derived from it —
         the release grants the sender its credit, so an unreleased frame
-        keeps a slot of its stream's window.  Raises ``queue.Empty`` on
-        timeout and ``ConnectionClosed`` once the socket is closed.
+        keeps a slot of its stream's window.  ``None`` after a
+        :meth:`wake`.  Raises ``queue.Empty`` on timeout and
+        ``ConnectionClosed`` once the socket is closed.
         """
-        msg, lease = self._pop(timeout)
-        return PooledFrame(msg, lease)
+        item = self._queue.get(True, timeout)
+        if item is _CLOSED:
+            self._queue.put(_CLOSED)  # keep waking every later caller
+            raise ConnectionClosed("recv() on a closed PullSocket")
+        return None if item is _WAKE else PooledFrame(*item)
 
     def try_recv(self) -> bytes | None:
         """Non-blocking recv; ``None`` when no message is ready."""
         try:
-            msg, lease = self._pop(block=False)
+            return self.recv(timeout=0)
         except queue.Empty:
             return None
-        msg = bytes(msg)
-        lease.release()
-        return msg
 
     @property
     def pending(self) -> int:
@@ -1098,8 +1097,9 @@ class PullSocket:
             r.close()
         while True:
             try:
-                _msg, lease = self._queue.get_nowait()
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
-            lease.release()
+            if item is not _WAKE:
+                item[1].release()
         self._queue.put(_CLOSED)

@@ -9,6 +9,7 @@ from scipy.fft import dctn, idctn
 from repro.codec.raw import raw_decode, raw_encode, raw_overhead
 from repro.codec.sjpg import (
     _HDR,
+    _dct_blocks,
     _quant_table,
     _to_blocks,
     _varint_pack,
@@ -119,14 +120,15 @@ def test_property_roundtrip_psnr(h, w, seed):
 
 
 def _reference_decode(img: np.ndarray, quality: int) -> np.ndarray:
-    """What sjpg_encode keeps, decoded in float64: the dequantised
-    coefficients through scipy's inverse DCT, level-shifted and rounded."""
+    """What sjpg_encode keeps, decoded in float64: the coefficients the
+    encoder's own forward transform quantises, dequantised through scipy's
+    inverse DCT, level-shifted and rounded."""
     q = _quant_table(quality)
     h, w, channels = img.shape
     out = np.empty_like(img)
     for ch in range(channels):
         blocks, nby, nbx = _to_blocks(img[:, :, ch].astype(np.float64) - 128.0)
-        coeffs = np.round(dctn(blocks, axes=(-2, -1), norm="ortho") / q) * q
+        coeffs = np.round(_dct_blocks(blocks) / q) * q
         pixels = idctn(coeffs, axes=(-2, -1), norm="ortho") + 128.0
         plane = pixels.transpose(0, 2, 1, 3).reshape(nby * 8, nbx * 8)[:h, :w]
         out[:, :, ch] = np.clip(np.round(plane), 0, 255)
@@ -156,6 +158,14 @@ def test_batch_decode_is_bitwise_the_single_decodes(specs):
         assert img.shape == alone.shape == (h, w, channels) and img.dtype == np.uint8
         assert np.array_equal(img, alone)
         assert img.flags.c_contiguous
+
+
+def test_forward_dct_matches_scipy_orthonormal_dctn(rng):
+    """The encoder's unquantised coefficients are scipy's orthonormal DCT-II."""
+    blocks = rng.uniform(-128.0, 127.0, size=(5, 7, 8, 8))
+    np.testing.assert_allclose(
+        _dct_blocks(blocks), dctn(blocks, axes=(-2, -1), norm="ortho"), rtol=0, atol=1e-9
+    )
 
 
 @settings(max_examples=30, deadline=None)

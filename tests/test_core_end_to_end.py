@@ -121,52 +121,65 @@ def test_raw_dataset_end_to_end(small_synthetic):
     assert sum(len(l) for _t, l in batches) == small_synthetic.num_samples
 
 
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-def test_receiver_rejects_foreign_batch(small_imagenet, config):
-    """A payload addressed to another node must crash loudly, not train."""
-    from repro.core.receiver import EMLIOReceiver
-    from repro.net.mq import PushSocket
-    from repro.serialize.payload import encode_batch
+@pytest.mark.parametrize("transport", ["tcp", "shm"])
+def test_no_receiver_thread_between_socket_and_pipeline(small_imagenet, config, transport):
+    """Mid-epoch on a warm deployment, the batch provider decodes on the
+    pipeline's worker: no deserializer thread runs beside it."""
+    import dataclasses
+    import threading
 
+    cfg = dataclasses.replace(config, epochs=2, transport=transport)
+    with EMLIOService(cfg, small_imagenet) as svc:
+        collect_epoch(svc, 0)  # warm: streams connected, kernels run
+        names = []
+        for _batch in svc.epoch(1):
+            names = names or [t.name for t in threading.enumerate()]
+        assert (svc.receiver.pull.shm_attaches > 0) == (transport == "shm")
+    assert "dali-worker" in names
+    assert not [n for n in names if n.startswith("zmq-receiver")]
+
+
+def test_standalone_receiver_starts_only_its_sockets_threads(small_imagenet, config):
+    import threading
+
+    from repro.core.receiver import EMLIOReceiver
+    from repro.net.mq import PullSocket
+
+    def started(make):
+        before = set(threading.enumerate())
+        sock = make()
+        return sock, sorted(t.name for t in set(threading.enumerate()) - before)
+
+    pull, socket_threads = started(lambda: PullSocket(hwm=config.hwm, pooled=True))
+    pull.close()
     plan = Planner(small_imagenet, num_nodes=1, config=config).plan()
-    receiver = EMLIOReceiver(node_id=0, plan=plan, config=config, stall_timeout=2.0)
-    push = PushSocket([receiver.address], hwm=4)
-    rogue = BatchPayload(
-        epoch=0, batch_index=0, shard="shard_00000", samples=[b"x"], labels=[1], node_id=7
+    receiver, receiver_threads = started(
+        lambda: EMLIOReceiver(node_id=0, plan=plan, config=config)
     )
-    push.send(encode_batch(rogue))
-    import time
-
-    deadline = time.monotonic() + 5
-    while receiver._receiver_thread.is_alive() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not receiver._receiver_thread.is_alive()  # died on the assertion
-    push.close()
-    receiver.pull.close()
+    receiver.close()
+    assert socket_threads and receiver_threads == socket_threads
 
 
-def test_receiver_releases_frame_that_fails_to_decode(small_imagenet, config):
-    """A frame that fails to decode fails the epoch and still returns its
-    pooled receive buffer: no consumer will ever release that lease."""
+def _assert_frame_fails_the_pass(small_imagenet, config, wire: bytes, match: str) -> None:
+    """Push ``wire`` to a fresh receiver: the running pass fails on it with
+    ``match`` well inside the stall timeout, and the frame's pooled receive
+    buffer comes back — no consumer will ever release that lease."""
     import time
 
     from repro.core.receiver import EMLIOReceiver
     from repro.net.mq import PushSocket
-    from repro.serialize.msgpack import packb
 
     plan = Planner(small_imagenet, num_nodes=1, config=config).plan()
-    receiver = EMLIOReceiver(node_id=0, plan=plan, config=config, stall_timeout=2.0)
+    receiver = EMLIOReceiver(node_id=0, plan=plan, config=config, stall_timeout=30.0)
     pool = receiver.pull.pool
     push = PushSocket([receiver.address], hwm=4)
     try:
-        push.send(packb({"v": 2, "samples": [b"x"], "labels": [1]}))  # retired schema
-        deadline = time.monotonic() + 5
-        while receiver._receiver_thread.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not receiver._receiver_thread.is_alive()  # died on the decode
-        with pytest.raises(RuntimeError, match="receive thread died.*version 2"):
+        push.send(wire)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=match):
             for _ in receiver.epoch(0):
                 pass
+        assert time.monotonic() - t0 < 10.0
         push.close()
         # Once the stream's read loop drops its in-flight acquire, every
         # buffer ever allocated is back on the free list.
@@ -177,6 +190,27 @@ def test_receiver_releases_frame_that_fails_to_decode(small_imagenet, config):
     finally:
         push.close()
         receiver.close()
+
+
+def test_receiver_rejects_foreign_batch(small_imagenet, config):
+    """A payload addressed to another node must crash loudly, not train."""
+    from repro.serialize.payload import encode_batch
+
+    rogue = BatchPayload(
+        epoch=0, batch_index=0, shard="shard_00000", samples=[b"x"], labels=[1], node_id=7
+    )
+    _assert_frame_fails_the_pass(
+        small_imagenet, config, encode_batch(rogue), "planned for node 7"
+    )
+
+
+def test_receiver_releases_frame_that_fails_to_decode(small_imagenet, config):
+    """A frame that fails to decode fails the epoch and still returns its
+    pooled receive buffer."""
+    from repro.serialize.msgpack import packb
+
+    retired = packb({"v": 2, "samples": [b"x"], "labels": [1]})  # retired schema
+    _assert_frame_fails_the_pass(small_imagenet, config, retired, "failed to decode.*version 2")
 
 
 def test_receiver_warm_up_failure_is_logged_and_counted(small_imagenet, config, monkeypatch, caplog):

@@ -346,7 +346,9 @@ def test_receiver_driver_under_racing_adopt_and_relinquish():
     from repro.core.config import EMLIOConfig
     from repro.core.receiver import EMLIOReceiver
     from repro.gpu.pipeline import EndOfData
-    from repro.serialize.payload import BatchPayload
+    from repro.net.buffers import release_samples
+    from repro.net.mq import PushSocket
+    from repro.serialize.payload import BatchPayload, encode_batch
 
     plan = _plan(per_shard=60)
     planned = [a.batch_index for a in plan.assignments if a.epoch == 0 and a.node_id == 0]
@@ -362,6 +364,7 @@ def test_receiver_driver_under_racing_adopt_and_relinquish():
     errors: list = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    push = PushSocket([receiver.address], hwm=4)
     try:
         provider = receiver._open(0)
 
@@ -369,6 +372,7 @@ def test_receiver_driver_under_racing_adopt_and_relinquish():
             try:
                 while True:
                     emitted.append(provider())
+                    release_samples(emitted[-1][0])  # as the pipeline does
             except EndOfData:
                 pass
             except BaseException as err:  # noqa: BLE001 - asserted below
@@ -381,15 +385,15 @@ def test_receiver_driver_under_racing_adopt_and_relinquish():
                 receiver.relinquish([(0, seq)])
             while len(emitted) < len(sent) and not errors:
                 time.sleep(0.001)
-            # The consumer now blocks on a queue with nothing left to send:
+            # The consumer now blocks on a socket with nothing left to send:
             # only the relinquish's wake-up ends its pass.
             receiver.relinquish([(0, seq) for seq in late[len(late) // 2:]])
 
         def produce():
             for seq in wire:
-                receiver._payload_q.put(BatchPayload(
+                push.send(encode_batch(BatchPayload(
                     epoch=0, batch_index=seq, shard="s", samples=[b"x"], labels=[seq],
-                    node_id=0, seq=seq))
+                    node_id=0, seq=seq)))
 
         threads = [threading.Thread(target=f, daemon=True) for f in (control, consume, produce)]
         for t in threads:
@@ -399,6 +403,7 @@ def test_receiver_driver_under_racing_adopt_and_relinquish():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(switch)
+        push.close()
         receiver.close()
     assert errors == []
     assert sorted(labels[0] for _samples, labels in emitted) == sorted(sent)

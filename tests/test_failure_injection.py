@@ -78,7 +78,7 @@ def test_a_corrupt_batch_reads_the_tier_once_and_names_the_shard(small_imagenet,
 def _provider(q, expected: int, timeout: float) -> BatchProvider:
     window = DeliveryWindow()
     window.open(0, range(expected))
-    return BatchProvider(q, window, threading.Lock(), 0, timeout=timeout)
+    return BatchProvider(q.get, window, threading.Lock(), 0, timeout=timeout)
 
 
 def test_provider_times_out_on_stalled_stream():
@@ -180,3 +180,26 @@ def test_service_surfaces_daemon_failure(small_imagenet):
         for _ in svc.epoch(0):
             pass
     svc.close()
+
+
+@pytest.mark.parametrize("failover", [None, False], ids=["no-recovery", "failover-off"])
+def test_service_raises_dead_daemon_error_over_the_stall(small_imagenet, failover):
+    """With nobody to fail a dead daemon over, the epoch raises the daemon's
+    own error — naming the corrupt shard — chained from the stall it left."""
+    import re
+
+    from repro.core.recovery import RecoveryConfig
+    from repro.core.service import EMLIOService
+
+    shard = small_imagenet.indexes[0].path
+    shard_path = small_imagenet.root / shard
+    raw = bytearray(shard_path.read_bytes())
+    raw[40] ^= 0xFF  # inside the shard's first record: a planned range
+    shard_path.write_bytes(bytes(raw))
+    recovery = None if failover is None else RecoveryConfig(failover=failover)
+    cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16))
+    with EMLIOService(cfg, small_imagenet, stall_timeout=2.0, recovery=recovery) as svc:
+        with pytest.raises(TFRecordCorruption, match=re.escape(str(shard))) as err:
+            for _ in svc.epoch(0):
+                pass
+    assert "stalled" in str(err.value.__cause__)

@@ -579,32 +579,36 @@ def test_receiver_progress_freezes_with_unconsumed_payloads(small_imagenet):
     payloads sit unconsumed — the wedged-consumer signature."""
     from repro.core.planner import Planner
     from repro.core.receiver import EMLIOReceiver
-    from repro.serialize.payload import BatchPayload
+    from repro.net.mq import PushSocket
+    from repro.serialize.payload import BatchPayload, encode_batch
 
     cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16))
     plan = Planner(small_imagenet, num_nodes=1, config=cfg).plan()
     receiver = EMLIOReceiver(node_id=0, plan=plan, config=cfg)
+    push = PushSocket([receiver.address], hwm=4)
     try:
         # Starved and idle: nothing owed to the pipeline, ticks advance.
         before = receiver.progress
         assert _wait_until(lambda: receiver.progress > before, timeout=2.0)
 
-        # Park a payload in the shared queue without consuming it: the
+        # Park a frame in the socket's queue without consuming it: the
         # node now *has* work it is not moving — progress must freeze.
         payload = BatchPayload(
             epoch=0, batch_index=0, shard="s0", samples=[b"RAW0"], labels=[0],
             node_id=0,
         )
-        receiver._payload_q.put(payload)
-        time.sleep(0.5)  # > 2 receive-loop timeouts
+        push.send(encode_batch(payload))
+        assert _wait_until(lambda: receiver.pull.pending == 1, timeout=2.0)
+        time.sleep(0.5)
         frozen = receiver.progress
         time.sleep(0.5)
         assert receiver.progress == frozen, "progress advanced while wedged"
 
         # Drain the queue: starvation ticks resume.
-        receiver._payload_q.get_nowait()
+        assert receiver.pull.recv(timeout=0) is not None
         assert _wait_until(lambda: receiver.progress > frozen, timeout=2.0)
     finally:
+        push.close()
         receiver.close()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.net.buffers import BufferPool
 from repro.net.channel import Channel, Listener, connect_channel
+from repro.net.framing import ConnectionClosed
 from repro.net.mq import PullSocket, PushSocket, ReconnectPolicy
 
 
@@ -54,6 +55,51 @@ def test_multi_stream_push(pull):
     got = {pull.recv(timeout=5) for _ in range(40)}
     assert got == {f"{i}".encode() for i in range(40)}
     push.close()
+
+
+def test_wake_returns_none_to_one_blocked_recv_frame(pull):
+    got: list = []
+    waiter = threading.Thread(target=lambda: got.append(pull.recv_frame(timeout=10.0)))
+    waiter.start()
+    time.sleep(0.1)  # the waiter is blocked on an empty socket
+    pull.wake()
+    waiter.join(timeout=5.0)
+    assert not waiter.is_alive() and got == [None]
+    # A wake with nobody waiting is kept for the next receive, once.
+    pull.wake()
+    assert pull.recv_frame(timeout=0) is None
+    # Without a wake, receives time out and deliver as they always did.
+    with pytest.raises(queue.Empty):
+        pull.recv_frame(timeout=0.05)
+    with pytest.raises(queue.Empty):
+        pull.recv(timeout=0.05)
+    push = PushSocket([pull.address], hwm=4)
+    push.send(b"a")
+    push.send(b"b")
+    frame = pull.recv_frame(timeout=5.0)
+    assert bytes(frame.data) == b"a"
+    frame.release()
+    assert pull.recv(timeout=5.0) == b"b"
+    push.close()
+
+
+def test_close_releases_queued_frames_past_a_wake():
+    pool = BufferPool()
+    pull = PullSocket(hwm=4, pool=pool)
+    push = PushSocket([pull.address], hwm=4)
+    push.send(b"queued")
+    deadline = time.monotonic() + 5.0
+    while pull.pending < 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    pull.wake()
+    push.close()
+    pull.close()
+    with pytest.raises(ConnectionClosed):
+        pull.recv_frame(timeout=1.0)
+    deadline = time.monotonic() + 5.0
+    while pool.free != pool.misses and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool.free == pool.misses
 
 
 def test_hwm_blocks_sender_until_receiver_drains():

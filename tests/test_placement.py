@@ -32,7 +32,7 @@ from repro.core.placement import (
 )
 from repro.core.planner import BatchAssignment, BatchPlan
 from repro.core.deliverywindow import DeliveryWindow
-from repro.core.provider import WAKE, BatchProvider
+from repro.core.provider import BatchProvider
 from repro.core.recovery import DeliveryLedger, RecoveryConfig
 from repro.net.heartbeat import Heartbeat, decode_heartbeat, encode_heartbeat
 from repro.serialize.payload import BatchPayload
@@ -337,7 +337,7 @@ def _payload(epoch, seq, node=0):
 def _provider(q, expected, timeout):
     window = DeliveryWindow(dedup=True)
     window.open(0, range(expected))
-    return BatchProvider(q, window, threading.Lock(), 0, timeout=timeout)
+    return BatchProvider(q.get, window, threading.Lock(), 0, timeout=timeout)
 
 
 def test_provider_shrink_reduces_expectation_and_dedups_stragglers():
@@ -379,7 +379,7 @@ def test_provider_shrink_is_idempotent_and_wakes_a_blocked_fill():
     time.sleep(0.2)  # the provider is now blocked waiting for seq 1
     with provider.lock:
         assert provider.window.relinquish([(0, 1)])
-    q.put(WAKE)  # what EMLIOReceiver.relinquish does when the window shrank
+    q.put(None)  # a wake: what EMLIOReceiver.relinquish does when the window shrank
     with provider.lock:  # second relinquish of the same key: no-op
         assert not provider.window.relinquish([(0, 1)])
     t.join(timeout=5.0)

@@ -149,7 +149,7 @@ def _provider(q, expected, *, epoch=0, already=(), window=None, dedup=False, reo
     new batches; ``already`` holds ``(epoch, seq)`` keys a ledger covers."""
     window = window if window is not None else DeliveryWindow(dedup=dedup, reorder=reorder)
     window.open(epoch, range(expected + len(already)), [s for _e, s in already])
-    return BatchProvider(q, window, threading.Lock(), epoch, timeout=1.0)
+    return BatchProvider(q.get, window, threading.Lock(), epoch, timeout=1.0)
 
 
 def test_provider_dedup_drops_duplicates_silently():

@@ -328,7 +328,11 @@ def test_concurrent_serve_threads_on_a_tight_cache(small_imagenet, reference):
     problems: list[str] = []
 
     def probe() -> None:
-        if cache.nbytes + cache.reserved_bytes > capacity:
+        # One lock hold: read apart, a reserve() that evicts between the two
+        # reads shows bytes it already freed next to the room it took.
+        with cache._lock:
+            used = cache._bytes + cache._reserved_bytes
+        if used > capacity:
             problems.append("capacity oversubscribed")
 
     inner.on_get = probe

@@ -420,7 +420,7 @@ def test_hwm_64_on_a_shaped_link_delivers_every_epoch(tmp_path):
 
 
 def test_receive_thread_death_fails_the_epoch_promptly(small_imagenet, monkeypatch):
-    """A receive thread that dies must fail the epoch now, not after the
+    """A frame that fails to decode must fail the epoch now, not after the
     stall timeout — and every later epoch too."""
     import repro.core.receiver as receiver_mod
 
@@ -432,7 +432,7 @@ def test_receive_thread_death_fails_the_epoch_promptly(small_imagenet, monkeypat
     with EMLIOService(cfg, small_imagenet, stall_timeout=60.0) as svc:
         for e in range(2):
             t0 = time.monotonic()
-            with pytest.raises(RuntimeError, match="receive thread died"):
+            with pytest.raises(RuntimeError, match="failed to decode.*decoder bug"):
                 _labels(svc.epoch(e))
             assert time.monotonic() - t0 < 10.0
 
