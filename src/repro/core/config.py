@@ -40,8 +40,8 @@ class EMLIOConfig:
     prefetch:
         Q — receiver-side DALI prefetch queue depth (Algorithm 3).
     workers:
-        Receiver-side preprocess worker threads (the DALI-style pool).
-        1 keeps the single prefetch thread; >1 decodes/augments batches
+        Receiver-side preprocess lanes (the DALI-style pool).  Each
+        takes the serial source in turn; >1 decodes/augments batches
         concurrently — sjpg/numpy release the GIL — with
         order-preserving reassembly on output.
     output_hw:

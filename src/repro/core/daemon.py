@@ -8,8 +8,9 @@ is killed or closed, or a send on it fails (the next epoch reconnects).
 What it still owes lives in one :class:`~repro.core.sendqueue.SendQueue`
 for the deployment; the daemon is its driver, holding one lock around each
 queue call and doing the I/O.  Per epoch each node's batches are split
-round-robin over ``T`` SendWorkers (a single list runs inline), and each
-worker, for every batch the queue lets it commit to:
+round-robin over ``T`` SendWorkers — the calling thread runs one, the
+daemon's kept send lanes the others — and each worker, for every batch the
+queue lets it commit to:
 
 1. range-reads the ``count`` records at ``offset`` through its storage tier
    (:mod:`repro.storage.backend`: the local tier ``mmap``-slices, remote
@@ -54,6 +55,7 @@ from repro.storage.backend import (
 )
 from repro.tfrecord.sharder import scan_example_spans, unpack_example
 from repro.util.clock import MonotonicClock
+from repro.util.lanes import Lane
 from repro.util.logging import TimestampLogger
 
 _KILL_POLL_S = 0.002  # back-off while a killable send waits for HWM room
@@ -212,6 +214,7 @@ class EMLIODaemon:
         self._readers: OrderedDict[str, ShardHandle] = OrderedDict()
         self._readers_in_use: Counter[str] = Counter()
         self._readers_lock = threading.Lock()
+        self._lanes: list[Lane] = []  # send lanes beyond the calling thread's
         for node_id in {a.node_id for a in self.work.assignments}:
             if node_id not in self.node_endpoints:
                 raise ValueError(f"plan targets node {node_id} with no endpoint")
@@ -663,8 +666,9 @@ class EMLIODaemon:
 
         Returns once every batch has been handed to its node's stream; the
         receiver's window, not a flush here, is the epoch barrier.
-        Algorithm 2 lines 6–8: per node, split into T work lists; a single
-        list runs inline on the calling thread, several run on threads.
+        Algorithm 2 lines 6–8: per node, split into T work lists; the
+        calling thread runs the first, the daemon's kept send lanes the
+        rest (started on first use, stopped by :meth:`close`).
 
         ``skip`` holds ``(epoch, node_id, seq)`` delivery keys to omit —
         the resume/failover path sends only what a ledger says is still
@@ -703,14 +707,13 @@ class EMLIODaemon:
                 except BaseException as err:  # noqa: BLE001 - propagate to caller
                     errors.append((node_id, err))  # list.append is atomic
 
-            if len(work) == 1:
+            while len(self._lanes) < len(work) - 1:
+                self._lanes.append(Lane(f"emlio-send-{len(self._lanes)}"))
+            done = [lane.submit(run, *w) for lane, w in zip(self._lanes, work[1:])]
+            if work:
                 run(*work[0])
-            else:
-                threads = [threading.Thread(target=run, args=w, daemon=True) for w in work]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
+            for d in done:
+                d.wait()
         finally:
             self._serving = False
             if self._killed.is_set():  # kill() left the streams to us
@@ -733,8 +736,11 @@ class EMLIODaemon:
 
     def close(self) -> None:
         """Release resources: flush the streams (bounded), then close them,
-        the shard handles and the storage tier."""
+        the send lanes, the shard handles and the storage tier."""
         self.close_streams(timeout=_CLOSE_FLUSH_S)
+        lanes, self._lanes = self._lanes, []
+        for lane in lanes:
+            lane.close()
         with self._readers_lock:
             for reader in self._readers.values():
                 reader.close()

@@ -21,6 +21,7 @@ Invariants (tested property-style):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Collection, Iterable
 
 import numpy as np
@@ -62,12 +63,17 @@ class BatchPlan:
     batch_size: int
     coverage: str
 
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], list[BatchAssignment]]:
+        """``(epoch, node_id)`` -> its assignments in plan order, built once
+        so no per-epoch query walks the whole plan."""
+        index: dict[tuple[int, int], list[BatchAssignment]] = {}
+        for a in self.assignments:
+            index.setdefault((a.epoch, a.node_id), []).append(a)
+        return index
+
     def for_epoch_node(self, epoch: int, node_id: int) -> list[BatchAssignment]:
-        return [
-            a
-            for a in self.assignments
-            if a.epoch == epoch and a.node_id == node_id
-        ]
+        return list(self._index.get((epoch, node_id), ()))
 
     def thread_splits(
         self, epoch: int, node_id: int, threads: int
@@ -83,12 +89,10 @@ class BatchPlan:
         return [batches[t::threads] for t in range(threads)]
 
     def batches_per_node(self, node_id: int, epoch: int | None = None) -> int:
-        return len(
-            [
-                a
-                for a in self.assignments
-                if a.node_id == node_id and (epoch is None or a.epoch == epoch)
-            ]
+        return sum(
+            len(batches)
+            for (e, n), batches in self._index.items()
+            if n == node_id and (epoch is None or e == epoch)
         )
 
     def samples_per_node(self, node_id: int, epoch: int) -> int:
@@ -103,8 +107,9 @@ class BatchPlan:
         """
         return {
             (a.epoch, a.node_id, a.batch_index)
-            for a in self.assignments
-            if epoch is None or a.epoch == epoch
+            for (e, _n), batches in self._index.items()
+            if epoch is None or e == epoch
+            for a in batches
         }
 
     def residual(

@@ -2,9 +2,9 @@
 
 A DALI ``external_source`` callable (paper §4.1: "A BatchProvider
 deserializes each payload and exposes the samples as DALI's
-external_source").  It runs on its caller's thread — the pipeline's
-``dali-worker`` — and takes payloads from a ``source(block, timeout)``
-callable: the receiver's read and decode of its PULL socket.
+external_source").  It runs on the pipeline's worker lanes, one call at
+a time, and takes payloads from a ``source(block, timeout)`` callable: the
+receiver's read and decode of its PULL socket.
 
 The provider decides nothing: it drives its receiver's
 :class:`~repro.core.deliverywindow.DeliveryWindow` — offers the payloads
@@ -68,10 +68,11 @@ class BatchProvider:
 
     def settle(self, consumed: int) -> None:
         """The pass is over and only its first ``consumed`` batches reached
-        the consumer: the window owes the rest again."""
+        the consumer: the window owes the rest again, and every later call
+        raises :class:`EndOfData` so the pass's lanes return."""
         with self.lock:
             self.window.rewind(self.epoch, self._first + consumed)
-            self._settled = True  # a worker outliving teardown emits nothing
+            self._settled = True
 
     def __call__(self) -> tuple[list[bytes], list[int]]:
         """The external_source callback: next (samples, labels)."""

@@ -4,11 +4,14 @@ Per compute node:
 
 1. bind a PULL socket on ``(ip, port)`` (line 1);
 2. the provider unpacks each msgpack payload as it takes the frame off the
-   socket, on the pipeline's own thread (line 2, :meth:`_next_payload`);
+   socket, on the pipeline's worker (line 2, :meth:`_next_payload`);
 3. a DALI-like pipeline with that ``BatchProvider`` as external source and
    prefetch depth ``Q`` (line 3), warmed up with ``Q`` iterations (line 4);
 4. :meth:`epoch` iterates ``pipe.run()`` until the epoch owes nothing
    (lines 5–9).
+
+Each pass builds its pipeline over ``config.workers`` kept lanes, started
+by the first pass and stopped by :meth:`close`: no pass starts a thread.
 
 What the node still expects lives in one
 :class:`~repro.core.deliverywindow.DeliveryWindow` for the deployment: each
@@ -44,6 +47,7 @@ from repro.net.emulation import NetworkProfile
 from repro.net.framing import ConnectionClosed
 from repro.net.mq import PullSocket
 from repro.serialize.payload import BatchPayload, decode_batch, trace_stamped
+from repro.util.lanes import Lane
 from repro.util.logging import TimestampLogger
 
 _log = logging.getLogger(__name__)
@@ -157,6 +161,7 @@ class EMLIOReceiver:
         self.ticks = 0
         # Payloads the provider decoded ahead, in arrival order.
         self._decoded: collections.deque[BatchPayload] = collections.deque()
+        self._lanes: list[Lane] = []  # the pipeline's workers, kept across passes
         self._warm_kernels()
 
     def _warm_kernels(self) -> None:
@@ -322,7 +327,7 @@ class EMLIOReceiver:
                     raise ReceiverKilled(f"node {self.node_id} killed mid-epoch") from None
         try:
             return self._decoded.popleft()
-        except IndexError:  # woken, or a stale pass's worker took it
+        except IndexError:  # woken: a relinquish, or the pass is over
             return None
 
     def _decode(self, frame: PooledFrame) -> BatchPayload:
@@ -408,7 +413,9 @@ class EMLIOReceiver:
                 if key is not None and self._is_sampled(key[0], key[2]):
                     tracer.span(key, "preprocess", t0, t1)
 
-        # Line 3: build the pipeline over the provider.
+        if not self._lanes:
+            self._lanes = [Lane(f"dali-worker-{i}") for i in range(self.config.workers)]
+        # Line 3: the pass's pipeline over the provider, on the kept lanes.
         pipe = Pipeline(
             external_source=provider,
             gpu=self.gpu,
@@ -419,9 +426,11 @@ class EMLIOReceiver:
             preprocess_fn=self.preprocess_fn,
             stats=self.pipeline_stats,
             span_fn=span_fn,
+            lanes=self._lanes,
         )
         self._consuming = epoch_index
         consumed = 0
+        ended = False
         try:
             pipe.warmup()  # line 4
             self.logger.log("epoch_start", epoch=epoch_index)
@@ -429,6 +438,7 @@ class EMLIOReceiver:
                 try:
                     tensors, labels = pipe.run()
                 except EndOfData:
+                    ended = True
                     break
                 # Ledger at the consumption boundary, not pipeline handoff:
                 # batches prefetched but never consumed (crash, early close,
@@ -448,17 +458,25 @@ class EMLIOReceiver:
                 yield tensors, labels
         finally:
             self._consuming = None
-            pipe.teardown()
-            # What the pipeline emitted but nobody consumed is owed again.
+            # Every lane returns before the next pass uses it: unconsumed
+            # batches are owed again and no lane takes another, one waiting
+            # on the socket is woken, one blocked on a full queue drained.
             provider.settle(consumed)
+            if not ended:
+                self.pull.wake()
+            pipe.teardown()
             self.logger.log("epoch_end", epoch=epoch_index)
         if not provider.complete:
             raise RuntimeError(f"epoch {epoch_index} ended early: {provider.progress()} batches")
 
     def close(self) -> None:
         """Line 11: teardown the socket — which wakes a waiting provider at
-        once — and return the buffers of payloads decoded ahead."""
+        once — stop the pipeline's lanes once their pass ends, and return
+        the buffers of payloads decoded ahead."""
         self.pull.close()
+        lanes, self._lanes = self._lanes, []
+        for lane in lanes:
+            lane.close()
         for payload in list(self._decoded):
             release_samples(payload.samples)
         self._decoded.clear()

@@ -14,10 +14,12 @@ and receivers, and carries out the commands the
 :class:`~repro.core.supervisor.Supervisor` decides (failover, scale-out,
 epoch-start placement — see :mod:`repro.core.supervisor`).  The data path
 lives as long as the deployment: each daemon keeps one stream per receiver
-across epochs (see :mod:`repro.core.daemon`), and the monitor thread and
-the daemons' heartbeat publishers start once.  A restarted service with
-the same config and ledger path resumes mid-epoch; completed epochs are
-compacted to one checkpoint line each.
+across epochs (see :mod:`repro.core.daemon`), the monitor thread and the
+daemons' heartbeat publishers start once, and every serve call and merge
+pass runs on a kept lane (:class:`~repro.util.lanes.Lane`) per daemon
+member and per receiver — so a steady epoch starts no thread.  A restarted
+service with the same config and ledger path resumes mid-epoch; completed
+epochs are compacted to one checkpoint line each.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from repro.core.supervisor import (
 )
 from repro.energy.power_models import BusyWindowTracker
 from repro.gpu.device import SimulatedGPU
-from repro.gpu.pipeline import stage_ns
+from repro.gpu.pipeline import PipelineStats
 from repro.net.emulation import NetworkProfile
 from repro.net.heartbeat import (
     STATE_FAILED,
@@ -62,6 +64,7 @@ from repro.net.heartbeat import (
 )
 from repro.net.mq import PushSocket
 from repro.tfrecord.sharder import ShardedDataset
+from repro.util.lanes import Lane
 from repro.util.logging import TimestampLogger
 
 #: Put into the event queue by close(): ends the monitor at once.
@@ -108,6 +111,14 @@ _SERIES = {
                    ()),
 }
 
+#: Per-tier storage totals: name -> its key in a cached tier's "cache"
+#: snapshot (None: in the daemon's storage snapshot itself).
+_TIER_TOTALS = {
+    "reads": None, "bytes_read": None, "cache_hits": "hits", "cache_misses": "misses",
+    "prefetched": "prefetched", "evictions": "evictions", "crc_walks": "crc_walks",
+    "prefetch_errors": "prefetch_errors",
+}
+
 #: Notifications that reach lifecycle observers (the rest are log lines).
 _OBSERVED = frozenset(
     {"epoch_start", "epoch_end", "failover", "receiver_failover", "rebalance", "member_event"}
@@ -121,7 +132,7 @@ class _DaemonEntry:
     daemon: EMLIODaemon
     member: str
     publisher: HeartbeatPublisher | None = None
-    thread: threading.Thread | None = None
+    done: threading.Event | None = None  # set once its serve call returned
     error: BaseException | None = None
     handled: bool = False  # the supervisor killed it and failed it over
 
@@ -266,6 +277,9 @@ class EMLIOService:
         # each decision is atomic with respect to an epoch's start and end.
         self._lock = threading.RLock()
         self._monitor_thread: threading.Thread | None = None
+        # Kept by name, started on first use: serve lane per daemon member,
+        # merge lane per receiver.
+        self._lanes: dict[str, Lane] = {}
         if recovery is not None:
             self.view = ClusterView(recovery.membership, on_event=self._events.put)
             self._hb_listener = HeartbeatListener(self.view.observe)
@@ -306,10 +320,8 @@ class EMLIOService:
                 f"Storage-tier {name.replace('_', ' ')} per tier",
                 labelnames=("tier",),
             )
-            for name in (
-                "reads", "bytes_read", "cache_hits", "cache_misses",
-                "prefetched", "evictions", "crc_walks",
-            )
+            for name in _TIER_TOTALS
+            if name != "prefetch_errors"  # a _SERIES of its own
         }
 
         def collect() -> None:
@@ -594,11 +606,16 @@ class EMLIOService:
             entry.publisher = self._daemon_publisher(daemon, cmd.member)
         self._members[cmd.member] = entry
         self._entries.append(entry)
-        entry.thread = threading.Thread(
-            target=self._run_daemon, args=(entry, self.supervisor.epoch, cmd.skip),
-            daemon=True, name="emlio-daemon",
+        entry.done = self._lane(f"emlio-daemon[{cmd.member}]").submit(
+            self._run_daemon, entry, self.supervisor.epoch, cmd.skip
         )
-        entry.thread.start()
+
+    def _lane(self, name: str) -> Lane:
+        """The kept lane called ``name``, started on first use."""
+        lane = self._lanes.get(name)
+        if lane is None:
+            lane = self._lanes[name] = Lane(name)
+        return lane
 
     def _daemon_publisher(self, daemon: EMLIODaemon, member: str) -> HeartbeatPublisher:
         """Start the heartbeat publisher a daemon member beats through."""
@@ -648,11 +665,11 @@ class EMLIOService:
     def _consume_pass(
         self, epoch_index: int, receivers: list[EMLIOReceiver]
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """One concurrent drain of the given receivers' epoch streams."""
-        out: queue.Queue = queue.Queue()
+        """One concurrent drain of the given receivers' epoch streams, each
+        on its receiver's merge lane."""
+        out: queue.SimpleQueue = queue.SimpleQueue()
         done = object()
         errors: list[BaseException] = []
-        err_lock = threading.Lock()
 
         def consume(r: EMLIOReceiver) -> None:
             try:
@@ -662,26 +679,19 @@ class EMLIOService:
                 # A killed node's torn epoch is expected — its batches are
                 # re-owned; anything else is a real consumer failure.
                 if not (isinstance(err, ReceiverKilled) or r.killed):
-                    with err_lock:
-                        errors.append(err)
+                    errors.append(err)  # list.append is atomic
             finally:
                 out.put(done)
 
-        threads = [
-            threading.Thread(target=consume, args=(r,), daemon=True, name=f"emlio-consume{r.node_id}")
-            for r in receivers
-        ]
-        for t in threads:
-            t.start()
-        remaining = len(threads)
+        for r in receivers:
+            self._lane(f"emlio-consume{r.node_id}").submit(consume, r)
+        remaining = len(receivers)
         while remaining:
             item = out.get()
             if item is done:
                 remaining -= 1
                 continue
             yield item
-        for t in threads:
-            t.join(timeout=10.0)
         if errors:
             raise errors[0]
 
@@ -743,17 +753,21 @@ class EMLIOService:
         return self._entries
 
     def _end_epoch(self, entries: list[_DaemonEntry]) -> None:
-        """Join the epoch's daemons; retire the ones failover spawned."""
+        """Wait for the epoch's serve calls; retire the daemons failover
+        spawned."""
         for entry in entries:
-            if entry.thread is not None:
-                entry.thread.join(timeout=30.0)
+            if entry.done is not None:
+                entry.done.wait(timeout=30.0)
         # Failover daemons serve the epoch that spawned them only: close
-        # their streams and let their members leave.
+        # their streams and lanes and let their members leave.
         planned = set(self.daemons)
         for entry in entries:
             if entry.daemon in planned:
                 continue
             entry.daemon.close_streams()
+            lane = self._lanes.pop(f"emlio-daemon[{entry.member}]", None)
+            if lane is not None:
+                lane.close()
             self._members.pop(entry.member, None)
             if entry.publisher is not None:
                 entry.publisher.stop()
@@ -840,29 +854,10 @@ class EMLIOService:
             snap = d.storage_snapshot()
             snap["root"] = str(d.dataset_root)
             daemons.append(snap)
-            agg = tiers.setdefault(
-                snap.get("tier", "?"),
-                {
-                    "reads": 0,
-                    "bytes_read": 0,
-                    "cache_hits": 0,
-                    "cache_misses": 0,
-                    "prefetched": 0,
-                    "evictions": 0,
-                    "crc_walks": 0,
-                    "prefetch_errors": 0,
-                },
-            )
-            agg["reads"] += snap.get("reads", 0)
-            agg["bytes_read"] += snap.get("bytes_read", 0)
-            cache = snap.get("cache")
-            if cache:
-                agg["cache_hits"] += cache.get("hits", 0)
-                agg["cache_misses"] += cache.get("misses", 0)
-                agg["prefetched"] += cache.get("prefetched", 0)
-                agg["evictions"] += cache.get("evictions", 0)
-                agg["crc_walks"] += cache.get("crc_walks", 0)
-                agg["prefetch_errors"] += cache.get("prefetch_errors", 0)
+            agg = tiers.setdefault(snap.get("tier", "?"), dict.fromkeys(_TIER_TOTALS, 0))
+            cache = snap.get("cache") or {}
+            for name, key in _TIER_TOTALS.items():
+                agg[name] += snap.get(name, 0) if key is None else cache.get(key, 0)
         return {"daemons": daemons, "tiers": tiers}
 
     def pipeline_stage_stats(self) -> dict:
@@ -886,7 +881,7 @@ class EMLIOService:
                 for name in ("decode_ns", "preprocess_ns", "starved_ns", "batches")
             }
         return {
-            **stage_ns(**totals),
+            **PipelineStats(**totals).per_batch_ns(),
             "batches": totals["batches"],
             "workers": self.config.workers,
             "nodes": per_node,
@@ -949,6 +944,9 @@ class EMLIOService:
             r.close()
         for d in self.daemons + self._failover_daemons:
             d.close()
+        lanes, self._lanes = self._lanes, {}
+        for lane in lanes.values():
+            lane.close()
         if self._hb_listener is not None:
             self._hb_listener.close()
         if self.ledger is not None:

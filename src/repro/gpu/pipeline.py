@@ -9,9 +9,9 @@ Reproduces the DALI behaviours EMLIO depends on (paper §4.4, Algorithm 3):
 * background workers decode and augment *ahead* of the consumer,
   overlapping preprocess with training (DALI's ``exec_async``/
   ``exec_pipelined``);
-* ``workers`` — DALI's ``num_threads``: with N > 1 a bounded pool
-  preprocesses batches concurrently (sjpg/numpy release the GIL)
-  and a sequence-ordered reassembly stage keeps output in source order.
+* ``workers`` — DALI's ``num_threads``: N worker lanes take the serial
+  source in turn and preprocess concurrently (sjpg/numpy release the
+  GIL); a sequence-ordered reassembly stage keeps output in source order.
 
 ``run()`` returns the next preprocessed batch (float32 NCHW + labels),
 blocking until one is ready — the ``pipe.run()`` of Algorithm 3 line 7.
@@ -31,6 +31,7 @@ from repro.gpu.device import SimulatedGPU
 from repro.gpu.ops import batch_megapixels, preprocess_batch
 from repro.net.buffers import release_samples
 from repro.util.clock import MonotonicClock
+from repro.util.lanes import Lane
 
 
 class EndOfData(Exception):
@@ -43,9 +44,10 @@ class PipelineStats:
     """Counters for overlap analysis, per stage of the consume path.
 
     ``decode_s``/``decode_batches`` are recorded by whoever deserializes
-    payloads ahead of the pipeline (the receiver's socket thread), so one
-    shared ``PipelineStats`` describes the whole decode → preprocess →
-    consume chain; :meth:`per_batch_ns` is the heartbeat-friendly view.
+    payloads ahead of preprocess (the receiver's batch provider, running
+    on the pipeline's worker), so one shared ``PipelineStats`` describes
+    the whole decode → preprocess → consume chain; :meth:`per_batch_ns` is
+    the heartbeat-friendly view.
     """
 
     batches: int = 0
@@ -72,42 +74,26 @@ class PipelineStats:
             self.decode_batches += 1
 
     def per_batch_ns(self) -> dict[str, int]:
-        """Mean per-batch stage costs in integer nanoseconds (see :func:`stage_ns`)."""
-        with self._lock:
-            return stage_ns(
-                self.decode_s, self.decode_batches, self.preprocess_s, self.wait_s, self.batches
-            )
+        """Mean per-batch stage costs in integer nanoseconds: ``decode_ns``
+        over decoded payloads, ``preprocess_ns`` and ``starved_ns`` over
+        consumed batches; all 0 until the first batch."""
+        return {k: v for k, v in self.snapshot().items() if k.endswith("_ns")}
 
     def snapshot(self) -> dict:
         """Point-in-time totals plus the per-batch stage view."""
         with self._lock:
+            n, d = self.batches, self.decode_batches
             return {
-                "batches": self.batches,
+                "batches": n,
                 "samples": self.samples,
                 "wait_s": self.wait_s,
                 "preprocess_s": self.preprocess_s,
                 "decode_s": self.decode_s,
-                "decode_batches": self.decode_batches,
-                **stage_ns(
-                    self.decode_s, self.decode_batches, self.preprocess_s,
-                    self.wait_s, self.batches,
-                ),
+                "decode_batches": d,
+                "decode_ns": int(self.decode_s / d * 1e9) if d else 0,
+                "preprocess_ns": int(self.preprocess_s / n * 1e9) if n else 0,
+                "starved_ns": int(self.wait_s / n * 1e9) if n else 0,
             }
-
-
-def stage_ns(
-    decode_s: float, decode_batches: int, preprocess_s: float, wait_s: float, batches: int
-) -> dict[str, int]:
-    """Mean per-batch stage costs in integer nanoseconds.
-
-    ``decode_ns`` averages over decoded payloads, ``preprocess_ns`` and
-    ``starved_ns`` over consumed batches; all 0 until the first batch.
-    """
-    return {
-        "decode_ns": int(decode_s / decode_batches * 1e9) if decode_batches else 0,
-        "preprocess_ns": int(preprocess_s / batches * 1e9) if batches else 0,
-        "starved_ns": int(wait_s / batches * 1e9) if batches else 0,
-    }
 
 
 class Pipeline:
@@ -125,16 +111,17 @@ class Pipeline:
     prefetch:
         Queue depth Q.
     workers:
-        Preprocess threads (DALI ``num_threads``).  1 (default) keeps the
-        single fetch+preprocess thread; N > 1 adds a pool: one fetch
-        thread stamps each batch with a sequence number (the source stays
-        serial — EMLIO's provider is stateful), N workers preprocess
-        concurrently, and output is reassembled in sequence order, so
-        consumers observe the exact single-worker batch order.
+        Worker lanes (DALI ``num_threads``).  Each lane takes the source in
+        turn under one lock — the source stays serial (EMLIO's provider is
+        stateful) and each call is stamped with its sequence number there
+        — then preprocesses concurrently with the others; output is
+        reassembled in sequence order, so consumers observe source order
+        for any ``workers``.
     seed:
-        Seed for augmentation randomness.  Under a pool, each batch's rng
-        derives from ``(seed, sequence)`` so augmentation is deterministic
-        regardless of which worker picks the batch up.
+        Seed for augmentation randomness.  One lane draws from one
+        ``default_rng(seed)`` in source order; with N > 1 lanes each
+        batch's rng is ``default_rng((seed, sequence))``, so augmentation
+        is deterministic regardless of which lane picks the batch up.
     preprocess_fn:
         ``(samples, output_hw, rng) -> batch array`` replacing the default
         image path (decode → crop/resize → normalize).  Codec registries
@@ -142,16 +129,20 @@ class Pipeline:
         framed-token records with no resize at all.
     stats:
         Optional shared :class:`PipelineStats` — the receiver passes one
-        that outlives per-epoch pipelines (and carries its decode timing),
-        so stage costs accumulate across the deployment.
+        that outlives each consume pass's pipeline (and carries its decode
+        timing), so stage costs accumulate across the deployment.
     span_fn:
         Optional ``(seq, t0_ns, t1_ns)`` callback invoked after each
         batch's preprocess with wall-clock nanoseconds bracketing it.
-        ``seq`` is the source-call ordinal (identical to the pooled path's
-        reassembly sequence and to :meth:`BatchProvider.key`'s order),
-        which is how the receiver joins preprocess spans back to their
-        batch's trace id — see :mod:`repro.obs.trace`.  When ``None`` (the
-        default) no wall clocks are read.
+        ``seq`` is the source-call ordinal (the reassembly sequence, and
+        :meth:`BatchProvider.key`'s order), which is how the receiver joins
+        preprocess spans back to their batch's trace id — see
+        :mod:`repro.obs.trace`.  When ``None`` (the default) no wall clocks
+        are read.
+    lanes:
+        ``workers`` kept :class:`~repro.util.lanes.Lane` threads, owned by
+        the caller, to run the workers on.  ``None`` (the default) starts
+        the pipeline's own, which :meth:`teardown` stops.
     """
 
     def __init__(
@@ -166,11 +157,14 @@ class Pipeline:
         | None = None,
         stats: PipelineStats | None = None,
         span_fn: Callable[[int, int, int], None] | None = None,
+        lanes: list[Lane] | None = None,
     ) -> None:
         if prefetch < 1:
             raise ValueError(f"prefetch must be >= 1, got {prefetch}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if lanes is not None and len(lanes) != workers:
+            raise ValueError(f"{workers} workers need {workers} lanes, got {len(lanes)}")
         self.external_source = external_source
         self.gpu = gpu or SimulatedGPU()
         self.output_hw = output_hw
@@ -183,9 +177,12 @@ class Pipeline:
         self._rng = np.random.default_rng(seed)
         self._clock = MonotonicClock()
         self._out: queue.Queue = queue.Queue(maxsize=prefetch)
-        self._in: queue.Queue = queue.Queue(maxsize=workers)
-        self._worker: threading.Thread | None = None  # fetch (or only) thread
-        self._pool: list[threading.Thread] = []
+        self._lanes = lanes
+        self._own_lanes = lanes is None
+        self._running: list[threading.Event] = []  # set as each worker returns
+        self._source_lock = threading.Lock()
+        self._seq = 0  # the next source call's ordinal
+        self._ended = False  # the source ended or failed
         self._pending: dict[int, object] = {}
         self._next_emit = 0
         self._emit_lock = threading.Lock()
@@ -195,34 +192,14 @@ class Pipeline:
     # -- lifecycle -------------------------------------------------------------
 
     def build(self) -> "Pipeline":
-        """Start the prefetch worker(s) (idempotent)."""
+        """Start the workers (idempotent)."""
         if self._built:
             return self
         self._built = True
-        if self.workers == 1:
-            self._worker = threading.Thread(
-                target=self._prefetch_loop, daemon=True, name="dali-worker"
-            )
-            self._worker.start()
-            return self
-        self._pool = [
-            threading.Thread(
-                target=self._pool_worker, daemon=True, name=f"dali-preproc-{i}"
-            )
-            for i in range(self.workers)
-        ]
-        for t in self._pool:
-            t.start()
-        self._worker = threading.Thread(
-            target=self._fetch_loop, daemon=True, name="dali-worker"
-        )
-        self._worker.start()
+        if self._lanes is None:
+            self._lanes = [Lane(f"dali-worker-{i}") for i in range(self.workers)]
+        self._running = [lane.submit(self._work) for lane in self._lanes]
         return self
-
-    def _threads_alive(self) -> bool:
-        if self._worker is not None and self._worker.is_alive():
-            return True
-        return any(t.is_alive() for t in self._pool)
 
     def warmup(self) -> None:
         """Algorithm 3 line 4: wait until Q batches are buffered (or the
@@ -233,24 +210,22 @@ class Pipeline:
             self._out.qsize() < self.prefetch
             and not self._stopped.is_set()
             and self._clock.now() < deadline
-            # All threads gone (EndOfData / source error already queued):
-            # no further batches are coming, waiting for Q of them would
-            # only burn the deadline.
-            and self._threads_alive()
+            # Every worker returned (EndOfData / source error already
+            # queued): no further batches are coming, waiting for Q of
+            # them would only burn the deadline.
+            and not all(done.is_set() for done in self._running)
         ):
             # Fine-grained poll: warmup overlaps the measured window in
             # steady-state runs, and a 1 ms tick would overshoot the last
             # batch's arrival by most of a batch time.
             self._clock.sleep(0.0002)
 
-    def _preprocess(self, samples, labels, rng=None, overlapped: bool = False,
-                    seq: int = -1):
+    def _preprocess(self, samples, labels, rng, seq: int):
         start = self._clock.now()
         w0 = time.time_ns() if self.span_fn is not None else 0
         mpix = batch_megapixels(samples)
         modeled = self.gpu.cost_model.decode_time(mpix) + self.gpu.cost_model.augment_time(mpix)
-        rng = self._rng if rng is None else rng
-        submit = self.gpu.submit_overlapped if overlapped else self.gpu.submit
+        submit = self.gpu.submit_overlapped if self.workers > 1 else self.gpu.submit
         tensors = submit(lambda: self.preprocess_fn(samples, self.output_hw, rng), modeled)
         # Tensors are materialized — the encoded sample views are dead, so
         # hand the receive buffer back to its pool (no-op for plain lists).
@@ -260,30 +235,30 @@ class Pipeline:
             self.span_fn(seq, w0, time.time_ns())
         return tensors, np.asarray(labels, dtype=np.int64)
 
-    # -- single-worker path (workers == 1) -------------------------------------
-
-    def _prefetch_loop(self) -> None:
-        seq = 0  # source-call ordinal, same numbering as the pooled path
-        while not self._stopped.is_set():
+    def _work(self) -> None:
+        """One worker lane: take the next batch from the source (its seq
+        stamped under the same lock), preprocess it, emit it in order —
+        until the source ends or fails, or :meth:`teardown`."""
+        while True:
+            with self._source_lock:
+                if self._ended or self._stopped.is_set():
+                    return
+                seq = self._seq
+                try:
+                    samples, labels = self.external_source()
+                except Exception as err:  # EndOfData, or a source error for run()
+                    self._ended = True
+                    self._emit(seq, EndOfData if isinstance(err, EndOfData) else err)
+                    return
+                self._seq = seq + 1
+            rng = self._rng if self.workers == 1 else np.random.default_rng((self.seed, seq))
             try:
-                samples, labels = self.external_source()
-            except EndOfData:
-                self._out.put(EndOfData)
-                return
-            except Exception as err:  # surface source errors to the consumer
-                self._out.put(err)
-                return
-            try:
-                item = self._preprocess(samples, labels, seq=seq)
+                item = self._preprocess(samples, labels, rng, seq)
             except Exception as err:
                 # A decode/augment failure must reach run(), not silently
                 # kill the worker and leave the consumer blocked forever.
-                self._out.put(err)
-                return
-            self._out.put(item)
-            seq += 1
-
-    # -- pooled path (workers > 1) ---------------------------------------------
+                item = err
+            self._emit(seq, item)
 
     def _emit(self, seq: int, item) -> None:
         """Sequence-ordered reassembly: buffer until ``seq`` is next, then
@@ -298,62 +273,6 @@ class Pipeline:
             while self._next_emit in self._pending:
                 self._out.put(self._pending.pop(self._next_emit))
                 self._next_emit += 1
-
-    def _put_in(self, entry) -> bool:
-        while not self._stopped.is_set():
-            try:
-                self._in.put(entry, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _shutdown_pool(self) -> None:
-        """Hand every pool worker its poison pill (best effort on stop)."""
-        for _ in self._pool:
-            while True:
-                try:
-                    self._in.put(None, timeout=0.05)
-                    break
-                except queue.Full:
-                    if self._stopped.is_set() or not any(
-                        t.is_alive() for t in self._pool
-                    ):
-                        return
-
-    def _fetch_loop(self) -> None:
-        seq = 0
-        while not self._stopped.is_set():
-            try:
-                samples, labels = self.external_source()
-            except EndOfData:
-                self._emit(seq, EndOfData)
-                break
-            except Exception as err:
-                self._emit(seq, err)
-                break
-            if not self._put_in((seq, samples, labels)):
-                break
-            seq += 1
-        self._shutdown_pool()
-
-    def _pool_worker(self) -> None:
-        while True:
-            entry = self._in.get()
-            if entry is None:
-                return
-            seq, samples, labels = entry
-            try:
-                item = self._preprocess(
-                    samples,
-                    labels,
-                    rng=np.random.default_rng((self.seed, seq)),
-                    overlapped=True,
-                    seq=seq,
-                )
-            except Exception as err:
-                item = err
-            self._emit(seq, item)
 
     # -- consumption -------------------------------------------------------------
 
@@ -381,27 +300,25 @@ class Pipeline:
                 return
 
     def teardown(self) -> None:
-        """Stop the workers and drop buffered batches (Algorithm 3 line 11)."""
+        """Stop the workers and drop buffered batches (Algorithm 3 line 11).
+
+        Drains the output queue until every worker has returned, so one
+        blocked on a full queue can exit; a worker still inside the source
+        after 10 s is left to it.  The pipeline's own lanes are stopped.
+        """
         self._stopped.set()
-        threads = [t for t in [self._worker, *self._pool] if t is not None]
-        if not threads:
-            return
-        # Keep draining (and feeding pool pills) so threads blocked on a
-        # full queue — or waiting for work — can exit.
         deadline = self._clock.now() + 10.0
-        while any(t.is_alive() for t in threads) and self._clock.now() < deadline:
+        while self._clock.now() < deadline:
+            running = next((d for d in self._running if not d.is_set()), None)
+            if running is None:
+                break
             try:
                 self._out.get_nowait()
             except queue.Empty:
-                pass
-            for _ in self._pool:
-                try:
-                    self._in.put_nowait(None)
-                except queue.Full:
-                    break
-            for t in threads:
-                if t.is_alive():
-                    t.join(timeout=0.02)
+                running.wait(0.02)
+        if self._own_lanes:
+            for lane in self._lanes or ():
+                lane.close(timeout=max(0.0, deadline - self._clock.now()))
 
     def __enter__(self) -> "Pipeline":
         self.build()

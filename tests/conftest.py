@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,27 @@ def pytest_configure(config: pytest.Config) -> None:
         "slow: long-running end-to-end chaos scenarios (kill/drop/restart); "
         'deselect with -m "not slow"',
     )
+
+
+def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
+    """Fail the run, naming them, when non-daemon threads outlive it: one
+    would hang interpreter exit until the CI job's timeout instead."""
+    deadline = time.monotonic() + 5.0  # grace for threads already ending
+    leaked = []
+    for t in threading.enumerate():
+        if t is threading.main_thread() or t.daemon:
+            continue
+        t.join(max(0.0, deadline - time.monotonic()))
+        if t.is_alive():
+            leaked.append(t.name)
+    if leaked:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        message = f"non-daemon threads still alive at session end: {sorted(leaked)}"
+        if reporter is not None:
+            reporter.write_line("\n" + message, red=True)
+        else:
+            print(message)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture

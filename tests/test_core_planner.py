@@ -102,6 +102,31 @@ def test_thread_splits_partition_node_work(tmp_path):
     assert max(sizes) - min(sizes) <= 1  # balanced
 
 
+@pytest.mark.parametrize("coverage", ["partition", "replicate"])
+@pytest.mark.parametrize("nodes", [1, 2, 3])
+def test_indexed_queries_match_a_brute_force_scan(tmp_path, coverage, nodes):
+    ds = make_dataset(tmp_path, n=40, per_shard=7)
+    cfg = EMLIOConfig(batch_size=3, epochs=3, coverage=coverage)
+    plan = Planner(ds, num_nodes=nodes, config=cfg).plan()
+    scan = plan.assignments
+    assert plan.keys() == {(a.epoch, a.node_id, a.batch_index) for a in scan}
+    for epoch in range(cfg.epochs + 1):  # one past the plan: empty answers
+        assert plan.keys(epoch=epoch) == {
+            (a.epoch, a.node_id, a.batch_index) for a in scan if a.epoch == epoch
+        }
+        for node in range(nodes + 1):
+            mine = [a for a in scan if a.epoch == epoch and a.node_id == node]
+            assert plan.for_epoch_node(epoch, node) == mine
+            assert plan.batches_per_node(node, epoch=epoch) == len(mine)
+            assert plan.samples_per_node(node, epoch) == sum(a.count for a in mine)
+            assert plan.thread_splits(epoch, node, 2) == [mine[0::2], mine[1::2]]
+    for node in range(nodes + 1):
+        assert plan.batches_per_node(node) == sum(a.node_id == node for a in scan)
+    # The index is built from the plan it belongs to, not shared by copies.
+    residual = plan.residual(plan.keys(epoch=0))
+    assert residual.keys(epoch=0) == set() and residual.keys(epoch=1) == plan.keys(epoch=1)
+
+
 def test_thread_splits_validation(tmp_path):
     ds = make_dataset(tmp_path)
     plan = Planner(ds, num_nodes=1, config=EMLIOConfig()).plan()

@@ -1,7 +1,8 @@
 """The bounded preprocess worker pool (Pipeline workers > 1).
 
 Pins the pool's contract: output order is the source order regardless of
-worker count, augmentation is deterministic per (seed, sequence), source
+worker count, augmentation follows the rng contract (one serial stream for
+one lane, one per (seed, sequence) for N), source
 and preprocess errors surface to ``run()``, teardown joins every thread,
 and per-stage timing flows into the shared :class:`PipelineStats` and out
 through ``Deployment.status()``.
@@ -83,6 +84,32 @@ def test_pool_matches_single_worker_on_whole_image_crops():
     for (ta, la), (tb, lb) in zip(one, four):
         np.testing.assert_array_equal(ta, tb)
         np.testing.assert_array_equal(la, lb)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_rng_contract_matches_direct_preprocess_calls(workers):
+    """One lane draws every batch from one ``default_rng(seed)`` in source
+    order; N lanes give batch ``seq`` its own ``default_rng((seed, seq))``."""
+    from repro.gpu.ops import preprocess_batch
+
+    seed, n, hw, out_hw = 11, 6, 32, (8, 8)
+    got = _drain(Pipeline(_source(n, hw=hw), workers=workers, seed=seed, output_hw=out_hw))
+    source = _source(n, hw=hw)
+    batches = [source() for _ in range(n)]
+    serial = np.random.default_rng(seed)
+    want = {
+        "serial": [preprocess_batch(b[0], out_hw, serial) for b in batches],
+        "per_seq": [
+            preprocess_batch(b[0], out_hw, np.random.default_rng((seed, seq)))
+            for seq, b in enumerate(batches)
+        ],
+    }
+    contract = "serial" if workers == 1 else "per_seq"
+    assert [labels.tolist() for _t, labels in got] == [b[1] for b in batches]
+    for (tensors, _labels), expected in zip(got, want[contract]):
+        np.testing.assert_array_equal(tensors, expected)
+    # The two contracts differ, so the comparison above pins one of them.
+    assert any(not np.array_equal(a, b) for a, b in zip(*want.values()))
 
 
 def test_pool_source_error_reaches_consumer():

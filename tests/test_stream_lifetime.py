@@ -1,7 +1,8 @@
 """Stream lifetime: one daemon→receiver stream per deployment, not per epoch.
 
 Covers what long-lived streams must keep true: steady-state epochs start
-no connections, shm segments or per-epoch thread swarms; kills and dropped
+no connections, shm segments or threads (a pass torn by its consumer
+included); kills and dropped
 nodes still fail over exactly once and close the stream they hit; closing
 right after the last batch over a shaped link is clean; a hang is still
 detected while an idle daemon is not; a shaped link's departed pusher can
@@ -111,26 +112,33 @@ class _Churn:
         return labels, self.connects, self.segments, self.threads
 
 
-@pytest.mark.parametrize("transport", ["tcp-shaped", "shm"])
+def _steady_recovery(tmp_path) -> RecoveryConfig:
+    return RecoveryConfig(
+        ledger_path=tmp_path / "ledger.txt",
+        membership=MembershipConfig(interval_s=0.02, miss_threshold=3,
+                                    dead_threshold=50, hung_after_s=5.0),
+    )
+
+
+@pytest.mark.parametrize("transport", ["tcp-shaped", "shm", "tcp-shaped-2-nodes"])
 def test_steady_epochs_start_no_connects_segments_or_thread_swarms(
     small_imagenet, tmp_path, monkeypatch, transport
 ):
     churn = _Churn(monkeypatch)
     epochs = 4
+    nodes = 2 if transport.endswith("2-nodes") else 1
     if transport == "shm":
         cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16), epochs=epochs, transport="shm")
         svc = EMLIOService(cfg, small_imagenet, stall_timeout=20.0)
     else:
+        # Two streams per node, and with two nodes two send lanes per
+        # daemon and a merge pass per receiver: every kept thread kind.
         cfg = EMLIOConfig(
             batch_size=4, output_hw=(16, 16), epochs=epochs, streams_per_node=2
         )
-        recovery = RecoveryConfig(
-            ledger_path=tmp_path / "ledger.txt",
-            membership=MembershipConfig(interval_s=0.02, miss_threshold=3,
-                                        dead_threshold=50, hung_after_s=5.0),
-        )
         svc = EMLIOService(
-            cfg, small_imagenet, profile=SHAPED, stall_timeout=20.0, recovery=recovery
+            cfg, small_imagenet, profile=SHAPED, stall_timeout=20.0,
+            recovery=_steady_recovery(tmp_path), num_nodes=nodes,
         )
     with svc:
         expected = _expected(small_imagenet)
@@ -143,10 +151,59 @@ def test_steady_epochs_start_no_connects_segments_or_thread_swarms(
             assert labels == expected
             assert connects == 0, f"epoch {e} connected {connects} times"
             assert segments == 0, f"epoch {e} created {segments} shm segments"
-            # The serve call's thread and the consume pipeline's worker.
-            assert len(threads) <= 2, f"epoch {e} started {threads}"
+            assert threads == [], f"epoch {e} started {threads}"
         assert svc.receiver.shm_attaches == (1 if transport == "shm" else 0)
-        assert svc.stats()["transports"] == {"0": "shm" if transport == "shm" else "tcp"}
+        assert svc.stats()["transports"] == {
+            str(n): "shm" if transport == "shm" else "tcp" for n in range(nodes)
+        }
+
+
+def test_a_torn_pass_leaves_no_lane_behind_and_the_rerun_delivers_the_rest(
+    small_imagenet, tmp_path, monkeypatch
+):
+    """The consumer closes the epoch after k batches while the pipeline's
+    lane waits on the socket for a batch the daemon holds back.  The pass
+    must end at once with every lane free, and the next call of the same
+    epoch delivers exactly the rest, on the same lanes, starting no
+    thread."""
+    churn = _Churn(monkeypatch)
+    stall_timeout = 30.0
+    hold_s = 2.0
+    cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16), epochs=1)
+    with EMLIOService(
+        cfg, small_imagenet, profile=SHAPED, stall_timeout=stall_timeout,
+        recovery=_steady_recovery(tmp_path),
+    ) as svc:
+        hold = {"on": True}
+
+        def injector(assignment, _push):
+            if hold["on"] and assignment.batch_index == 3:
+                time.sleep(hold_s)  # the first pass's tail is late
+
+        svc.daemons[0].fault_injector = injector
+        receiver = svc.receiver
+        k = 2
+        gen = svc.epoch(0)
+        torn = _labels(itertools.islice(gen, k))
+        time.sleep(0.2)  # the lane has emitted batch 2 and waits for 3
+        t0 = time.time()
+        gen.close()  # returns once the held serve call has, too
+        (pass_end,) = receiver.logger.events("epoch_end")
+        # The lane waiting for batch 3 was woken, not left to its arrival.
+        assert pass_end.t - t0 < hold_s / 2
+        lanes = list(receiver._lanes)
+        assert lanes and all(lane.submit(lambda: None).wait(1.0) for lane in lanes)
+        threads_before = [lane._thread for lane in lanes]
+        hold["on"] = False
+        rest, connects, _segments, threads = churn.epoch(svc, 0)
+        assert time.time() - t0 < stall_timeout / 3
+        assert len(torn) == k * cfg.batch_size
+        assert sorted(torn + rest) == _expected(small_imagenet)
+        assert threads == [] and connects == 0
+        assert receiver._lanes == lanes
+        assert [lane._thread for lane in receiver._lanes] == threads_before
+        assert all(t.is_alive() for t in threads_before)
+        assert svc.ledger.completed_epochs() == {0: len(svc.plan.keys(epoch=0))}
 
 
 def test_daemon_kill_on_a_reused_stream_fails_over_once_and_closes_it(
