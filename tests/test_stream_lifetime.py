@@ -131,8 +131,9 @@ def test_steady_epochs_start_no_connects_segments_or_thread_swarms(
         cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16), epochs=epochs, transport="shm")
         svc = EMLIOService(cfg, small_imagenet, stall_timeout=20.0)
     else:
-        # Two streams per node, and with two nodes two send lanes per
-        # daemon and a merge pass per receiver: every kept thread kind.
+        # Two streams per node; with two nodes the daemon also runs a send
+        # lane beside its serving thread and each receiver a merge pass:
+        # every kept thread kind.
         cfg = EMLIOConfig(
             batch_size=4, output_hw=(16, 16), epochs=epochs, streams_per_node=2
         )
