@@ -1,16 +1,12 @@
 """Shared benchmark helpers.
 
-Every figure bench runs its full sweep once (``rounds=1``) — the sweep *is*
-the experiment; timing repeatability of a deterministic DES run is not the
-interesting quantity — prints the paper-figure table, and asserts the
-paper's qualitative shape so a regression in any model breaks the bench.
+A bench runs its comparison once under pytest-benchmark (``rounds=1``) —
+each run already times many batches — and prints its rows as a table.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.harness.report import render_table
 
 
 def run_once(benchmark, fn):
@@ -19,13 +15,26 @@ def run_once(benchmark, fn):
 
 
 def show(title: str, rows: list[dict]) -> None:
+    """Print ``rows`` (dicts sharing the first row's keys) as an aligned table."""
     print(f"\n== {title}")
-    print(render_table(rows))
+    if not rows:
+        print("(no rows)")
+        return
+    cols = list(rows[0])
+    body = [
+        [f"{v:.4g}" if isinstance(v, float) else str(v) for v in (row.get(c, "") for c in cols)]
+        for row in rows
+    ]
+    widths = [max(len(c), *(len(line[i]) for line in body)) for i, c in enumerate(cols)]
+    print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
+    print("  ".join("-" * w for w in widths))
+    for line in body:
+        print("  ".join(v.ljust(w) for v, w in zip(line, widths)))
 
 
 @pytest.fixture
 def small_imagenet_ds(tmp_path):
-    """A small on-disk dataset for live (non-DES) benches."""
+    """A small on-disk dataset for the live benches."""
     from repro.data.datasets import build_dataset
 
     return build_dataset(

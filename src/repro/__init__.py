@@ -13,9 +13,8 @@ latency and I/O energy for large-scale AI training.  This package contains:
   of paper §3 (:mod:`repro.energy`), and a training substrate
   (:mod:`repro.train`);
 * the baseline loaders the paper compares against (:mod:`repro.loaders`);
-* a discrete-event simulation testbed (:mod:`repro.sim`,
-  :mod:`repro.modelsim`) that regenerates every figure at paper scale;
-* the experiment harness (:mod:`repro.harness`); and
+* a discrete-event simulation kernel (:mod:`repro.sim`) for virtual-time
+  tests; and
 * the declarative deployment API (:mod:`repro.api`): serializable
   :class:`~repro.api.spec.ClusterSpec` topologies, component registries,
   and the stable ``EMLIO.deploy`` facade.

@@ -2,9 +2,8 @@
 
 Each generator yields ``(encoded_sample_bytes, label)`` pairs suitable for
 :func:`repro.tfrecord.sharder.write_shards`.  Scale is a constructor knob:
-unit tests use dozens of small samples; examples use a few MB; the DES
-harness needs only the *spec* (per-sample size) to model the paper's 10 GB
-runs.
+unit tests use dozens of small samples; examples use a few MB.  The specs
+record the paper's per-sample sizes (§5.1).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.tfrecord.sharder import ShardedDataset, write_shards
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Workload description used by both generators and the DES models."""
+    """Workload description: the paper's per-sample size, classes and codec."""
 
     name: str
     sample_bytes: int  # mean encoded bytes per sample

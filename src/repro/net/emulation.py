@@ -6,9 +6,6 @@ each payload is scheduled for delivery ``one_way_delay + serialization``
 seconds after submission, preserving order, *without blocking the sender* —
 so a pipelined sender keeps the link full exactly as over a real WAN, while
 a request/response protocol pays the full RTT per round trip.
-
-The same profile objects parameterize the DES models (:mod:`repro.modelsim`),
-so live integration tests and full-scale simulations share one vocabulary.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ quantile estimates stable across processes without coordination.
 
 from __future__ import annotations
 
+import logging
 import threading
 from bisect import bisect_left
 from typing import Callable, Iterable
@@ -38,6 +39,8 @@ __all__ = [
     "LOG2_BUCKETS",
     "Registry",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: Fixed histogram boundaries: powers of two from ~1 µs to 32 s.
 LOG2_BUCKETS: tuple[float, ...] = tuple(float(2.0 ** e) for e in range(-20, 6))
@@ -281,6 +284,7 @@ class Registry:
         self._lock = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._collectors: list[Callable[[], None]] = []
+        self._failed_collectors: set[Callable[[], None]] = set()
 
     # -- factories -------------------------------------------------------------
 
@@ -318,7 +322,10 @@ class Registry:
     def register_collector(self, fn: Callable[[], None]) -> None:
         """Register a callback run before every snapshot/scrape.  The
         callback pulls values from its subsystem's existing cheap counters
-        and ``set()``s them on registry instruments — zero hot-path cost."""
+        and ``set()``s them on registry instruments — zero hot-path cost.
+        A call that raises does not stop the scrape: the collector's first
+        failure is logged and every one counts in
+        ``emlio_collector_errors_total``."""
         with self._lock:
             self._collectors.append(fn)
 
@@ -329,7 +336,12 @@ class Registry:
             try:
                 fn()
             except Exception:  # a broken collector must not break the scrape
-                pass
+                if fn not in self._failed_collectors:
+                    self._failed_collectors.add(fn)
+                    _log.exception("metrics collector %r raised; its series go stale", fn)
+                self.counter(
+                    "emlio_collector_errors_total", "scrape collector calls that raised"
+                ).inc()
 
     # -- export ----------------------------------------------------------------
 

@@ -1,17 +1,15 @@
 """Discrete-event simulation kernel.
 
-The paper's evaluation runs ResNet-50 epochs of 150–4200 wall-clock seconds
-on a three-node Chameleon testbed.  We reproduce those sweeps on a laptop by
-modelling the pipelines in virtual time.  This package is a small, fully
-tested DES kernel in the SimPy style:
+A small, fully tested DES kernel in the SimPy style, for driving code in
+virtual time so a schedule of timeouts and waits replays exactly and runs
+in no wall time:
 
 * :class:`~repro.sim.core.Simulator` — event loop over a heap of timestamped
   events, generator-coroutine processes, ``timeout``/``wait`` primitives.
-* :mod:`~repro.sim.resources` — bounded :class:`Store` (the queue/HWM
-  primitive every pipeline model uses) and counted :class:`Resource`
-  (threads, NIC streams).
-* :mod:`~repro.sim.rng` — named, independently seeded RNG streams so model
-  components draw reproducible randomness without global state.
+* :mod:`~repro.sim.resources` — bounded :class:`Store` (a queue with an
+  HWM) and counted :class:`Resource` (threads, NIC streams).
+* :mod:`~repro.sim.rng` — named, independently seeded RNG streams so
+  simulated components draw reproducible randomness without global state.
 """
 
 from repro.sim.core import Event, Interrupt, Process, Simulator

@@ -1,9 +1,9 @@
 """DES resources: bounded stores and counted resources.
 
-:class:`Store` is the workhorse — every queue in the pipeline models (daemon
-output queue, MQ high-water mark, receiver prefetch queue, GPU staging
-buffer) is a bounded Store.  ``put`` blocks when full, which is exactly the
-HWM backpressure semantics of EMLIO's PUSH sockets (paper §4.5).
+:class:`Store` is the workhorse — a simulated queue (a daemon's output
+queue, an MQ high-water mark, a receiver's prefetch queue) is a bounded
+Store.  ``put`` blocks when full, which is exactly the HWM backpressure
+semantics of EMLIO's PUSH sockets (paper §4.5).
 
 :class:`Resource` models counted capacity (worker threads, NIC streams):
 ``request`` blocks until a slot frees.

@@ -1,35 +1,26 @@
-"""Training substrate: numpy models, DDP gradient sync, training loop.
+"""Training substrate: a numpy model and the training loop.
 
 The paper trains ResNet-50 and VGG-19 with PyTorch DDP.  Here:
 
-* :mod:`~repro.train.models` — a real trainable numpy MLP classifier (used
-  for the Fig. 11 loss-vs-wall-clock experiment) plus per-architecture
-  *step-cost profiles* (ResNet-50, VGG-19) that drive the GPU time/energy
-  models at paper scale;
-* :mod:`~repro.train.ddp` — ring-allreduce gradient averaging across ranks
-  with a cost model for synchronization time over a given link;
+* :mod:`~repro.train.models` — a real trainable numpy MLP classifier and
+  the ResNet-50 step-cost profile that paces its modeled GPU train step;
 * :mod:`~repro.train.loop` — the epoch loop of Algorithm 3 lines 5–9:
   pull a batch, (modeled-)GPU train step, log loss against wall clock.
 """
 
-from repro.train.ddp import RingAllReduce, allreduce_cost_s
 from repro.train.loop import EpochLog, Trainer
 from repro.train.models import (
     RESNET50_PROFILE,
-    VGG19_PROFILE,
     MLPClassifier,
     ModelProfile,
     SGDOptimizer,
 )
 
 __all__ = [
-    "RingAllReduce",
-    "allreduce_cost_s",
     "EpochLog",
     "Trainer",
     "MLPClassifier",
     "ModelProfile",
     "SGDOptimizer",
     "RESNET50_PROFILE",
-    "VGG19_PROFILE",
 ]

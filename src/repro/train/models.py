@@ -1,4 +1,4 @@
-"""Numpy models and architecture cost profiles.
+"""Numpy model and the ResNet-50 step-cost profile.
 
 :class:`MLPClassifier` is a real, trainable network (He-initialized two-layer
 MLP with ReLU and softmax cross-entropy, fully vectorized forward/backward).
@@ -6,9 +6,9 @@ It stands in for ResNet-50 in convergence experiments: what Fig. 11 measures
 is *how data-loading latency shifts the loss-vs-wall-clock curve*, which
 needs a genuinely decreasing loss, not a genuine ResNet.
 
-:class:`ModelProfile` carries the per-architecture step costs (GPU seconds
-and utilization) that the cost models use to time/energy-account training at
-paper scale; values approximate the paper's Quadro RTX 6000 measurements.
+:class:`ModelProfile` carries an architecture's per-sample GPU train time,
+which :class:`~repro.train.loop.Trainer` charges to the simulated GPU for
+each step; the value approximates the paper's Quadro RTX 6000 measurements.
 """
 
 from __future__ import annotations
@@ -20,40 +20,18 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ModelProfile:
-    """Architecture-level cost parameters for the simulated GPU."""
+    """Architecture-level step cost for the simulated GPU."""
 
     name: str
     train_s_per_sample: float  # fwd+bwd GPU time per sample
-    gpu_util: float  # sustained GPU utilization while training
-    cpu_util: float  # host-side utilization during the train stage
-    param_bytes: int  # gradient size for DDP sync cost
 
     def step_time(self, batch_size: int) -> float:
         return batch_size * self.train_s_per_sample
 
 
-# ResNet-50: ~25.6 M params.  Calibrated to the paper's local-disk epoch
-# floor: ~100k samples in ~140 s of pure training -> 1.4 ms/sample, with
-# moderate sustained board power (Fig. 5 GPU energy ~26 kJ / 157 s = 167 W).
-RESNET50_PROFILE = ModelProfile(
-    name="resnet50",
-    train_s_per_sample=1.4e-3,
-    gpu_util=0.60,
-    cpu_util=0.30,
-    param_bytes=25_600_000 * 4,
-)
-
-# VGG-19: ~143.7 M params; near-saturating board power in the paper's
-# Fig. 9 (GPU ~34.5 kJ / 141 s = 245 W) at a similar per-sample rate.
-VGG19_PROFILE = ModelProfile(
-    name="vgg19",
-    train_s_per_sample=1.39e-3,
-    gpu_util=0.93,
-    cpu_util=0.35,
-    param_bytes=143_700_000 * 4,
-)
-
-PROFILES = {p.name: p for p in (RESNET50_PROFILE, VGG19_PROFILE)}
+# ResNet-50: calibrated to the paper's local-disk epoch floor: ~100k
+# samples in ~140 s of pure training -> 1.4 ms/sample.
+RESNET50_PROFILE = ModelProfile(name="resnet50", train_s_per_sample=1.4e-3)
 
 
 class SGDOptimizer:
@@ -105,11 +83,6 @@ class MLPClassifier:
     def params(self) -> list[np.ndarray]:
         """Parameter arrays, optimizer-ordered."""
         return [self.w1, self.b1, self.w2, self.b2]
-
-    @property
-    def param_bytes(self) -> int:
-        """Total parameter bytes (gradient size for DDP)."""
-        return sum(p.nbytes for p in self.params)
 
     def _flatten(self, x: np.ndarray) -> np.ndarray:
         flat = x.reshape(x.shape[0], -1).astype(np.float64)

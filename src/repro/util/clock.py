@@ -8,8 +8,8 @@ one process we get the same property by routing *every* time read through a
 * :class:`WallClock` / :class:`MonotonicClock` — real time, used by the live
   networked implementation.
 * :class:`VirtualClock` — a settable clock advanced by the discrete-event
-  simulator (:mod:`repro.sim`), used by the benchmark harness so a 30 ms-RTT
-  WAN epoch does not take 30 ms-per-round-trip of wall time to measure.
+  simulator (:mod:`repro.sim`), so a simulated 30 ms-RTT exchange does not
+  take 30 ms of wall time per round trip.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ this: tokens refill at ``rate`` bytes/second up to ``capacity``; a payload of
 ``n`` bytes may pass once ``n`` tokens are available.
 
 The bucket is clock-agnostic so the same shaping logic serves both the live
-transport (monotonic clock, real sleeps) and the DES models (virtual clock,
-where ``reserve`` returns the *delay* the simulator should apply).
+transport (monotonic clock, real sleeps) and a virtual clock (where
+``reserve`` returns the *delay* a simulator should apply).
 """
 
 from __future__ import annotations

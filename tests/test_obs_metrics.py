@@ -119,7 +119,10 @@ def test_collector_errors_are_swallowed():
         raise RuntimeError("collector bug")
 
     reg.register_collector(bad)
-    assert reg.snapshot()["emlio_ok"] == 1
+    snap = reg.snapshot()
+    assert snap["emlio_ok"] == 1
+    assert snap["emlio_collector_errors_total"] == 1
+    assert reg.snapshot()["emlio_collector_errors_total"] == 2
 
 
 def test_counter_thread_safety():

@@ -1,18 +1,10 @@
-"""Tests for the training substrate: model math, DDP, and the loop."""
+"""Tests for the training substrate: model math and the loop."""
 
 import numpy as np
 import pytest
 
-from repro.net.emulation import LAN_10MS, LOCAL, NetworkProfile
-from repro.train.ddp import RingAllReduce, allreduce_cost_s
 from repro.train.loop import EpochLog, Trainer
-from repro.train.models import (
-    PROFILES,
-    RESNET50_PROFILE,
-    VGG19_PROFILE,
-    MLPClassifier,
-    SGDOptimizer,
-)
+from repro.train.models import RESNET50_PROFILE, MLPClassifier, SGDOptimizer
 
 # -- model math -------------------------------------------------------------------
 
@@ -96,62 +88,7 @@ def test_nchw_input_is_flattened():
 
 
 def test_architecture_profiles():
-    assert PROFILES["resnet50"] is RESNET50_PROFILE
-    assert VGG19_PROFILE.gpu_util > RESNET50_PROFILE.gpu_util
-    assert VGG19_PROFILE.param_bytes > RESNET50_PROFILE.param_bytes
     assert RESNET50_PROFILE.step_time(64) == pytest.approx(64 * 1.4e-3)
-
-
-# -- DDP -----------------------------------------------------------------------------
-
-
-def test_allreduce_average_is_exact():
-    ar = RingAllReduce(num_ranks=3, profile=LOCAL)
-    g0 = [np.array([1.0, 2.0]), np.array([[1.0]])]
-    g1 = [np.array([3.0, 4.0]), np.array([[2.0]])]
-    g2 = [np.array([5.0, 6.0]), np.array([[3.0]])]
-    avg = ar.average([g0, g1, g2])
-    assert np.allclose(avg[0], [3.0, 4.0])
-    assert np.allclose(avg[1], [[2.0]])
-    assert ar.sync_count == 1
-    assert ar.modeled_sync_s > 0
-
-
-def test_allreduce_single_rank_is_free():
-    ar = RingAllReduce(num_ranks=1, profile=LAN_10MS)
-    g = [np.ones(4)]
-    out = ar.average([g])
-    assert np.allclose(out[0], 1.0)
-    assert ar.modeled_sync_s == 0.0
-
-
-def test_allreduce_cost_increases_with_rtt():
-    nbytes = 25_600_000 * 4
-    local = allreduce_cost_s(nbytes, 4, LOCAL)
-    wan = allreduce_cost_s(nbytes, 4, NetworkProfile("wan", rtt_s=0.03, bandwidth_bps=10e9 / 8))
-    assert wan > local
-
-
-def test_allreduce_cost_scaling_with_ranks():
-    nbytes = 10**6
-    p = NetworkProfile("x", rtt_s=0.001, bandwidth_bps=1e9)
-    assert allreduce_cost_s(nbytes, 1, p) == 0.0
-    assert allreduce_cost_s(nbytes, 8, p) > allreduce_cost_s(nbytes, 2, p)
-
-
-def test_allreduce_shape_mismatch_rejected():
-    ar = RingAllReduce(num_ranks=2, profile=LOCAL)
-    with pytest.raises(ValueError):
-        ar.average([[np.zeros(2)], [np.zeros(3)]])
-    with pytest.raises(ValueError):
-        ar.average([[np.zeros(2)]])
-
-
-def test_allreduce_validation():
-    with pytest.raises(ValueError):
-        RingAllReduce(num_ranks=0, profile=LOCAL)
-    with pytest.raises(ValueError):
-        allreduce_cost_s(-1, 2, LOCAL)
 
 
 # -- Trainer ---------------------------------------------------------------------------
