@@ -34,11 +34,9 @@ from repro.api.registry import (
 )
 from repro.api.spec import (
     ChaosEventSpec,
-    ChaosSpec,
     ClusterSpec,
     DaemonSpec,
     DatasetSpec,
-    ElasticSpec,
     EnergySpec,
     NetworkSpec,
     ObservabilitySpec,
@@ -52,7 +50,6 @@ from repro.api.spec import (
 __all__ = [
     "CODECS",
     "ChaosEventSpec",
-    "ChaosSpec",
     "ClusterSpec",
     "Codec",
     "DaemonSpec",
@@ -61,7 +58,6 @@ __all__ = [
     "DeploymentPlan",
     "DuplicateComponentError",
     "EMLIO",
-    "ElasticSpec",
     "EnergySpec",
     "NETWORK_PROFILES",
     "NetworkSpec",

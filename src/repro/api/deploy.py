@@ -88,7 +88,7 @@ def _validate_chaos(spec: ClusterSpec) -> None:
     that CI's dry-run rejects must not deploy cleanly live (the timer would
     swallow the IndexError and the drill would silently never happen).
     """
-    for event in spec.chaos.events:
+    for event in spec.chaos:
         kind, _, arg = event.target.partition(":")
         if kind == "receiver" and arg.isdigit() and int(arg) >= spec.receivers.num_nodes:
             raise SpecError(
@@ -277,7 +277,7 @@ def _resolve_power(spec: ClusterSpec):
 
 
 class _ChaosRunner:
-    """Drives a spec's ``[chaos]`` schedule against a live deployment.
+    """Drives a spec's ``[[chaos]]`` schedule against a live deployment.
 
     Anchored at the *first* epoch start; every event fires once on its own
     timer thread.  Event errors are logged through the service logger and
@@ -398,7 +398,7 @@ class Deployment:
         self._member_cbs: list[Callable[[dict], None]] = []
         self._rebalance_cbs: list[Callable[[dict], None]] = []
         self._chaos = (
-            _ChaosRunner(service, spec.chaos.events) if spec.chaos.events else None
+            _ChaosRunner(service, spec.chaos) if spec.chaos else None
         )
         service.add_observer(self._dispatch)
 
@@ -436,7 +436,7 @@ class Deployment:
     def _dispatch(self, kind: str, info: dict) -> None:
         if kind == "epoch_start":
             if self._chaos is not None:
-                self._chaos.arm()  # the [chaos] clock starts with epoch 0
+                self._chaos.arm()  # the [[chaos]] clock starts with epoch 0
             for fn in self._epoch_start_cbs:
                 fn(info["epoch"])
         elif kind in ("failover", "receiver_failover"):
@@ -571,10 +571,7 @@ class EMLIO:
         config = _resolve_config(spec)
         profile = _resolve_profile(spec)
         _resolve_preprocess(spec)
-        spec.elastic.to_policy()
         _validate_chaos(spec)
-        if spec.recovery.enabled:
-            spec.recovery.to_config()
         if spec.energy.enabled:
             _resolve_power(spec)
         ds, owned = _materialize_dataset(spec, dataset)
@@ -631,7 +628,7 @@ class EMLIO:
             storage_factory, storage_closer = _resolve_storage_runtime(
                 spec, ds, config, profile
             )
-            recovery = spec.recovery.to_config() if spec.recovery.enabled else None
+            recovery = spec.recovery if spec.recovery.enabled else None
             telemetry, exporter = _resolve_telemetry(spec)
             monitor = None
             if spec.energy.enabled:
@@ -656,7 +653,7 @@ class EMLIO:
                     recovery=recovery,
                     num_nodes=spec.receivers.num_nodes,
                     preprocess_fn=preprocess,
-                    elastic=spec.elastic.to_policy(),
+                    elastic=spec.elastic,
                     storage_factory=storage_factory,
                     telemetry=telemetry,
                 )

@@ -24,10 +24,8 @@ from __future__ import annotations
 from repro.api.registry import Registry
 from repro.api.spec import (
     ChaosEventSpec,
-    ChaosSpec,
     ClusterSpec,
     DatasetSpec,
-    ElasticSpec,
     EnergySpec,
     NetworkSpec,
     ObservabilitySpec,  # noqa: F401 - re-exported for the overlay recipe above
@@ -36,6 +34,8 @@ from repro.api.spec import (
     RecoverySpec,
     StorageSpec,
 )
+from repro.core.membership import MembershipConfig
+from repro.core.placement import ElasticPolicy
 
 #: examples/quickstart.py — one daemon, one node, tiny synthetic ImageNet.
 #: transport="auto": everything is co-located and unshaped, so the pair
@@ -79,7 +79,7 @@ LLM_TOKENS = ClusterSpec(
 
 #: The chaos suite's shape: two compute nodes, fault tolerance on, an
 #: aggressive failure detector — and the drill itself lives in the spec's
-#: ``[chaos]`` schedule: one node is killed mid-epoch (its undelivered
+#: ``[[chaos]]`` schedule: one node is killed mid-epoch (its undelivered
 #: batches fail over to the survivor) and a fresh receiver joins later and
 #: is rebalanced onto (elastic scale-out).  Deploying the preset *is*
 #: running the drill; no script needed.
@@ -100,17 +100,14 @@ RECOVERY_DRILL = ClusterSpec(
     network=NetworkSpec(rtt_ms=15.0, bandwidth_gbps=0.004),
     recovery=RecoverySpec(
         enabled=True,
-        heartbeat_interval_s=0.05,
-        miss_threshold=2,
-        dead_threshold=5,
-        hung_after_s=2.0,
+        membership=MembershipConfig(
+            interval_s=0.05, miss_threshold=2, dead_threshold=5, hung_after_s=2.0
+        ),
     ),
-    elastic=ElasticSpec(admit="auto", max_members=4),
-    chaos=ChaosSpec(
-        events=(
-            ChaosEventSpec(at_s=0.3, action="join", target="receiver"),
-            ChaosEventSpec(at_s=1.0, action="kill", target="receiver:1"),
-        )
+    elastic=ElasticPolicy(admit="auto", max_members=4),
+    chaos=(
+        ChaosEventSpec(at_s=0.3, action="join", target="receiver"),
+        ChaosEventSpec(at_s=1.0, action="kill", target="receiver:1"),
     ),
 )
 

@@ -3,8 +3,12 @@
 A :class:`ClusterSpec` is a frozen dataclass tree covering everything the
 service layer needs: the dataset, the pipeline tunables, the storage-daemon
 topology, the compute nodes, link emulation, the fault-tolerance policy,
-and energy modeling.  It is the unit that topologies, CLIs, CI scenario
-files, and tests share — build one in code, or load it from JSON/TOML:
+and energy modeling.  Where a core config already declares a section's
+knobs, the section is that config: ``[elastic]`` is a
+:class:`~repro.core.placement.ElasticPolicy` and ``[recovery]`` a
+:class:`~repro.core.recovery.RecoveryConfig`.  It is the unit that
+topologies, CLIs, CI scenario files, and tests share — build one in code,
+or load it from JSON/TOML:
 
     spec = ClusterSpec.from_file("cluster.toml")
     with EMLIO.deploy(spec) as deployment:
@@ -13,8 +17,9 @@ files, and tests share — build one in code, or load it from JSON/TOML:
 
 Specs serialize losslessly: ``ClusterSpec.from_file(p)`` after
 ``spec.to_file(p)`` compares equal for both formats.  Every field is
-validated on construction; loading rejects unknown keys loudly, so a typo
-in a scenario file fails the dry-run instead of silently deploying a
+validated on construction; one loader, driven by the dataclasses' type
+hints, reads every section and rejects unknown keys loudly, so a typo in
+a scenario file fails the dry-run instead of silently deploying a
 default.  Component *names* (codec, network profile, power models) are
 string references resolved against :mod:`repro.api.registry` at deploy
 time — validation of those happens when deploying, not when parsing, so
@@ -25,11 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from repro.core.config import EMLIOConfig
+from repro.core.placement import ElasticPolicy
+from repro.core.recovery import RecoveryConfig
 
 
 class SpecError(ValueError):
@@ -41,35 +50,70 @@ def _require(cond: bool, message: str) -> None:
         raise SpecError(message)
 
 
-def _check_keys(cls, data: dict, where: str) -> None:
+# -- the loader ----------------------------------------------------------------
+
+
+def _load(cls, data: Any, where: str = ""):
+    """Build the dataclass ``cls`` from ``data``, a parsed JSON/TOML table.
+
+    Each value is checked against ``cls``'s type hints: nested dataclasses
+    and tuples of them are loaded in turn, lists become tuples, and a
+    scalar must be an instance of its type (an int passes for a float, a
+    bool never for an int).  Unknown keys, type mismatches and the
+    constructor's own ``TypeError``/``ValueError`` all raise
+    :class:`SpecError` naming the offending path.
+    """
+    label = where or "cluster spec"
     if not isinstance(data, dict):
-        raise SpecError(f"{where} must be a table/object, got {type(data).__name__}")
+        raise SpecError(f"{label} must be a table/object, got {type(data).__name__}")
     allowed = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - allowed)
     if unknown:
-        raise SpecError(
-            f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
-        )
-
-
-def _pair(value: Any, where: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise SpecError(f"{where} must be a pair of ints, got {value!r}")
-    return (value[0], value[1])
-
-
-def _construct(cls, data: dict, where: str):
-    """Build a spec dataclass from plain kwargs, folding errors to SpecError."""
+        raise SpecError(f"unknown key(s) {unknown} in {label}; allowed: {sorted(allowed)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {
+        k: _convert(hints[k], v, f"{where}.{k}" if where else k) for k, v in data.items()
+    }
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except SpecError:
         raise
     except (TypeError, ValueError) as err:
-        raise SpecError(f"invalid {where}: {err}") from None
+        raise SpecError(f"invalid {label}: {err}") from None
+
+
+def _convert(tp, value: Any, where: str) -> Any:
+    """``value`` loaded as the hinted type ``tp`` (see :func:`_load`)."""
+    if dataclasses.is_dataclass(tp):
+        return _load(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        for arm in args:
+            try:
+                return _convert(arm, value, where)
+            except SpecError:
+                pass
+        raise SpecError(f"{where} must be {tp}, got {value!r}")
+    if origin is tuple:
+        if args == (int, int):
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(_is(int, v) for v in value)):
+                raise SpecError(f"{where} must be a pair of ints, got {value!r}")
+            return tuple(value)
+        if not isinstance(value, (list, tuple)):
+            raise SpecError(f"{where} must be a list, got {value!r}")
+        return tuple(_convert(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if not _is(tp, value):
+        raise SpecError(f"{where} must be {tp.__name__}, got {value!r}")
+    return value
+
+
+def _is(tp: type, value: Any) -> bool:
+    if tp is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, tp)
 
 
 # -- sections ------------------------------------------------------------------
@@ -114,14 +158,6 @@ class DatasetSpec:
         _require(self.num_classes >= 1,
                  f"dataset.num_classes must be >= 1, got {self.num_classes}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DatasetSpec":
-        _check_keys(cls, data, "dataset")
-        d = dict(data)
-        if "image_hw" in d:
-            d["image_hw"] = _pair(d["image_hw"], "dataset.image_hw")
-        return _construct(cls, d, "dataset")
-
 
 @dataclass(frozen=True)
 class PipelineSpec:
@@ -138,7 +174,6 @@ class PipelineSpec:
     output_hw: tuple[int, int] = (64, 64)
     coverage: str = "partition"
     seed: int = 0
-    reorder_window: int = 0
     codec: str = "auto"
 
     def __post_init__(self) -> None:
@@ -162,16 +197,7 @@ class PipelineSpec:
             output_hw=self.output_hw,
             coverage=self.coverage,
             seed=self.seed,
-            reorder_window=self.reorder_window,
         )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineSpec":
-        _check_keys(cls, data, "pipeline")
-        d = dict(data)
-        if "output_hw" in d:
-            d["output_hw"] = _pair(d["output_hw"], "pipeline.output_hw")
-        return _construct(cls, d, "pipeline")
 
 
 @dataclass(frozen=True)
@@ -189,18 +215,6 @@ class DaemonSpec:
                      f"daemon {self.root!r}: shards must be None (all) or non-empty")
             _require(len(set(self.shards)) == len(self.shards),
                      f"daemon {self.root!r}: duplicate shard names")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DaemonSpec":
-        _check_keys(cls, data, "storage.daemons[]")
-        d = dict(data)
-        if d.get("shards") is not None:
-            shards = d["shards"]
-            _require(isinstance(shards, (list, tuple))
-                     and all(isinstance(s, str) for s in shards),
-                     f"daemon shards must be a list of strings, got {shards!r}")
-            d["shards"] = tuple(shards)
-        return _construct(cls, d, "storage daemon")
 
 
 @dataclass(frozen=True)
@@ -269,17 +283,6 @@ class StorageSpec:
                              f"shards owned by two daemons: {sorted(overlap)[:3]}")
                     claimed |= set(d.shards or ())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StorageSpec":
-        _check_keys(cls, data, "storage")
-        d = dict(data)
-        if "daemons" in d:
-            raw = d["daemons"]
-            _require(isinstance(raw, (list, tuple)),
-                     f"storage.daemons must be a list, got {raw!r}")
-            d["daemons"] = tuple(DaemonSpec.from_dict(x) for x in raw)
-        return _construct(cls, d, "storage")
-
 
 @dataclass(frozen=True)
 class ReceiverSpec:
@@ -293,11 +296,6 @@ class ReceiverSpec:
                  f"receivers.num_nodes must be >= 1, got {self.num_nodes}")
         _require(self.stall_timeout_s > 0,
                  f"receivers.stall_timeout_s must be > 0, got {self.stall_timeout_s}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReceiverSpec":
-        _check_keys(cls, data, "receivers")
-        return _construct(cls, dict(data), "receivers")
 
 
 @dataclass(frozen=True)
@@ -351,120 +349,26 @@ class NetworkSpec:
         """The transport after folding in ``profile="shm"``."""
         return "shm" if self.profile == "shm" else self.transport
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkSpec":
-        _check_keys(cls, data, "network")
-        return _construct(cls, dict(data), "network")
-
 
 @dataclass(frozen=True)
-class RecoverySpec:
-    """Fault-tolerance and membership policy (flattened
-    :class:`~repro.core.recovery.RecoveryConfig`).  ``enabled=False``
-    keeps the original fail-fast pipeline."""
+class RecoverySpec(RecoveryConfig):
+    """The ``[recovery]`` section: a
+    :class:`~repro.core.recovery.RecoveryConfig` — its ``reconnect`` and
+    ``membership`` policies are the nested ``[recovery.reconnect]`` and
+    ``[recovery.membership]`` tables — plus ``enabled``.  ``enabled=False``
+    keeps the original fail-fast pipeline; otherwise the spec itself is
+    the service's recovery config."""
 
     enabled: bool = False
-    ledger_path: str | None = None
-    dedup: bool = True
-    reorder_window: int | None = None
-    failover: bool = True
-    compact_ledger: bool = True
-    reconnect_max_retries: int = 5
-    reconnect_base_delay_s: float = 0.02
-    reconnect_max_delay_s: float = 1.0
-    heartbeat_interval_s: float = 0.5
-    miss_threshold: int = 2
-    dead_threshold: int = 4
-    #: Hang detection: a member "serving" with frozen progress this long is
-    #: declared dead.  Receiver progress advances at the *consumption*
-    #: boundary, so keep this above the worst-case time the training loop
-    #: spends between batches (0 disables hang detection).
-    hung_after_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        try:
-            self.to_config(ledger_path=None)
-        except ValueError as err:
-            raise SpecError(f"invalid recovery spec: {err}") from None
-
-    def to_config(self, ledger_path: str | Path | None = "unset"):
-        """The resolved :class:`RecoveryConfig` (validates every knob).
-
-        ``ledger_path`` overrides the spec's own (the deploy layer passes
-        a resolved absolute path); the default keeps the spec value.
-        """
-        from repro.core.membership import MembershipConfig
-        from repro.core.recovery import RecoveryConfig
-        from repro.net.mq import ReconnectPolicy
-
-        return RecoveryConfig(
-            ledger_path=self.ledger_path if ledger_path == "unset" else ledger_path,
-            dedup=self.dedup,
-            reorder_window=self.reorder_window,
-            failover=self.failover,
-            compact_ledger=self.compact_ledger,
-            reconnect=ReconnectPolicy(
-                max_retries=self.reconnect_max_retries,
-                base_delay_s=self.reconnect_base_delay_s,
-                max_delay_s=self.reconnect_max_delay_s,
-            ),
-            membership=MembershipConfig(
-                interval_s=self.heartbeat_interval_s,
-                miss_threshold=self.miss_threshold,
-                dead_threshold=self.dead_threshold,
-                hung_after_s=self.hung_after_s,
-            ),
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoverySpec":
-        _check_keys(cls, data, "recovery")
-        return _construct(cls, dict(data), "recovery")
-
-
-@dataclass(frozen=True)
-class ElasticSpec:
-    """Elastic-membership policy: mid-run joins and load rebalancing.
-
-    Mirrors :class:`~repro.core.placement.ElasticPolicy`.  ``admit="auto"``
-    lets a receiver or storage daemon that registers and starts beating be
-    admitted mid-run, with load shifted onto it at the next safe boundary;
-    ``"closed"`` refuses joins.  ``rebalance_threshold`` is the minimum
-    fraction of outstanding work a shift must move to be worth the churn.
-    """
-
-    admit: str = "auto"
-    min_members: int = 1
-    max_members: int = 0
-    rebalance_threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        try:
-            self.to_policy()
-        except ValueError as err:
-            raise SpecError(f"invalid elastic spec: {err}") from None
-
-    def to_policy(self):
-        """The resolved :class:`~repro.core.placement.ElasticPolicy`."""
-        from repro.core.placement import ElasticPolicy
-
-        return ElasticPolicy(
-            admit=self.admit,
-            min_members=self.min_members,
-            max_members=self.max_members,
-            rebalance_threshold=self.rebalance_threshold,
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ElasticSpec":
-        _check_keys(cls, data, "elastic")
-        return _construct(cls, dict(data), "elastic")
 
 
 @dataclass(frozen=True)
 class ChaosEventSpec:
-    """One scheduled fault/join: ``at_s`` seconds after the first epoch
-    starts, apply ``action`` to ``target``.
+    """One scheduled fault/join — a ``[[chaos]]`` table: ``at_s`` seconds
+    after the first epoch starts, apply ``action`` to ``target``.
+
+    Keeps drill scripts in scenario files: each event fires once, errors
+    logged (a drill must never wedge the run it is drilling).
 
     Targets: ``kill`` takes ``daemon:<index>`` or ``receiver:<index>``;
     ``hang`` takes ``daemon:<index>``; ``join`` takes ``receiver`` (a new
@@ -495,34 +399,6 @@ class ChaosEventSpec:
                      f"chaos join target must be 'receiver' or 'daemon:<root>', "
                      f"got {self.target!r}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosEventSpec":
-        _check_keys(cls, data, "chaos.events[]")
-        return _construct(cls, dict(data), "chaos event")
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """Scheduled chaos: kill/hang/join events driven by the deployment.
-
-    Keeps drill scripts in scenario files — the schedule is anchored at
-    the first epoch start and each event fires once, errors logged (a
-    drill must never wedge the run it is drilling).
-    """
-
-    events: tuple[ChaosEventSpec, ...] = ()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosSpec":
-        _check_keys(cls, data, "chaos")
-        d = dict(data)
-        if "events" in d:
-            raw = d["events"]
-            _require(isinstance(raw, (list, tuple)),
-                     f"chaos.events must be a list, got {raw!r}")
-            d["events"] = tuple(ChaosEventSpec.from_dict(x) for x in raw)
-        return _construct(cls, d, "chaos")
-
 
 @dataclass(frozen=True)
 class EnergySpec:
@@ -537,11 +413,6 @@ class EnergySpec:
         _require(bool(self.cpu_model), "energy.cpu_model must be non-empty")
         _require(self.interval_s > 0,
                  f"energy.interval_s must be > 0, got {self.interval_s}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergySpec":
-        _check_keys(cls, data, "energy")
-        return _construct(cls, dict(data), "energy")
 
 
 @dataclass(frozen=True)
@@ -577,11 +448,6 @@ class ObservabilitySpec:
         _require(self.trace_sample == 0 or self.trace_dir is not None,
                  "observability.trace_sample > 0 requires observability.trace_dir")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObservabilitySpec":
-        _check_keys(cls, data, "observability")
-        return _construct(cls, dict(data), "observability")
-
 
 # -- the top-level spec --------------------------------------------------------
 
@@ -598,8 +464,8 @@ class ClusterSpec:
     network: NetworkSpec = field(default_factory=NetworkSpec)
     recovery: RecoverySpec = field(default_factory=RecoverySpec)
     energy: EnergySpec = field(default_factory=EnergySpec)
-    elastic: ElasticSpec = field(default_factory=ElasticSpec)
-    chaos: ChaosSpec = field(default_factory=ChaosSpec)
+    elastic: ElasticPolicy = field(default_factory=ElasticPolicy)
+    chaos: tuple[ChaosEventSpec, ...] = ()
     observability: ObservabilitySpec = field(default_factory=ObservabilitySpec)
 
     def __post_init__(self) -> None:
@@ -612,7 +478,7 @@ class ClusterSpec:
                  or self.receivers.num_nodes <= self.elastic.max_members,
                  f"receivers.num_nodes ({self.receivers.num_nodes}) exceeds "
                  f"elastic.max_members ({self.elastic.max_members})")
-        join_events = [e for e in self.chaos.events if e.action == "join"]
+        join_events = [e for e in self.chaos if e.action == "join"]
         _require(not join_events or self.recovery.enabled,
                  "chaos join events need recovery.enabled = true "
                  "(elastic scale-out runs on the control plane)")
@@ -632,26 +498,8 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
-        _check_keys(cls, data, "cluster spec")
-        sections = {
-            "dataset": DatasetSpec,
-            "pipeline": PipelineSpec,
-            "storage": StorageSpec,
-            "receivers": ReceiverSpec,
-            "network": NetworkSpec,
-            "recovery": RecoverySpec,
-            "energy": EnergySpec,
-            "elastic": ElasticSpec,
-            "chaos": ChaosSpec,
-            "observability": ObservabilitySpec,
-        }
-        kwargs: dict[str, Any] = {}
-        if "name" in data:
-            kwargs["name"] = data["name"]
-        for key, section_cls in sections.items():
-            if key in data:
-                kwargs[key] = section_cls.from_dict(data[key])
-        return _construct(cls, kwargs, "cluster spec")
+        """Load a spec from plain nested dicts (parsed JSON or TOML)."""
+        return _load(cls, data)
 
     # -- JSON ------------------------------------------------------------------
 
@@ -669,38 +517,13 @@ class ClusterSpec:
     # -- TOML ------------------------------------------------------------------
 
     def to_toml(self) -> str:
-        """Serialize as TOML.  ``None`` values are omitted (TOML has no
-        null); :meth:`from_dict` restores them as defaults, so the round
-        trip is identity."""
-        d = self.to_dict()
-        out: list[str] = [f"name = {_toml_value(d['name'])}", ""]
-        for section, sub in d.items():
-            if not isinstance(sub, dict):
-                continue
-            # Fields holding lists of tables (storage.daemons, chaos.events)
-            # serialize as [[section.field]] blocks; an empty list is
-            # omitted and restored by from_dict as the default.
-            tables = {
-                k: sub.pop(k)
-                for k in [
-                    k for k, v in sub.items()
-                    if isinstance(v, list) and all(isinstance(x, dict) for x in v)
-                ]
-            }
-            body = [
-                f"{k} = {_toml_value(v)}" for k, v in sub.items() if v is not None
-            ]
-            if body:
-                out.append(f"[{section}]")
-                out.extend(body)
-                out.append("")
-            for key, rows in tables.items():
-                for row in rows:
-                    out.append(f"[[{section}.{key}]]")
-                    out.extend(
-                        f"{k} = {_toml_value(v)}" for k, v in row.items() if v is not None
-                    )
-                    out.append("")
+        """Serialize as TOML: sections are ``[tables]``, nested configs
+        ``[sub.tables]`` and tuples of them ``[[arrays of tables]]``.
+        ``None`` values are omitted (TOML has no null) and restored by
+        :meth:`from_dict` as their defaults, so the round trip is identity;
+        a ``None`` whose default is not ``None`` raises :class:`SpecError`."""
+        out: list[str] = []
+        _toml_table(self, "", out)
         return "\n".join(out).rstrip("\n") + "\n"
 
     @classmethod
@@ -739,13 +562,40 @@ class ClusterSpec:
         raise SpecError(f"unsupported spec format {path.suffix!r} (use .json or .toml)")
 
 
+def _toml_table(obj, key: str, out: list[str], array: bool = False) -> None:
+    """Append the dataclass ``obj`` as the TOML table ``key`` (an element
+    of the array of tables ``key`` when ``array``): its plain values, then
+    its nested tables in field order."""
+    body, nested = [], []
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        path = f"{key}.{f.name}" if key else f.name
+        if dataclasses.is_dataclass(v):
+            nested.append((v, path, False))
+        elif isinstance(v, tuple) and v and dataclasses.is_dataclass(v[0]):
+            nested.extend((row, path, True) for row in v)
+        elif v == () == f.default:
+            continue  # an empty array of tables, restored as the default
+        elif v is not None:
+            body.append(f"{f.name} = {_toml_value(v)}")
+        elif f.default is not None:
+            raise SpecError(f"{path} = None cannot be written as TOML (no null); use JSON")
+    if array or (key and body):
+        out.append(f"[[{key}]]" if array else f"[{key}]")
+    if array or body:
+        out.extend(body + [""])
+    for v, path, is_row in nested:
+        _toml_table(v, path, out, is_row)
+
+
 def _toml_value(v: Any) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, float)):
         return repr(v)
     if isinstance(v, str):
-        return json.dumps(v)  # valid TOML basic string, escapes included
+        # A JSON string is a TOML basic string, except that TOML escapes DEL.
+        return json.dumps(v, ensure_ascii=False).replace("\x7f", "\\u007f")
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_toml_value(x) for x in v) + "]"
     raise SpecError(f"cannot serialize {v!r} to TOML")
@@ -753,11 +603,9 @@ def _toml_value(v: Any) -> str:
 
 __all__ = [
     "ChaosEventSpec",
-    "ChaosSpec",
     "ClusterSpec",
     "DaemonSpec",
     "DatasetSpec",
-    "ElasticSpec",
     "EnergySpec",
     "NetworkSpec",
     "ObservabilitySpec",

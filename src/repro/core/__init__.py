@@ -15,7 +15,7 @@
 * :class:`~repro.core.service.EMLIOService` — single-call orchestration of
   daemon(s) + receiver over (emulated) TCP for examples and tests.
 * :mod:`~repro.core.recovery` — fault tolerance: persistent delivery
-  ledger (with per-epoch compaction), receiver dedup/reorder and
+  ledger (with per-epoch compaction), receiver dedup and
   reconnecting PUSH streams; with :mod:`~repro.core.placement`'s daemon +
   receiver failover re-planning, exactly-once delivery over an
   at-least-once transport.
@@ -25,7 +25,7 @@
   monitor consumes.
 """
 
-from repro.core.config import AUTO_REORDER, EMLIOConfig
+from repro.core.config import EMLIOConfig
 from repro.core.daemon import DaemonStats, EMLIODaemon
 from repro.core.membership import (
     ClusterView,
@@ -49,7 +49,6 @@ from repro.core.recovery import (
 from repro.core.service import EMLIOService
 
 __all__ = [
-    "AUTO_REORDER",
     "EMLIOConfig",
     "DaemonStats",
     "EMLIODaemon",

@@ -4,16 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Sentinel for ``reorder_window``: derive the window from the transport
-#: shape (``streams_per_node × hwm``) instead of manual tuning.  ``hwm`` is
-#: the frames a receiver holds per stream — a frame keeps its credit until
-#: released — so that product is what a steadily consuming node has
-#: buffered: a window of that size can sort all of it without holding more
-#: than the transport already lets in.  (A TCP stream's window adds the
-#: link's bandwidth-delay product, but those frames are on the wire, not
-#: held.)
-AUTO_REORDER = -1
-
 
 @dataclass(frozen=True)
 class EMLIOConfig:
@@ -53,13 +43,6 @@ class EMLIOConfig:
         literal "each node receives E x ceil(|D|/B) batches").
     seed:
         Shuffling seed (per-epoch shuffles derive from it).
-    reorder_window:
-        Receiver-side bounded reorder window: up to this many payloads are
-        buffered and emitted lowest-sequence-first, smoothing out-of-order
-        arrival (reconnect replays, failover overlap) with bounded memory.
-        0 (default) passes batches through in arrival order;
-        :data:`AUTO_REORDER` (-1) derives the window from
-        ``streams_per_node × hwm`` (see :attr:`effective_reorder_window`).
     verify_reads:
         TFRecord CRC policy on the daemon's serve path.  The default
         ``True`` verifies every record as it is read — corruption must
@@ -99,7 +82,6 @@ class EMLIOConfig:
     output_hw: tuple[int, int] = (64, 64)
     coverage: str = "partition"
     seed: int = 0
-    reorder_window: int = 0
     verify_reads: bool | str = True
     transport: str = "tcp"
     shm_ring_bytes: int = 8 * 1024 * 1024
@@ -122,11 +104,6 @@ class EMLIOConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.coverage not in ("partition", "replicate"):
             raise ValueError(f"coverage must be 'partition' or 'replicate', got {self.coverage!r}")
-        if self.reorder_window < AUTO_REORDER:
-            raise ValueError(
-                f"reorder_window must be >= 0 or AUTO_REORDER ({AUTO_REORDER}), "
-                f"got {self.reorder_window}"
-            )
         if self.verify_reads not in (True, False, "open"):
             raise ValueError(
                 f"verify_reads must be True, False, or 'open', got {self.verify_reads!r}"
@@ -143,23 +120,3 @@ class EMLIOConfig:
             raise ValueError(
                 f"max_open_shards must be >= 1, got {self.max_open_shards}"
             )
-
-    def resolve_reorder_window(self, override: int | None = None) -> int:
-        """Resolve a reorder window against this config.
-
-        ``override=None`` inherits :attr:`reorder_window`;
-        :data:`AUTO_REORDER` (from either source) derives
-        ``streams_per_node × hwm``: the frames a steadily consuming node
-        holds across its S streams (see :data:`AUTO_REORDER`).  The
-        provider never stalls on a full window — it emits the lowest
-        sequence it has — so the size bounds memory, not progress.
-        """
-        value = self.reorder_window if override is None else override
-        if value == AUTO_REORDER:
-            return self.streams_per_node * self.hwm
-        return value
-
-    @property
-    def effective_reorder_window(self) -> int:
-        """The configured reorder window after resolving :data:`AUTO_REORDER`."""
-        return self.resolve_reorder_window()

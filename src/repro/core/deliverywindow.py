@@ -3,11 +3,12 @@
 One per :class:`~repro.core.receiver.EMLIOReceiver`, for the deployment.
 For each epoch it owns the expectation (planned − covered by the ledger −
 relinquished to a joined node + adopted from a dead one), the dedup set
-that drops an at-least-once transport's replays, the reorder heap,
-payloads held for a later epoch, stale drops from an earlier one, and the
-emitted order the receiver records in the ledger.  An epoch lives across
-consume passes, so batches adopted after a pass ended are emitted by the
-next; opening an epoch that owes nothing nets it afresh (a re-run).
+that drops an at-least-once transport's replays, the admitted payloads in
+arrival order, payloads held for a later epoch, stale drops from an
+earlier one, and the emitted order the receiver records in the ledger.
+An epoch lives across consume passes, so batches adopted after a pass
+ended are emitted by the next; opening an epoch that owes nothing nets it
+afresh (a re-run).
 
 Pure: no thread, socket, clock, queue or transport.  The receiver holds
 one lock around every call; its :class:`~repro.core.provider.BatchProvider`
@@ -17,15 +18,15 @@ does the blocking, with one :meth:`~DeliveryWindow.offer` and one
 
 from __future__ import annotations
 
-import heapq
+import collections
 from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
 Key = tuple[int, int, int]  # (epoch, node_id, seq): a delivery key
 
 #: :meth:`DeliveryWindow.pop` steps: the epoch is over; block for the
-#: next payload; take another payload if one is ready, else pop anyway.
-DONE, WAIT, MORE = "done", "wait", "more"
+#: next payload.
+DONE, WAIT = "done", "wait"
 
 
 @dataclass
@@ -33,7 +34,7 @@ class _Epoch:
     expected: int = 0  # before the epoch opens: the adopted count
     opened: bool = False
     seen: set[int] = field(default_factory=set)
-    heap: list = field(default_factory=list)
+    ready: collections.deque = field(default_factory=collections.deque)
     emitted: list[Key] = field(default_factory=list)
 
     @property
@@ -45,16 +46,13 @@ class DeliveryWindow:
     """One receiver's exactly-once bookkeeping.
 
     ``dedup`` drops duplicate and stale payloads (counted in
-    :attr:`duplicates` / :attr:`stale`) instead of raising; ``reorder``
-    buffers up to that many payloads and emits the lowest seq first (0:
-    arrival order).  Payloads need ``epoch``, ``node_id`` and ``seq``.
+    :attr:`duplicates` / :attr:`stale`) instead of raising.  Admitted
+    payloads are emitted in arrival order.  Payloads need ``epoch``,
+    ``node_id`` and ``seq``.
     """
 
-    def __init__(self, dedup: bool = False, reorder: int = 0) -> None:
-        if reorder < 0:
-            raise ValueError(f"reorder window must be >= 0, got {reorder}")
+    def __init__(self, dedup: bool = False) -> None:
         self.dedup = dedup
-        self.reorder = reorder
         self.epoch: int | None = None  # the epoch being consumed
         self.duplicates = 0
         self.stale = 0
@@ -62,7 +60,6 @@ class DeliveryWindow:
         self._held: dict[int, list] = {}  # later epochs' early payloads
         # (epoch, seq) moved to a joined node: never expected here again.
         self._relinquished: dict[int, set[int]] = {}
-        self._pushes = 0  # heap tiebreak: equal seqs pop in arrival order
 
     def open(self, epoch: int, planned: Iterable[int], covered: Collection[int] = ()) -> list:
         """Consume ``epoch`` from now on; ``planned`` and ``covered`` are
@@ -80,7 +77,7 @@ class DeliveryWindow:
         if st is None or not st.opened or st.remaining <= 0:
             adopted = st.expected if st is not None and not st.opened else 0
             if st is not None:
-                dropped.extend(entry[2] for entry in st.heap)
+                dropped.extend(st.ready)
             seen = set(covered) | self._relinquished.get(epoch, set())
             st = _Epoch(len(set(planned) - seen) + adopted, True, seen)
             self._epochs[epoch] = st
@@ -135,22 +132,18 @@ class DeliveryWindow:
             self.duplicates += 1
             return False
         st.seen.add(payload.seq)
-        heapq.heappush(st.heap, (payload.seq, self._pushes, payload))
-        self._pushes += 1
+        st.ready.append(payload)
         return True
 
-    def pop(self, more: bool = True):
+    def pop(self):
         """The next payload to emit, or a step: :data:`DONE` (the epoch
-        owes nothing), :data:`WAIT` (nothing buffered), :data:`MORE` (the
-        reorder window has room; ``more=False`` pops what it holds)."""
+        owes nothing), :data:`WAIT` (nothing buffered)."""
         st = self._epochs[self.epoch]
         if st.remaining <= 0:
             return DONE
-        if not st.heap:
+        if not st.ready:
             return WAIT
-        if more and len(st.heap) < self.reorder and len(st.heap) < st.remaining:
-            return MORE
-        payload = heapq.heappop(st.heap)[2]
+        payload = st.ready.popleft()
         st.emitted.append((payload.epoch, payload.node_id, payload.seq))
         return payload
 

@@ -3,7 +3,7 @@
 A DALI ``external_source`` callable (paper §4.1: "A BatchProvider
 deserializes each payload and exposes the samples as DALI's
 external_source").  It runs on the pipeline's worker lanes, one call at
-a time, and takes payloads from a ``source(block, timeout)`` callable: the
+a time, and takes payloads from a ``source(timeout=)`` callable: the
 receiver's read and decode of its PULL socket.
 
 The provider decides nothing: it drives its receiver's
@@ -19,7 +19,7 @@ import queue
 import threading
 from typing import Callable
 
-from repro.core.deliverywindow import DONE, MORE, WAIT, DeliveryWindow
+from repro.core.deliverywindow import DONE, WAIT, DeliveryWindow
 from repro.gpu.pipeline import EndOfData
 from repro.net.buffers import release_samples
 from repro.serialize.payload import BatchPayload
@@ -28,7 +28,7 @@ from repro.serialize.payload import BatchPayload
 class BatchProvider:
     """One consume pass of ``epoch`` over a receiver's window.
 
-    ``source(block, timeout)`` has ``queue.Queue.get``'s contract: the next
+    ``source(timeout=)`` has ``queue.Queue.get``'s contract: the next
     payload, ``queue.Empty`` when none arrives in time — and ``None`` when
     woken to look at the window again (a relinquish shrank the epoch's
     expectation).  Whatever else it raises fails the pass.  ``lock`` guards
@@ -38,7 +38,7 @@ class BatchProvider:
 
     def __init__(
         self,
-        source: Callable[[bool, float], BatchPayload | None],
+        source: Callable[..., BatchPayload | None],
         window: DeliveryWindow,
         lock: threading.Lock,
         epoch: int,
@@ -76,24 +76,20 @@ class BatchProvider:
 
     def __call__(self) -> tuple[list[bytes], list[int]]:
         """The external_source callback: next (samples, labels)."""
-        more = True
         while True:
             with self.lock:
-                step = DONE if self._settled else self.window.pop(more)
+                step = DONE if self._settled else self.window.pop()
             if step is DONE:
                 raise EndOfData
-            if step is not WAIT and step is not MORE:
+            if step is not WAIT:
                 return step.samples, step.labels
-            try:  # block only when the window holds nothing to emit
-                payload = self.source(step is WAIT, self.timeout)
+            try:  # the window holds nothing to emit
+                payload = self.source(timeout=self.timeout)
             except queue.Empty:
-                if step is WAIT:
-                    raise RuntimeError(
-                        f"batch stream stalled: {self.progress()} batches after "
-                        f"{self.timeout}s wait"
-                    ) from None
-                more = False  # nothing else ready: emit what the window holds
-                continue
+                raise RuntimeError(
+                    f"batch stream stalled: {self.progress()} batches after "
+                    f"{self.timeout}s wait"
+                ) from None
             if payload is None:
                 continue  # woken: the window may owe less now
             with self.lock:

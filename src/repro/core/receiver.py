@@ -16,7 +16,7 @@ by the first pass and stopped by :meth:`close`: no pass starts a thread.
 What the node still expects lives in one
 :class:`~repro.core.deliverywindow.DeliveryWindow` for the deployment: each
 epoch's expectation (planned − ledger-covered − relinquished + adopted),
-dedup of an at-least-once transport's replays, the reorder heap,
+dedup of an at-least-once transport's replays, the arrival-order queue,
 future-epoch holds and the emitted order.  The receiver is its driver: it
 holds one lock around each window call, nets the plan against the
 :class:`~repro.core.recovery.DeliveryLedger` when an epoch opens, and
@@ -73,8 +73,6 @@ class EMLIOReceiver:
         Persistent delivery ledger; enables dedup and resume-after-restart.
     dedup:
         Tolerate duplicate payloads even without a ledger (implied by one).
-    reorder_window:
-        Overrides ``config.reorder_window`` when not ``None``.
     preprocess_fn:
         Batch preprocessor forwarded to the pipeline (``None`` keeps the
         image decode path); see :class:`~repro.gpu.pipeline.Pipeline`.
@@ -99,7 +97,6 @@ class EMLIOReceiver:
         stall_timeout: float = 60.0,
         ledger: DeliveryLedger | None = None,
         dedup: bool = False,
-        reorder_window: int | None = None,
         preprocess_fn=None,
         telemetry=None,
     ) -> None:
@@ -132,9 +129,6 @@ class EMLIOReceiver:
         # and popped by the consume loop (preprocess/consume spans).
         self._sampled_keys: collections.OrderedDict = collections.OrderedDict()
         self._sampled_lock = threading.Lock()
-        # None inherits the config; AUTO (here or in the config) derives
-        # the window from the transport shape instead of manual tuning.
-        self.reorder_window = config.resolve_reorder_window(reorder_window)
         # Line 1: bind the PULL socket — pooled mode, so each frame lands
         # in a reused receive buffer and decodes to views (zero-copy path).
         self.pull = PullSocket(
@@ -146,7 +140,7 @@ class EMLIOReceiver:
         self.pipeline_stats = PipelineStats()
         # What this node still expects, for the deployment.  Session-local
         # on purpose — after a restart the ledger says what is owed where.
-        self.window = DeliveryWindow(dedup=self.dedup, reorder=self.reorder_window)
+        self.window = DeliveryWindow(dedup=self.dedup)
         self._window_lock = threading.Lock()
         self._consuming: int | None = None  # the epoch a consume pass runs
         self.batches_received = 0
@@ -304,7 +298,7 @@ class EMLIOReceiver:
         with self._sampled_lock:
             return self._sampled_keys.pop((epoch, seq), None) is not None
 
-    def _next_payload(self, block: bool, timeout: float) -> BatchPayload | None:
+    def _next_payload(self, timeout: float) -> BatchPayload | None:
         """The provider's source (Algorithm 3 line 2): the next payload, or
         ``None`` when a relinquish woke the wait.  Raises ``queue.Empty`` on
         timeout and :class:`ReceiverKilled` once the socket is closed.
@@ -315,7 +309,7 @@ class EMLIOReceiver:
         """
         if not self._decoded:
             try:
-                frame = self.pull.recv_frame(timeout=timeout if block else 0)
+                frame = self.pull.recv_frame(timeout=timeout)
                 while frame is not None:
                     self._decoded.append(self._decode(frame))
                     frame = self.pull.recv_frame(timeout=0)

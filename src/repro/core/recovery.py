@@ -88,11 +88,6 @@ class RecoveryConfig:
         Receiver-side duplicate tolerance.  Required for at-least-once
         transport (reconnect resends, failover overlap): turning it off
         while reconnect is active is rejected at construction.
-    reorder_window:
-        Receiver-side bounded reorder window (batches buffered to emit in
-        roughly sequence order); ``None`` (default) inherits
-        ``EMLIOConfig.reorder_window``; 0 disables reordering;
-        ``AUTO_REORDER`` (-1) derives it from ``streams_per_node × hwm``.
     failover:
         Re-plan a dead member's undelivered batches onto survivors.
     reconnect:
@@ -108,18 +103,12 @@ class RecoveryConfig:
 
     ledger_path: str | Path | None = None
     dedup: bool = True
-    reorder_window: int | None = None
     failover: bool = True
     reconnect: ReconnectPolicy = field(default_factory=ReconnectPolicy)
     membership: MembershipConfig = field(default_factory=MembershipConfig)
     compact_ledger: bool = True
 
     def __post_init__(self) -> None:
-        if self.reorder_window is not None and self.reorder_window < -1:
-            raise ValueError(
-                f"reorder_window must be >= 0, AUTO_REORDER (-1) or None, "
-                f"got {self.reorder_window}"
-            )
         if not self.dedup and self.reconnect.max_retries >= 1:
             raise ValueError(
                 "dedup=False with an active ReconnectPolicy would turn every "

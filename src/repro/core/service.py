@@ -369,8 +369,6 @@ class EMLIOService:
             stall_timeout=self.stall_timeout,
             ledger=self.ledger,
             dedup=recovery.dedup if recovery is not None else False,
-            # None inherits EMLIOConfig.reorder_window (the receiver's fallback).
-            reorder_window=recovery.reorder_window if recovery is not None else None,
             preprocess_fn=self._preprocess_fn,
             telemetry=self.telemetry,
         )

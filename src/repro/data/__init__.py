@@ -14,7 +14,6 @@ for real; the synthetic workload produces exact-size opaque RAW records.
 """
 
 from repro.data.datasets import (
-    DatasetSpec,
     SyntheticCOCO,
     SyntheticImageNet,
     SyntheticRecords,
@@ -23,7 +22,6 @@ from repro.data.datasets import (
 from repro.data.samples import smooth_image
 
 __all__ = [
-    "DatasetSpec",
     "SyntheticCOCO",
     "SyntheticImageNet",
     "SyntheticRecords",

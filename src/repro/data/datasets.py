@@ -1,14 +1,12 @@
-"""Dataset specs and generators for the paper's three workloads.
+"""Generators for the paper's three workloads.
 
 Each generator yields ``(encoded_sample_bytes, label)`` pairs suitable for
 :func:`repro.tfrecord.sharder.write_shards`.  Scale is a constructor knob:
-unit tests use dozens of small samples; examples use a few MB.  The specs
-record the paper's per-sample sizes (§5.1).
+unit tests use dozens of small samples; examples use a few MB.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -20,41 +18,8 @@ from repro.data.samples import smooth_image
 from repro.tfrecord.sharder import ShardedDataset, write_shards
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Workload description: the paper's per-sample size, classes and codec."""
-
-    name: str
-    sample_bytes: int  # mean encoded bytes per sample
-    num_classes: int
-    codec: str  # "sjpg" | "raw"
-    image_hw: tuple[int, int] | None = None
-
-    @property
-    def is_image(self) -> bool:
-        """Whether samples decode to images."""
-        return self.codec == "sjpg"
-
-
-# Paper workloads (§5.1): ImageNet 0.1 MB/sample, COCO 0.2 MB/sample,
-# synthetic 2 MB/sample.
-IMAGENET_SPEC = DatasetSpec(
-    name="imagenet", sample_bytes=100_000, num_classes=1000, codec="sjpg", image_hw=(224, 224)
-)
-COCO_SPEC = DatasetSpec(
-    name="coco", sample_bytes=200_000, num_classes=80, codec="sjpg", image_hw=(320, 320)
-)
-SYNTHETIC_SPEC = DatasetSpec(
-    name="synthetic", sample_bytes=2_000_000, num_classes=10, codec="raw"
-)
-
-SPECS = {s.name: s for s in (IMAGENET_SPEC, COCO_SPEC, SYNTHETIC_SPEC)}
-
-
 class _BaseGenerator:
     """Shared iteration plumbing for the three workload generators."""
-
-    spec: DatasetSpec
 
     def __init__(self, n: int, seed: int = 0) -> None:
         if n < 1:
@@ -90,13 +55,6 @@ class SyntheticImageNet(_BaseGenerator):
         class_conditional: bool = False,
     ) -> None:
         super().__init__(n, seed)
-        self.spec = DatasetSpec(
-            name="imagenet",
-            sample_bytes=IMAGENET_SPEC.sample_bytes,
-            num_classes=num_classes,
-            codec="sjpg",
-            image_hw=image_hw,
-        )
         self.image_hw = image_hw
         self.quality = quality
         self.num_classes = num_classes
@@ -136,13 +94,6 @@ class SyntheticCOCO(SyntheticImageNet):
         quality: int = 85,
     ) -> None:
         super().__init__(n, seed=seed, image_hw=image_hw, quality=quality, num_classes=80)
-        self.spec = DatasetSpec(
-            name="coco",
-            sample_bytes=COCO_SPEC.sample_bytes,
-            num_classes=80,
-            codec="sjpg",
-            image_hw=image_hw,
-        )
 
 
 class SyntheticRecords(_BaseGenerator):
@@ -153,9 +104,6 @@ class SyntheticRecords(_BaseGenerator):
         if sample_bytes < 1:
             raise ValueError(f"sample_bytes must be >= 1, got {sample_bytes}")
         self.sample_bytes = sample_bytes
-        self.spec = DatasetSpec(
-            name="synthetic", sample_bytes=sample_bytes, num_classes=10, codec="raw"
-        )
 
     def __iter__(self) -> Iterator[tuple[bytes, int]]:
         rng = self._rng()

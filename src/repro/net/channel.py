@@ -113,6 +113,15 @@ class Channel:
             self.bytes_received += len(view)
         return view
 
+    def shutdown_write(self) -> None:
+        """Send EOF after every frame sent so far; receiving goes on."""
+        if self._pipe is not None:
+            self._pipe.close(drain=True)
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
     def close(self) -> None:
         """Release resources."""
         if self._closed:

@@ -678,7 +678,8 @@ class PushSocket:
         return total
 
     def close(self, timeout: float = 30.0) -> None:
-        """Flush queued messages (bounded by ``timeout``), then close streams.
+        """Flush queued messages and let the puller read them (bounded by
+        ``timeout``), then close streams.
 
         Messages the receiver never grants credits for within the deadline
         are dropped — close cannot block forever on a dead peer.
@@ -686,6 +687,7 @@ class PushSocket:
         if self._closed:
             return
         self._closed = True
+        deadline = time.monotonic() + max(timeout, 0.0)
         # A stream is flushed only when no accepted message remains off the
         # wire — queued *or* popped by the writer and awaiting a credit.
         # With a small HWM over a slow link the queue empties long before
@@ -701,6 +703,16 @@ class PushSocket:
             s.wake()
         for t in self._threads:
             t.join(timeout=5.0)
+        # Half-close, then wait for the puller to close its end, which it
+        # does once it has read every frame.  Closing outright resets the
+        # connection when a credit is unread or still to come, and the
+        # reset discards the frames the puller has not read yet.  The
+        # credit reader flags ``broken`` at the puller's EOF.
+        live = [s for s in self._streams if not s.dead]
+        for s in live:
+            s.chan.shutdown_write()
+        for s in live:
+            s.broken.wait(max(0.0, deadline - time.monotonic()))
         for s in self._streams:
             s.chan.close()
             # Drop references to un-credited segments: senders pin their

@@ -39,11 +39,11 @@ Ownership rules
   attaches and closes only its own mapping.  Either side's mapping (and
   every frame view derived from it) stays valid after the other side
   closes or unlinks.
-* Leases may be released out of order (reorder windows, dedup drops,
-  holdovers); the shared read cursor advances only over the longest
-  *released prefix* of outstanding leases, while the frame-credit count
-  advances per release — so HWM room frees immediately and byte reclaim
-  stays exact.
+* Leases may be released out of order (parallel preprocess lanes, dedup
+  drops, holdovers); the shared read cursor advances only over the
+  longest *released prefix* of outstanding leases, while the frame-credit
+  count advances per release — so HWM room frees immediately and byte
+  reclaim stays exact.
 * Peer death is two signals: the alive flags in the header (clean
   close / kill) and EOF on the TCP control channel the handshake rode in
   on (hard crash).  A dead consumer turns producer sends into

@@ -76,7 +76,7 @@ class BatchPayload:
         Target compute node the planner assigned this batch to.
     seq:
         Per-(epoch, node) sequence number, stable across resends — the
-        receiver's dedup/reorder key and the delivery-ledger key (see
+        receiver's dedup key and the delivery-ledger key (see
         :mod:`repro.core.recovery`).  Defaults to ``batch_index``, which the
         planner already makes unique within (epoch, node).
     """

@@ -20,6 +20,8 @@ from repro.api import (
     preset,
 )
 from repro.api.deploy import Deployment, DeploymentPlan
+from repro.core.membership import MembershipConfig
+from repro.core.placement import ElasticPolicy
 
 
 def _tiny_spec(**overrides) -> ClusterSpec:
@@ -177,9 +179,10 @@ def test_deploy_recovery_callbacks_fire_on_failover(small_imagenet, tmp_path):
     events, failovers = [], []
     spec = _tiny_spec(
         storage=StorageSpec(num_daemons=1),
-        recovery=RecoverySpec(enabled=True, heartbeat_interval_s=0.02,
-                              miss_threshold=2, dead_threshold=5,
-                              hung_after_s=30.0,
+        recovery=RecoverySpec(enabled=True,
+                              membership=MembershipConfig(
+                                  interval_s=0.02, miss_threshold=2,
+                                  dead_threshold=5, hung_after_s=30.0),
                               ledger_path=str(tmp_path / "ledger.txt")),
         receivers=ReceiverSpec(num_nodes=2, stall_timeout_s=20.0),
     )
@@ -298,16 +301,16 @@ def test_cli_unknown_preset_and_component_exit_cleanly(tmp_path, capsys):
 
 
 def test_chaos_and_elastic_sections_validate():
-    from repro.api import ChaosEventSpec, ChaosSpec, ElasticSpec
+    from repro.api import ChaosEventSpec
 
     spec = _tiny_spec(
         receivers=ReceiverSpec(num_nodes=2, stall_timeout_s=20.0),
         recovery=RecoverySpec(enabled=True),
-        elastic=ElasticSpec(admit="auto", max_members=4, rebalance_threshold=0.1),
-        chaos=ChaosSpec(events=(
+        elastic=ElasticPolicy(admit="auto", max_members=4, rebalance_threshold=0.1),
+        chaos=(
             ChaosEventSpec(at_s=0.5, action="kill", target="receiver:1"),
             ChaosEventSpec(at_s=1.0, action="join", target="receiver"),
-        )),
+        ),
     )
     assert EMLIO.plan(spec).num_nodes == 2
     with pytest.raises(SpecError, match="chaos"):
@@ -317,34 +320,34 @@ def test_chaos_and_elastic_sections_validate():
     with pytest.raises(SpecError, match="join target"):
         ChaosEventSpec(at_s=0.1, action="join", target="receiver:2")
     with pytest.raises(SpecError, match="min_members"):
-        _tiny_spec(elastic=ElasticSpec(min_members=2))
+        _tiny_spec(elastic=ElasticPolicy(min_members=2))
     with pytest.raises(SpecError, match="recovery.enabled"):
-        _tiny_spec(chaos=ChaosSpec(events=(
+        _tiny_spec(chaos=(
             ChaosEventSpec(at_s=0.1, action="join", target="receiver"),
-        )))
+        ))
 
 
 def test_chaos_events_out_of_range_receiver_rejected_at_plan():
-    from repro.api import ChaosEventSpec, ChaosSpec
+    from repro.api import ChaosEventSpec
 
-    spec = _tiny_spec(chaos=ChaosSpec(events=(
+    spec = _tiny_spec(chaos=(
         ChaosEventSpec(at_s=0.1, action="kill", target="receiver:5"),
-    )))
+    ))
     with pytest.raises(SpecError, match="only 1 node"):
         EMLIO.plan(spec)
 
 
 def test_chaos_and_elastic_round_trip_toml_and_json(tmp_path):
-    from repro.api import ChaosEventSpec, ChaosSpec, ElasticSpec
+    from repro.api import ChaosEventSpec
 
     spec = _tiny_spec(
         receivers=ReceiverSpec(num_nodes=2, stall_timeout_s=20.0),
         recovery=RecoverySpec(enabled=True),
-        elastic=ElasticSpec(max_members=3, rebalance_threshold=0.25),
-        chaos=ChaosSpec(events=(
+        elastic=ElasticPolicy(max_members=3, rebalance_threshold=0.25),
+        chaos=(
             ChaosEventSpec(at_s=0.4, action="kill", target="daemon:0"),
             ChaosEventSpec(at_s=1.2, action="join", target="receiver"),
-        )),
+        ),
     )
     for suffix in (".toml", ".json"):
         path = spec.to_file(tmp_path / f"drill{suffix}")
@@ -356,7 +359,7 @@ def test_deploy_runs_spec_driven_chaos_schedule(tmp_path):
     """Deploying a spec with a [chaos] kill schedule *is* the drill: the
     event fires from the deployment's timer, failover re-plans, and the
     epoch still delivers exactly once."""
-    from repro.api import ChaosEventSpec, ChaosSpec
+    from repro.api import ChaosEventSpec
 
     spec = _tiny_spec(
         name="drill-live",
@@ -368,14 +371,13 @@ def test_deploy_runs_spec_driven_chaos_schedule(tmp_path):
         recovery=RecoverySpec(
             enabled=True,
             ledger_path=str(tmp_path / "ledger.txt"),
-            heartbeat_interval_s=0.05,
-            miss_threshold=2,
-            dead_threshold=5,
-            hung_after_s=0.0,
+            membership=MembershipConfig(
+                interval_s=0.05, miss_threshold=2, dead_threshold=5, hung_after_s=0.0
+            ),
         ),
-        chaos=ChaosSpec(events=(
+        chaos=(
             ChaosEventSpec(at_s=0.3, action="kill", target="receiver:1"),
-        )),
+        ),
     )
     fired = []
     with EMLIO.deploy(spec) as dep:
@@ -396,10 +398,10 @@ def test_deploy_runs_spec_driven_chaos_schedule(tmp_path):
 
 def test_chaos_out_of_range_target_also_rejected_at_live_deploy():
     """A drill the dry-run rejects must not deploy cleanly live."""
-    from repro.api import ChaosEventSpec, ChaosSpec
+    from repro.api import ChaosEventSpec
 
-    spec = _tiny_spec(chaos=ChaosSpec(events=(
+    spec = _tiny_spec(chaos=(
         ChaosEventSpec(at_s=0.1, action="kill", target="receiver:5"),
-    )))
+    ))
     with pytest.raises(SpecError, match="only 1 node"):
         EMLIO.deploy(spec)

@@ -6,10 +6,6 @@ import pytest
 from repro.codec.raw import raw_decode
 from repro.codec.sjpg import sjpg_decode
 from repro.data.datasets import (
-    COCO_SPEC,
-    IMAGENET_SPEC,
-    SPECS,
-    SYNTHETIC_SPEC,
     SyntheticCOCO,
     SyntheticImageNet,
     SyntheticRecords,
@@ -17,13 +13,6 @@ from repro.data.datasets import (
 )
 from repro.data.samples import labelled_stream, smooth_image
 from repro.tfrecord.sharder import unpack_example
-
-
-def test_specs_match_paper_sizes():
-    assert IMAGENET_SPEC.sample_bytes == 100_000
-    assert COCO_SPEC.sample_bytes == 200_000
-    assert SYNTHETIC_SPEC.sample_bytes == 2_000_000
-    assert set(SPECS) == {"imagenet", "coco", "synthetic"}
 
 
 def test_imagenet_generator_yields_decodable_images():
@@ -52,7 +41,6 @@ def test_coco_uses_80_classes():
     gen = SyntheticCOCO(20, seed=0, image_hw=(16, 16))
     labels = [label for _s, label in gen]
     assert all(0 <= l < 80 for l in labels)
-    assert gen.spec.name == "coco"
 
 
 def test_synthetic_records_exact_size():

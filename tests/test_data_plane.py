@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.deliverywindow import DONE, MORE, WAIT, DeliveryWindow
+from repro.core.deliverywindow import DONE, WAIT, DeliveryWindow
 from repro.core.planner import BatchAssignment, BatchPlan
 from repro.core.recovery import DeliveryLedger
 from repro.core.sendqueue import SendQueue
@@ -72,11 +72,11 @@ class Payload:
 class DataPlane:
     """Daemons' queues, receivers' windows and the wire between them."""
 
-    def __init__(self, plan: BatchPlan, rng: random.Random, reorder: int) -> None:
+    def __init__(self, plan: BatchPlan, rng: random.Random) -> None:
         self.plan = plan
         self.rng = rng
         self.queues = [SendQueue(plan, {shard}) for shard in SHARDS]
-        self.windows = {n: DeliveryWindow(dedup=True, reorder=reorder) for n in range(NODES)}
+        self.windows = {n: DeliveryWindow(dedup=True) for n in range(NODES)}
         self.dead: set[int] = set()
         self.epoch = -1
         self.work: list[tuple[SendQueue, BatchAssignment]] = []  # owed, unsent
@@ -124,7 +124,7 @@ class DataPlane:
         self.rng.shuffle(arrived)  # any arrival order
         for p in arrived:
             window.offer(p)
-        while limit != 0 and (p := window.pop(more=False)) not in (DONE, WAIT):
+        while limit != 0 and (p := window.pop()) not in (DONE, WAIT):
             limit -= 1
             assert self.owner[p.batch] == (p.epoch, p.node_id, p.seq), "emitted by a non-owner"
             self.landed[p.batch] += 1
@@ -212,11 +212,10 @@ STEPS = ("send", "consume", "replay", "early", "move", "kill", "epoch")
 @given(
     steps=st.lists(st.sampled_from(STEPS), max_size=40),
     seed=st.integers(min_value=0, max_value=2**16),
-    reorder=st.sampled_from([0, 1, 3]),
     data=st.data(),
 )
-def test_any_interleaving_emits_every_planned_batch_exactly_once(steps, seed, reorder, data):
-    plane = DataPlane(_plan(), random.Random(seed), reorder)
+def test_any_interleaving_emits_every_planned_batch_exactly_once(steps, seed, data):
+    plane = DataPlane(_plan(), random.Random(seed))
     plane.start(0)
     for step in steps:
         live = plane.live()
@@ -253,7 +252,7 @@ def _drain(window: DeliveryWindow, *payloads) -> list[int]:
     for p in payloads:
         window.offer(p)
     out = []
-    while (p := window.pop(more=False)) not in (DONE, WAIT, MORE):
+    while (p := window.pop()) not in (DONE, WAIT):
         out.append(p.seq)
     return out
 
@@ -277,7 +276,7 @@ def test_an_epoch_that_owes_nothing_is_netted_afresh():
     """Re-running an epoch index without a ledger serves it again."""
     window = DeliveryWindow()
     window.open(0, planned=[0, 1])
-    assert _drain(window, _p(0, 1), _p(0, 0)) == [0, 1]
+    assert _drain(window, _p(0, 1), _p(0, 0)) == [1, 0]  # arrival order
     window.open(0, planned=[0, 1])
     assert window.remaining(0) == 2
     assert _drain(window, _p(0, 0), _p(0, 1)) == [0, 1]
@@ -353,7 +352,7 @@ def test_receiver_driver_under_racing_adopt_and_relinquish():
     plan = _plan(per_shard=60)
     planned = [a.batch_index for a in plan.assignments if a.epoch == 0 and a.node_id == 0]
     receiver = EMLIOReceiver(node_id=0, plan=plan, config=EMLIOConfig(batch_size=1), dedup=True,
-                             reorder_window=3, stall_timeout=5.0)
+                             stall_timeout=5.0)
     rng = random.Random(5)
     gone = set(rng.sample(planned, len(planned) // 4))
     adopted = list(range(1000, 1010))

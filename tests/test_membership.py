@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import AUTO_REORDER, EMLIOConfig
+from repro.core.config import EMLIOConfig
 from repro.core.membership import (
     ClusterView,
     MemberStatus,
@@ -373,35 +373,6 @@ def test_publisher_reconnects_after_listener_restart():
     finally:
         pub.kill()
         listener.close()
-
-
-# -- reorder-window autotuning -------------------------------------------------
-
-
-def test_auto_reorder_window_derives_from_streams_and_hwm():
-    cfg = EMLIOConfig(reorder_window=AUTO_REORDER, streams_per_node=3, hwm=8)
-    assert cfg.effective_reorder_window == 24
-    assert EMLIOConfig(reorder_window=7).effective_reorder_window == 7
-    assert EMLIOConfig().effective_reorder_window == 0  # default: passthrough
-    with pytest.raises(ValueError, match="reorder_window"):
-        EMLIOConfig(reorder_window=-2)
-    with pytest.raises(ValueError, match="reorder_window"):
-        RecoveryConfig(reorder_window=-2)
-
-
-def test_receiver_resolves_auto_reorder_window(small_imagenet, tmp_path):
-    cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16),
-                      reorder_window=AUTO_REORDER, streams_per_node=2, hwm=16)
-    with EMLIOService(cfg, small_imagenet, stall_timeout=5.0) as svc:
-        assert svc.receiver.reorder_window == 32
-    # RecoveryConfig can also request auto explicitly, overriding the config.
-    plain = EMLIOConfig(batch_size=4, output_hw=(16, 16), streams_per_node=2, hwm=4)
-    with EMLIOService(
-        plain, small_imagenet, stall_timeout=5.0,
-        recovery=RecoveryConfig(ledger_path=tmp_path / "l.txt",
-                                reorder_window=AUTO_REORDER),
-    ) as svc:
-        assert svc.receiver.reorder_window == 8
 
 
 # -- service-level membership wiring (fast) ------------------------------------

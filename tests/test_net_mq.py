@@ -434,3 +434,37 @@ def test_close_flushes_credit_starved_writer():
     assert done.is_set()
     assert sorted(got) == list(range(6))
     pull.close()
+
+
+def test_close_waits_until_a_concurrent_drain_has_every_frame():
+    """close() returns only once every frame is credited.  Closing with
+    frames still on the wire closes with their credits unread, the reset
+    that follows discards the frames in the puller's receive buffer, and
+    the drain comes up short (about 1 round in 5 before the fix)."""
+    frames, size = 64, 16 * 1024
+    payload = b"\xa5" * size
+    for _ in range(20):
+        pull = PullSocket(hwm=16, pooled=True)
+        got = []
+
+        def drain():
+            try:
+                for _ in range(frames):
+                    frame = pull.recv_frame(timeout=5)
+                    got.append(len(frame.data))
+                    frame.release()
+            except queue.Empty:
+                pass
+
+        consumer = threading.Thread(target=drain)
+        consumer.start()
+        push = PushSocket([("127.0.0.1", pull.port)], hwm=16)
+        try:
+            for _ in range(frames):
+                push.send(payload)
+            push.close(timeout=30)
+            consumer.join(timeout=30)
+        finally:
+            push.close(timeout=0)
+            pull.close()
+        assert sum(got) == frames * size

@@ -1,8 +1,8 @@
 """Chaos suite for the recovery subsystem (ledger, reconnect, failover).
 
 Fast unit tests cover the building blocks (DeliveryLedger, the delivery
-window's dedup/reorder driven by a BatchProvider, PUSH reconnect, serve_epoch error aggregation, the resume
-CLI).  The ``slow``-marked scenarios are the end-to-end chaos experiments:
+window's dedup and arrival order driven by a BatchProvider, PUSH
+reconnect, serve_epoch error aggregation, the resume CLI).  The ``slow``-marked scenarios are the end-to-end chaos experiments:
 kill-daemon-mid-epoch with failover, transient connection drops, and a
 receiver restart resuming from the persistent ledger — each asserting that
 every planned sample is delivered **exactly once** after recovery.
@@ -86,21 +86,6 @@ def test_recovery_config_rejects_dedup_off_with_reconnect():
     RecoveryConfig(dedup=False, reconnect=ReconnectPolicy(max_retries=0))
 
 
-def test_recovery_config_reorder_window_inherits_config(small_imagenet, tmp_path):
-    """RecoveryConfig leaves reorder_window to EMLIOConfig unless set."""
-    cfg = EMLIOConfig(batch_size=4, output_hw=(16, 16), reorder_window=5)
-    with EMLIOService(
-        cfg, small_imagenet, stall_timeout=5.0,
-        recovery=RecoveryConfig(ledger_path=tmp_path / "l.txt"),
-    ) as svc:
-        assert svc.receiver.reorder_window == 5
-    with EMLIOService(
-        cfg, small_imagenet, stall_timeout=5.0,
-        recovery=RecoveryConfig(ledger_path=tmp_path / "l2.txt", reorder_window=2),
-    ) as svc:
-        assert svc.receiver.reorder_window == 2
-
-
 def test_ledger_tolerates_and_repairs_torn_tail(tmp_path):
     """A crash mid-write leaves a truncated final line; loading drops it
     (the batch counts as undelivered) and repairs the file for appends."""
@@ -135,7 +120,7 @@ def test_payload_seq_defaults_to_batch_index():
     assert decode_batch(encode_batch(p)).seq == 7
 
 
-# -- BatchProvider dedup / reorder window --------------------------------------
+# -- BatchProvider dedup / arrival order ---------------------------------------
 
 
 def _payload(seq, epoch=0):
@@ -144,10 +129,10 @@ def _payload(seq, epoch=0):
     )
 
 
-def _provider(q, expected, *, epoch=0, already=(), window=None, dedup=False, reorder=0):
+def _provider(q, expected, *, epoch=0, already=(), window=None, dedup=False):
     """A provider over a window that opens ``epoch`` expecting ``expected``
     new batches; ``already`` holds ``(epoch, seq)`` keys a ledger covers."""
-    window = window if window is not None else DeliveryWindow(dedup=dedup, reorder=reorder)
+    window = window if window is not None else DeliveryWindow(dedup=dedup)
     window.open(epoch, range(expected + len(already)), [s for _e, s in already])
     return BatchProvider(q.get, window, threading.Lock(), epoch, timeout=1.0)
 
@@ -174,28 +159,16 @@ def test_provider_already_delivered_treated_as_duplicates():
     assert provider.window.duplicates == 2  # the replayed 0 and 1
 
 
-def _emission_order(arrival, window):
+def test_provider_reorder_disabled_preserves_arrival_order():
+    """Batches are emitted in arrival order: there is no reorder window."""
     q: queue.Queue = queue.Queue()
-    for seq in arrival:
+    for seq in (2, 0, 1):
         q.put(_payload(seq))
-    provider = _provider(q, len(arrival), reorder=window)
-    for _ in range(len(arrival)):
+    provider = _provider(q, 3)
+    for _ in range(3):
         provider()
     assert provider.complete
-    return [seq for _e, _n, seq in provider.window.emitted(0)]
-
-
-def test_provider_reorder_window_covering_stream_fully_sorts():
-    assert _emission_order([3, 0, 2, 1, 5, 4], window=6) == [0, 1, 2, 3, 4, 5]
-
-
-def test_provider_reorder_window_is_bounded_best_effort():
-    # Window of 2 buffers {2, 1}, emits 1; buffers {2, 0}, emits 0; then 2.
-    assert _emission_order([2, 1, 0], window=2) == [1, 0, 2]
-
-
-def test_provider_reorder_disabled_preserves_arrival_order():
-    assert _emission_order([2, 0, 1], window=0) == [2, 0, 1]
+    assert [seq for _e, _n, seq in provider.window.emitted(0)] == [2, 0, 1]
 
 
 def test_provider_on_deliver_fires_once_per_batch():

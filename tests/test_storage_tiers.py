@@ -461,9 +461,9 @@ def test_storage_spec_validates_cache_and_latency():
     with pytest.raises(SpecError, match="objectstore"):
         StorageSpec(backend="localfs", latency_ms=5.0)
     spec = StorageSpec(backend="objectstore", latency_ms=5.0, cache_bytes=4096)
-    round_tripped = StorageSpec.from_dict(
-        {"backend": "objectstore", "latency_ms": 5.0, "cache_bytes": 4096}
-    )
+    round_tripped = ClusterSpec.from_dict(
+        {"storage": {"backend": "objectstore", "latency_ms": 5.0, "cache_bytes": 4096}}
+    ).storage
     assert round_tripped == spec
 
 

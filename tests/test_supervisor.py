@@ -182,7 +182,7 @@ class FakeCluster:
                 commands = ()
 
     def window(self, node: int) -> DeliveryWindow:
-        return self.windows.setdefault(node, DeliveryWindow(dedup=True, reorder=2))
+        return self.windows.setdefault(node, DeliveryWindow(dedup=True))
 
     def do(self, cmd):
         self.log.append(cmd)
@@ -267,7 +267,7 @@ class FakeCluster:
         self.rng.shuffle(arrived)
         for p in arrived:
             window.offer(p)
-        while (p := window.pop(more=False)) not in (DONE, WAIT):
+        while (p := window.pop()) not in (DONE, WAIT):
             assert self.ledger.record(p.epoch, p.node_id, p.seq), "a key emitted twice"
             self.landed[p.batch] += 1
             assert self.landed[p.batch] == 1, f"batch {p.batch} emitted twice"
