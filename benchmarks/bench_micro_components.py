@@ -25,7 +25,7 @@ from repro.codec.sjpg import sjpg_decode, sjpg_decode_batch, sjpg_encode
 from repro.core.config import EMLIOConfig
 from repro.core.planner import Planner
 from repro.data.samples import smooth_image
-from repro.gpu.ops import preprocess_batch
+from repro.gpu.ops import decode_tokens_batch, preprocess_batch
 from repro.net.buffers import ColumnarSamples
 from repro.serialize.msgpack import packb, unpackb
 from repro.serialize.payload import (
@@ -145,6 +145,39 @@ def test_bench_sjpg_preprocess(benchmark):
     assert out.shape == (8, 3, 32, 32)
 
 
+def _token_batch() -> ColumnarSamples:
+    """The token workloads' preprocess input: 8 TOK0 records of 4 KiB
+    (1 022 ids each) as the receiver decodes them — views into one blob."""
+    from repro.data.text import SyntheticTokenDataset
+
+    records = [r for r, _t in SyntheticTokenDataset(8, context_len=1022, seed=0)]
+    wire = encode_batch(BatchPayload(
+        epoch=0, batch_index=0, shard="shard_00000", samples=records, labels=[0] * 8,
+    ))
+    return decode_batch(wire, zero_copy=True).samples
+
+
+def _tokens_decode_component() -> dict:
+    """Median µs per batch of :func:`decode_tokens_batch` on the token
+    workloads' geometry."""
+    import statistics
+
+    batch = _token_batch()
+    for _ in range(5):
+        decode_tokens_batch(batch)
+    times = []
+    for _ in range(500):
+        t0 = time.perf_counter()
+        decode_tokens_batch(batch)
+        times.append(time.perf_counter() - t0)
+    return {"tokens_decode": {"us_per_batch": statistics.median(times) * 1e6}}
+
+
+def test_bench_tokens_decode(benchmark):
+    out = benchmark(decode_tokens_batch, _token_batch())
+    assert out.shape == (8, 1022) and out.dtype == np.int64
+
+
 def test_bench_planner(benchmark, small_imagenet_ds):
     cfg = EMLIOConfig(batch_size=8, epochs=2)
 
@@ -156,9 +189,9 @@ def test_bench_planner(benchmark, small_imagenet_ds):
 
 
 # Payload-schema geometry: a daemon-realistic batch — 64 samples of 2 KiB,
-# either a list of per-record views (the generic encode path, one spilled
-# segment per sample) or columnar (one framed region + a scanned offsets
-# vector, O(1) segments regardless of B); decode slices offsets either way.
+# either a list of per-record views (the generic encode path, one segment
+# per sample) or columnar (one framed region + a scanned offsets vector,
+# two segments regardless of B); decode slices offsets either way.
 _PAYLOAD_B = 64
 _PAYLOAD_SAMPLE_BYTES = 2048
 
@@ -503,6 +536,7 @@ def main() -> int:
         "sjpg_decode": {"ops_per_s": ops_per_s(lambda: sjpg_decode(enc), rounds=10)},
     }
     components.update(_sjpg_preprocess_component())
+    components.update(_tokens_decode_component())
     components.update(_payload_schema_components(ops_per_s))
     components.update(_obs_overhead_components())
     components.update(_crc32c_components())

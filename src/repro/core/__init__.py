@@ -4,7 +4,7 @@
   data-parallel planning: maps contiguous TFRecord shard ranges to per-node,
   per-epoch batches from index metadata alone.
 * :class:`~repro.core.daemon.EMLIODaemon` — the storage-side service:
-  mmap → slice B records → msgpack-serialize → PUSH over parallel streams
+  mmap → slice B records → batch-serialize → PUSH over parallel streams
   with HWM backpressure, ``T`` worker threads per target node, driving
   the pure :class:`~repro.core.sendqueue.SendQueue` of what it still owes.
 * :class:`~repro.core.receiver.EMLIOReceiver` — Algorithm 3: PULL socket →

@@ -81,7 +81,9 @@ class MembershipConfig:
     hung_after_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
+        # Float bounds are written so that NaN, which fails every
+        # comparison, fails them too.
+        if not self.interval_s > 0:
             raise ValueError(f"interval_s must be > 0, got {self.interval_s}")
         if self.miss_threshold < 1:
             raise ValueError(f"miss_threshold must be >= 1, got {self.miss_threshold}")
@@ -90,7 +92,7 @@ class MembershipConfig:
                 f"dead_threshold ({self.dead_threshold}) must exceed "
                 f"miss_threshold ({self.miss_threshold})"
             )
-        if self.hung_after_s < 0:
+        if not self.hung_after_s >= 0:
             raise ValueError(f"hung_after_s must be >= 0, got {self.hung_after_s}")
 
 

@@ -3,8 +3,10 @@
 Per compute node:
 
 1. bind a PULL socket on ``(ip, port)`` (line 1);
-2. the provider unpacks each msgpack payload as it takes the frame off the
-   socket, on the pipeline's worker (line 2, :meth:`_next_payload`);
+2. the provider decodes each batch frame (a fixed header and columnar
+   views, :func:`~repro.serialize.payload.decode_batch`) as it takes the
+   frame off the socket, on the pipeline's worker (line 2,
+   :meth:`_next_payload`);
 3. a DALI-like pipeline with that ``BatchProvider`` as external source and
    prefetch depth ``Q`` (line 3), warmed up with ``Q`` iterations (line 4);
 4. :meth:`epoch` iterates ``pipe.run()`` until the epoch owes nothing

@@ -17,27 +17,35 @@ import numpy as np
 
 _MAGIC = b"TOK0"
 _HDR = struct.Struct(">4sI")
+_TOKEN_DTYPE = np.dtype("<u4")
 
 
 def tokens_encode(tokens: np.ndarray) -> bytes:
     """Encode a 1-D int array of token ids as a TOK0 record."""
-    arr = np.ascontiguousarray(tokens, dtype=np.uint32)
+    arr = np.ascontiguousarray(tokens, dtype=_TOKEN_DTYPE)
     if arr.ndim != 1:
         raise ValueError(f"tokens must be 1-D, got shape {arr.shape}")
     return _HDR.pack(_MAGIC, arr.size) + arr.tobytes()
 
 
-def tokens_decode(data: bytes) -> np.ndarray:
-    """Inverse of :func:`tokens_encode`."""
+def tokens_view(data) -> np.ndarray:
+    """The token ids of a TOK0 record as a read-only view over ``data``,
+    after checking its header and length."""
     if len(data) < _HDR.size:
         raise ValueError("TOK0 data too short for header")
     magic, count = _HDR.unpack_from(data)
     if magic != _MAGIC:
         raise ValueError(f"bad TOK0 magic: {magic!r}")
-    body = data[_HDR.size :]
-    if len(body) != 4 * count:
-        raise ValueError(f"TOK0 length mismatch: header {count} tokens, body {len(body)} bytes")
-    return np.frombuffer(body, dtype=np.uint32).copy()
+    if len(data) - _HDR.size != 4 * count:
+        raise ValueError(
+            f"TOK0 length mismatch: header {count} tokens, body {len(data) - _HDR.size} bytes"
+        )
+    return np.frombuffer(data, _TOKEN_DTYPE, count, _HDR.size)
+
+
+def tokens_decode(data: bytes) -> np.ndarray:
+    """Inverse of :func:`tokens_encode`."""
+    return tokens_view(data).copy()
 
 
 class SyntheticTokenDataset:

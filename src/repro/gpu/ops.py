@@ -48,16 +48,24 @@ def decode_tokens_batch(samples: list[bytes]) -> np.ndarray:
     """Decode a batch of TOK0 records into an (N, context_len) int64 array.
 
     The LLM-path counterpart of :func:`preprocess_batch`: no resize or
-    normalization, just framed-token decode and stacking.  All records in
-    a batch must share one context length (the packer guarantees this).
+    normalization, just framed-token decode.  One pass: each record is
+    checked, then its ids are widened straight into its row of the one
+    output array.  All records in a batch must share one context length
+    (the packer guarantees this).
     """
-    from repro.data.text import tokens_decode
+    from repro.data.text import tokens_view
 
-    rows = [tokens_decode(s) for s in samples]
-    lengths = {r.size for r in rows}
-    if len(lengths) > 1:
-        raise ValueError(f"mixed context lengths in one batch: {sorted(lengths)}")
-    return np.stack(rows).astype(np.int64)
+    out = None
+    for i, sample in enumerate(samples):
+        row = tokens_view(sample)
+        if out is None:
+            out = np.empty((len(samples), row.size), dtype=np.int64)
+        elif row.size != out.shape[1]:
+            raise ValueError(
+                f"mixed context lengths in one batch: {sorted({out.shape[1], row.size})}"
+            )
+        out[i] = row
+    return out if out is not None else np.empty((0, 0), dtype=np.int64)
 
 
 def _bilinear_taps(h: int, w: int, out_h: int, out_w: int):

@@ -6,8 +6,8 @@ buffer down the stack instead of materializing ``bytes`` at every layer:
 1. :meth:`~repro.net.mq.PullSocket` (in pooled mode) acquires a
    :class:`PooledBuffer`, fills it with :func:`~repro.net.framing.
    recv_frame_into`, and surfaces the frame as a :class:`PooledFrame`;
-2. the receiver decodes the payload *in place* (``unpackb(...,
-   zero_copy=True)``) so sample fields are memoryviews over the pooled
+2. the receiver decodes the payload *in place* (``decode_batch(...,
+   zero_copy=True)``) so the samples are memoryviews over the pooled
    buffer;
 3. the consumer — normally the preprocessing pipeline — calls
    ``release()`` once the views are dead, returning the buffer for reuse

@@ -197,8 +197,14 @@ class Listener:
         return t
 
     def close(self) -> None:
-        """Release resources."""
+        """Release resources.  Shutting the socket down first wakes a
+        ``serve_forever`` thread blocked in ``accept()``, which ``close()``
+        alone does not."""
         self._closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed, or never listening
         self._sock.close()
 
     def __enter__(self) -> "Listener":

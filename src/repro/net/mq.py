@@ -123,7 +123,7 @@ class ReconnectPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_delay_s < 0 or self.max_delay_s < self.base_delay_s:
+        if not 0 <= self.base_delay_s <= self.max_delay_s:  # NaN fails too
             raise ValueError(
                 f"need 0 <= base_delay_s <= max_delay_s, got "
                 f"{self.base_delay_s}/{self.max_delay_s}"

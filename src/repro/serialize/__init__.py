@@ -2,12 +2,14 @@
 
 The paper streams pre-batched samples as msgpack payloads over TCP (§4.1).
 :mod:`repro.serialize.msgpack` implements the MessagePack specification
-(the subset covering every type EMLIO payloads use, in all width variants);
+(the subset covering every type records, storage-server messages and
+batch meta use, in all width variants);
 :mod:`repro.serialize.payload` defines the batch payload schema exchanged
-between the storage-side daemon and the compute-side receiver.
+between the storage-side daemon and the compute-side receiver: a fixed
+binary header around the columnar sample vectors.
 """
 
-from repro.serialize.msgpack import pack_parts, packb, packb_into, unpackb
+from repro.serialize.msgpack import packb, unpackb
 from repro.serialize.payload import (
     BatchPayload,
     decode_batch,
@@ -17,8 +19,6 @@ from repro.serialize.payload import (
 
 __all__ = [
     "packb",
-    "packb_into",
-    "pack_parts",
     "unpackb",
     "BatchPayload",
     "encode_batch",

@@ -21,20 +21,13 @@ dict           fixmap, map16/32
 Encoding is single-pass into a ``bytearray``; decoding is zero-copy for
 ``bytes`` payloads via ``memoryview`` slicing until the final ``bytes()``
 materialization.  Big-endian ints/floats are packed with :mod:`struct`, as
-the spec requires.
+the spec requires.  ``unpackb(data, zero_copy=True)`` returns
+``memoryview`` slices of ``data`` for bin payloads instead of
+materializing ``bytes`` — the caller owns ``data``'s lifetime.
 
-Zero-copy modes (the daemon→receiver hot path, paper §4.1):
-
-* :func:`pack_parts` encodes to a list of scatter-gather segments — small
-  scalars and headers accumulate in one scratch buffer while every
-  bytes-like payload at or above ``spill_threshold`` is referenced as its
-  own segment, never copied.  ``b"".join(parts)`` is byte-identical to
-  :func:`packb`; the segments feed ``socket.sendmsg`` directly.
-* :func:`packb_into` appends the encoding to a caller-owned ``bytearray``
-  (buffer reuse across calls) and returns the bytes written.
-* ``unpackb(data, zero_copy=True)`` returns ``memoryview`` slices of
-  ``data`` for bin payloads instead of materializing ``bytes`` — the
-  caller owns ``data``'s lifetime (see :mod:`repro.net.buffers`).
+Records on disk, the storage-server protocol and a batch's ``meta`` map
+use this codec; the batch header itself is a fixed binary layout (see
+:mod:`repro.serialize.payload`).
 """
 
 from __future__ import annotations
@@ -42,46 +35,16 @@ from __future__ import annotations
 import struct
 from typing import Any
 
-__all__ = ["BinChunks", "packb", "packb_into", "pack_parts", "unpackb", "UnpackError"]
-
-#: Bytes payloads at or above this size become their own scatter-gather
-#: segment in :func:`pack_parts`; smaller ones are cheaper to copy into the
-#: scratch buffer than to spend an extra iovec on.
-SPILL_THRESHOLD = 512
-
+__all__ = ["packb", "unpackb", "UnpackError"]
 
 class UnpackError(ValueError):
     """Raised on malformed or truncated MessagePack input."""
 
 
-def _byte_view(obj: memoryview) -> memoryview:
-    """Normalize a memoryview to a flat byte view (typed arrays → bytes)."""
-    if obj.ndim != 1 or obj.itemsize != 1:
-        return obj.cast("B")
-    return obj
-
-
-class BinChunks:
-    """One msgpack bin whose payload is the concatenation of ``chunks``.
-
-    Encodes byte-identically to ``b"".join(chunks)`` as a single bin, but
-    the scatter-gather encode (:func:`pack_parts`) emits each chunk at or
-    above the spill threshold as its own segment — the columnar payload
-    path concatenates B sample views into one wire-level blob without ever
-    copying them into a contiguous buffer.  ``packb`` (and sub-threshold
-    chunks) still copy, preserving the ``b"".join(pack_parts(o)) ==
-    packb(o)`` invariant.
-    """
-
-    __slots__ = ("chunks", "nbytes")
-
-    def __init__(self, chunks, nbytes: int | None = None) -> None:
-        self.chunks = [
-            _byte_view(c) if isinstance(c, memoryview) else c for c in chunks
-        ]
-        self.nbytes = (
-            sum(len(c) for c in self.chunks) if nbytes is None else nbytes
-        )
+def _byte_view(buf) -> memoryview:
+    """A flat byte view of any C-contiguous buffer (typed arrays → bytes)."""
+    view = memoryview(buf)
+    return view if view.ndim == 1 and view.itemsize == 1 else view.cast("B")
 
 
 # -- encoding ----------------------------------------------------------------
@@ -97,19 +60,8 @@ _pack_i64 = struct.Struct(">q").pack
 _pack_f64 = struct.Struct(">d").pack
 
 
-def _encode(
-    obj: Any,
-    out: bytearray,
-    spill: list[tuple[int, Any]] | None = None,
-    threshold: int = 0,
-) -> None:
-    """Encode ``obj`` by appending to ``out``.
-
-    With ``spill`` set (the scatter-gather mode), a bytes-like payload of
-    ``threshold`` bytes or more is *not* copied: its bin header goes into
-    ``out`` and ``(len(out), payload)`` is recorded so the caller can
-    splice the payload between scratch-buffer slices.
-    """
+def _encode(obj: Any, out: bytearray) -> None:
+    """Encode ``obj`` by appending to ``out``."""
     if obj is None:
         out.append(0xC0)
     elif obj is True:
@@ -141,18 +93,7 @@ def _encode(
             obj = _byte_view(obj)
         n = len(obj)
         _bin_header(n, out)
-        if spill is not None and n >= threshold:
-            spill.append((len(out), obj))
-        else:
-            out += obj  # bytearray += accepts any buffer, one copy
-    elif isinstance(obj, BinChunks):
-        _bin_header(obj.nbytes, out)
-        for chunk in obj.chunks:
-            if spill is not None and len(chunk) >= threshold:
-                # Consecutive spills at one scratch offset splice in order.
-                spill.append((len(out), chunk))
-            else:
-                out += chunk
+        out += obj  # bytearray += accepts any buffer, one copy
     elif isinstance(obj, (list, tuple)):
         n = len(obj)
         if n <= 0x0F:
@@ -164,7 +105,7 @@ def _encode(
             out.append(0xDD)
             out += _pack_u32(n)
         for item in obj:
-            _encode(item, out, spill, threshold)
+            _encode(item, out)
     elif isinstance(obj, dict):
         n = len(obj)
         if n <= 0x0F:
@@ -176,17 +117,17 @@ def _encode(
             out.append(0xDF)
             out += _pack_u32(n)
         for k, v in obj.items():
-            _encode(k, out, spill, threshold)
-            _encode(v, out, spill, threshold)
+            _encode(k, out)
+            _encode(v, out)
     else:
         # Typed-array fast path: anything exposing a C-contiguous buffer
-        # (numpy offset/label vectors on the columnar payload path) encodes
-        # as one bin with no per-element Python work.
+        # (a numpy vector) encodes as one bin with no per-element Python
+        # work.
         try:
             view = memoryview(obj).cast("B")
         except TypeError:
             raise TypeError(f"cannot msgpack-serialize {type(obj).__name__}") from None
-        _encode(view, out, spill, threshold)
+        _encode(view, out)
 
 
 def _bin_header(n: int, out: bytearray) -> None:
@@ -243,46 +184,6 @@ def packb(obj: Any) -> bytes:
     out = bytearray()
     _encode(obj, out)
     return bytes(out)
-
-
-def packb_into(obj: Any, out: bytearray) -> int:
-    """Serialize ``obj`` by appending to ``out``; returns bytes written.
-
-    The buffer-reuse encode mode: callers clear and reuse one ``bytearray``
-    across batches so steady state allocates nothing.
-    """
-    start = len(out)
-    _encode(obj, out)
-    return len(out) - start
-
-
-def pack_parts(obj: Any, threshold: int = SPILL_THRESHOLD) -> list[memoryview]:
-    """Serialize ``obj`` to scatter-gather segments (the zero-copy encode).
-
-    Bytes-like payloads of ``threshold`` bytes or more are referenced, not
-    copied: they appear as their own segments, interleaved with views over
-    one scratch buffer holding everything else.  ``b"".join(pack_parts(o))
-    == packb(o)`` always holds; the segment list is what
-    :func:`repro.net.framing.send_frame_parts` hands to ``sendmsg``.
-
-    The caller must keep the spilled payloads (and the returned views)
-    alive and unmutated until the segments have been consumed.
-    """
-    out = bytearray()
-    spill: list[tuple[int, Any]] = []
-    _encode(obj, out, spill, threshold)
-    scratch = memoryview(out)
-    parts: list[memoryview] = []
-    prev = 0
-    for upto, payload in spill:
-        if upto > prev:
-            parts.append(scratch[prev:upto])
-        if payload:  # empty bin: header already in scratch, nothing to add
-            parts.append(payload if isinstance(payload, memoryview) else memoryview(payload))
-        prev = upto
-    if prev < len(out) or not parts:
-        parts.append(scratch[prev:])
-    return parts
 
 
 # -- decoding ----------------------------------------------------------------

@@ -2,38 +2,47 @@
 
 One payload carries ``B`` raw (still-encoded) samples plus their labels and
 provenance metadata.  The daemon slices ``B`` contiguous records out of an
-mmap'ed TFRecord shard and encodes them here (paper §4.1, "serializes groups
-of B examples into a single msgpack payload").
+mmap'ed TFRecord shard and encodes them here (paper §4.1 serializes such a
+group "into a single msgpack payload"; here the batch header is a fixed
+binary layout instead, see the README's "Columnar payloads").
 
-The wire schema is columnar (``v`` = 3, the one version encode emits and
-decode accepts): ``samples`` is **one** bin blob, ``offsets`` a packed u32
-vector of B ``(start, end)`` pairs addressing each sample's bytes inside
-the blob, ``labels`` a packed i64 vector, plus a ``count``.  When the
-samples already share one backing region (the daemon's framed mmap range,
-wrapped in :class:`~repro.net.buffers.ColumnarSamples`) the scatter-gather
-encode emits O(1) segments regardless of B; decode reconstructs the batch
-by offset slicing with zero per-record work, after checking every field
-and every offset pair against the blob.
+The wire schema (version 3, the one encode emits and decode accepts) is a
+fixed little-endian header followed by five sections::
+
+    <BBHIIIIII  version, flags (reserved, 0), shard length, epoch, batch
+                index, seq, node, count, meta length              (28 bytes)
+    shard       UTF-8 shard name                     (shard length bytes)
+    meta        msgpack map, only when non-empty       (meta length bytes)
+    offsets     2 × count u32 (start, end) pairs into the samples blob
+    labels      count i64
+    samples     the blob: every byte up to the furthest sample end
+
+When the samples already share one backing region (the daemon's framed
+mmap range, wrapped in :class:`~repro.net.buffers.ColumnarSamples`) the
+scatter-gather encode emits two segments regardless of B; decode is one
+``unpack_from`` plus ``np.frombuffer`` reads of the two vectors, after
+checking every length against the frame and every offset pair against
+the blob.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.net.buffers import ColumnarSamples
-from repro.serialize.msgpack import SPILL_THRESHOLD, BinChunks, pack_parts, packb, unpackb
+from repro.serialize.msgpack import _byte_view, packb, unpackb
 
 _SCHEMA_VERSION = 3
 
 #: ``meta`` key marking a payload as trace-sampled.  The daemon stamps it
 #: (:func:`stamp_trace`) when :func:`repro.obs.trace.trace_sampled` says
 #: yes for the batch's ``(epoch, node, seq)``; every downstream component
-#: checks :func:`trace_stamped` before paying any tracing cost.  Meta is
-#: wire-encoded with the payload, so the mark survives TCP and shm
-#: transports alike.
+#: checks :func:`trace_stamped` before paying any tracing cost.  It rides
+#: in the payload's meta, so it survives TCP and shm transports alike.
 TRACE_META_KEY = "tr"
 
 
@@ -52,6 +61,8 @@ def trace_stamped(payload: "BatchPayload") -> bool:
 #: format is platform-defined, not platform-dependent.
 _OFFSET_DTYPE = np.dtype("<u4")
 _LABEL_DTYPE = np.dtype("<i8")
+
+_HEADER = struct.Struct("<BBHIIIIII")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +141,19 @@ class BatchPayload:
         return sum(len(s) for s in self.samples)
 
 
-def _schema_dict(payload: BatchPayload, version: int) -> dict:
+def encode_batch_parts(
+    payload: BatchPayload, version: int = _SCHEMA_VERSION
+) -> list[memoryview]:
+    """Serialize to scatter-gather segments (the zero-copy encode).
+
+    The header, shard, meta and both vectors are one segment; the samples
+    follow uncopied — one segment when they share a region, one per
+    non-empty sample otherwise.  The caller must keep the sample views
+    valid until the segments are on the wire *and* credited (the transport
+    replays from the same views on reconnect).  ``version`` must be the
+    wire schema's (3), and a field value that does not fit the header
+    raises ``ValueError``.
+    """
     if version != _SCHEMA_VERSION:
         raise ValueError(
             f"cannot encode batch payload version {version!r} "
@@ -139,18 +162,15 @@ def _schema_dict(payload: BatchPayload, version: int) -> dict:
     samples = payload.samples
     count = len(samples)
     if isinstance(samples, ColumnarSamples):
-        # Already columnar (the daemon's region serve path): the blob goes
-        # to the wire as-is — one scatter-gather segment, no per-record
-        # traversal at all.
+        # Already columnar (the daemon's region serve path): the region goes
+        # to the wire as one segment, cut after the furthest sample end.
         offsets = np.ascontiguousarray(samples.offsets, dtype=_OFFSET_DTYPE)
-        blob = samples.blob
-        if not isinstance(blob, BinChunks):
-            blob = BinChunks([blob], nbytes=len(memoryview(blob).cast("B")))
+        end = int(np.maximum.reduce(offsets)) if count else 0
+        blobs = [_byte_view(samples.blob)[:end]] if end else []
     else:
-        # Generic path: pack the per-sample views side by side.  Offsets
-        # are built vectorized (one len() sweep + cumsum), and BinChunks
-        # concatenates on the wire without copying spill-sized samples.
-        lengths = np.fromiter((len(s) for s in samples), dtype=np.int64, count=count)
+        # Generic path: the per-sample views side by side, offsets built
+        # vectorized (one len() sweep + cumsum).
+        lengths = np.fromiter(map(len, samples), dtype=np.int64, count=count)
         ends = np.cumsum(lengths)
         total = int(ends[-1]) if count else 0
         if total > 0xFFFFFFFF:
@@ -158,57 +178,30 @@ def _schema_dict(payload: BatchPayload, version: int) -> dict:
         offsets = np.empty(2 * count, dtype=_OFFSET_DTYPE)
         offsets[0::2] = ends - lengths
         offsets[1::2] = ends
-        blob = BinChunks(list(samples), nbytes=total)
-    return {
-        "v": version,
-        "epoch": payload.epoch,
-        "batch_index": payload.batch_index,
-        "shard": payload.shard,
-        "node_id": payload.node_id,
-        "seq": payload.seq,
-        "count": count,
-        "offsets": offsets,
-        "labels": np.asarray(payload.labels, dtype=_LABEL_DTYPE),
-        "samples": blob,
-        "meta": payload.meta,
-    }
+        blobs = [_byte_view(s) for s in samples if len(s)]
+    meta_bytes = packb(payload.meta) if payload.meta else b""
+    shard = payload.shard.encode("utf-8")
+    try:
+        header = _HEADER.pack(
+            version, 0, len(shard), payload.epoch, payload.batch_index,
+            payload.seq, payload.node_id, count, len(meta_bytes),
+        )
+    except struct.error as exc:
+        raise ValueError(
+            f"batch header value out of range ({exc}): shard length {len(shard)}, "
+            f"epoch {payload.epoch}, batch index {payload.batch_index}, "
+            f"seq {payload.seq}, node {payload.node_id}, count {count}, "
+            f"meta length {len(meta_bytes)}"
+        ) from None
+    labels = np.asarray(payload.labels, dtype=_LABEL_DTYPE)
+    head = b"".join((header, shard, meta_bytes, offsets, labels))
+    return [memoryview(head), *blobs]
 
 
 def encode_batch(payload: BatchPayload, version: int = _SCHEMA_VERSION) -> bytes:
-    """Serialize a :class:`BatchPayload` to msgpack bytes.
-
-    ``version`` must be the wire schema's (3); any other raises
-    ``ValueError``.
-    """
-    return packb(_schema_dict(payload, version))
-
-
-def encode_batch_parts(
-    payload: BatchPayload,
-    threshold: int = SPILL_THRESHOLD,
-    version: int = _SCHEMA_VERSION,
-) -> list[memoryview]:
-    """Serialize to scatter-gather segments (the zero-copy encode).
-
-    Sample payloads at or above ``threshold`` bytes — in the daemon these
-    are memoryview slices over the mmap'ed shard — become their own
-    segments instead of being copied into the msgpack body.  A batch whose
-    samples share one backing region encodes to O(1) segments regardless
-    of B.  The caller must keep the spilled views valid until the segments
-    are on the wire *and* credited (the transport replays from the same
-    views on reconnect).  ``version`` is checked as in :func:`encode_batch`.
-    """
-    return pack_parts(_schema_dict(payload, version), threshold)
-
-
-def _vector(obj: dict, name: str, dtype: np.dtype) -> np.ndarray:
-    raw = obj[name]
-    if not isinstance(raw, (bytes, memoryview)):
-        raise ValueError(f"columnar {name} must be bin, got {type(raw).__name__}")
-    try:
-        return np.frombuffer(raw, dtype=dtype)
-    except ValueError as err:
-        raise ValueError(f"columnar {name}: {err}") from None
+    """Serialize a :class:`BatchPayload` to one contiguous frame body;
+    ``version`` is checked as in :func:`encode_batch_parts`."""
+    return b"".join(encode_batch_parts(payload, version))
 
 
 def decode_batch(
@@ -218,64 +211,77 @@ def decode_batch(
 ) -> BatchPayload:
     """Inverse of :func:`encode_batch`.
 
-    Strict: anything but a v3 map with every field present and well-typed,
-    and every ``(start, end)`` offset pair ordered and inside the samples
-    blob, raises ``ValueError`` naming what is wrong — corrupt bytes never
+    Strict: a frame of another version, a section that runs past the frame,
+    a non-UTF-8 shard, a meta that is not a map, non-zero flags, an offset
+    pair out of order or outside the samples blob, or bytes past the last
+    sample raise ``ValueError`` naming what is wrong — corrupt bytes never
     reach a tensor as a truncated or empty sample.
 
     With ``zero_copy=True`` the decoded ``samples`` are a
     :class:`~repro.net.buffers.ColumnarSamples` of views over ``data``, and
     the carrier holds ``release``: the final consumer calls
     ``samples.release()`` once the views are dead, returning ``data``'s
-    pooled buffer.  Labels decode as a packed i64 array — never a
-    per-record copy.
+    pooled buffer.  Labels are copied once either way, so they outlive the
+    lease (they ride to the training loop after it).
     """
-    obj = unpackb(data, zero_copy=zero_copy)
-    if not isinstance(obj, dict):
-        raise ValueError(f"batch payload must decode to a map, got {type(obj).__name__}")
-    version = obj.get("v")
-    if version != _SCHEMA_VERSION:
+    view = _byte_view(data)
+    n = len(view)
+    if n and view[0] != _SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported batch payload version {version!r} "
+            f"unsupported batch payload version {view[0]} "
             f"(the wire schema is v{_SCHEMA_VERSION})"
         )
+    if n < _HEADER.size:
+        raise ValueError(f"batch frame of {n} bytes is shorter than the {_HEADER.size}-byte header")
+    (_version, flags, shard_len, epoch, batch_index, seq, node_id, count,
+     meta_len) = _HEADER.unpack_from(view)
+    if flags:
+        raise ValueError(f"unsupported batch header flags 0x{flags:02x}")
+    shard_end = _HEADER.size + shard_len
+    meta_end = shard_end + meta_len
+    offsets_end = meta_end + 8 * count
+    labels_end = offsets_end + 8 * count
+    if labels_end > n:
+        sections = (("shard", shard_end), ("meta", meta_end),
+                    ("offsets", offsets_end), ("labels", labels_end))
+        name = next(name for name, end in sections if end > n)
+        raise ValueError(f"batch {name} runs past the {n}-byte frame (count {count})")
     try:
-        count = obj["count"]
-        if type(count) is not int:
-            raise ValueError(f"columnar count must be an int, got {type(count).__name__}")
-        offsets = _vector(obj, "offsets", _OFFSET_DTYPE)
-        if len(offsets) != 2 * count:
-            raise ValueError(
-                f"columnar offsets length {len(offsets)} does not match count {count}"
-            )
-        labels = _vector(obj, "labels", _LABEL_DTYPE)
-        if len(labels) != count:
-            raise ValueError(
-                f"columnar labels length {len(labels)} does not match count {count}"
-            )
-        blob = obj["samples"]
-        if not isinstance(blob, (bytes, memoryview)):
-            raise ValueError(f"columnar samples must be bin, got {type(blob).__name__}")
-        # Vectorised bounds check: every span ordered and inside the blob.
-        # count_nonzero, not any()/max(): no ufunc-reduce setup per batch.
-        if np.count_nonzero(offsets > len(blob)) or np.count_nonzero(
-            offsets[0::2] > offsets[1::2]
-        ):
-            raise ValueError(
-                f"columnar offsets address bytes outside the {len(blob)}-byte "
-                f"samples blob or run backwards"
-            )
-        epoch, batch_index, shard = obj["epoch"], obj["batch_index"], obj["shard"]
-        node_id, seq, meta = obj["node_id"], obj["seq"], obj["meta"]
-    except KeyError as err:
-        raise ValueError(f"batch payload missing field {err.args[0]!r}") from None
+        shard = str(view[_HEADER.size : shard_end], "utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("batch shard name is not UTF-8") from None
+    meta = {}
+    if meta_len:
+        try:
+            meta = unpackb(view[shard_end:meta_end])
+        except RecursionError:
+            raise ValueError("batch meta nests too deeply") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"batch meta must be a map, got {type(meta).__name__}")
+    # Both vectors are copied once: aligned, the bounds check below runs
+    # faster than on views, and labels outlive the receive-buffer lease.
+    offsets = np.frombuffer(view, _OFFSET_DTYPE, 2 * count, meta_end).copy()
+    labels = np.frombuffer(view, _LABEL_DTYPE, count, offsets_end).copy()
+    blob = view[labels_end:]
+    # Vectorised bounds check: every span ordered, and the blob ends at the
+    # furthest sample end — so a truncated frame never passes.
+    if count:
+        if np.count_nonzero(offsets[0::2] > offsets[1::2]):
+            raise ValueError("columnar offsets run backwards")
+        top = int(np.maximum.reduce(offsets))
+    else:
+        top = 0
+    if top > len(blob):
+        raise ValueError(
+            f"columnar offsets address bytes outside the {len(blob)}-byte samples blob"
+        )
+    if top < len(blob):
+        raise ValueError(
+            f"columnar samples blob has {len(blob) - top} bytes past the last sample"
+        )
     if zero_copy:
-        # Labels outlive the receive-buffer lease (they ride to the training
-        # loop after ``release()``), so take the one vectorized copy here —
-        # a single allocation per batch, still no per-record work.  Samples
-        # and offsets stay views: dead once released, per the lease contract.
+        # The samples stay views: dead once released, per the lease contract.
         samples = ColumnarSamples(blob, offsets, release)
-        labels = labels.copy()
     else:
         samples = [bytes(blob[offsets[2 * i] : offsets[2 * i + 1]]) for i in range(count)]
     return BatchPayload(

@@ -438,3 +438,21 @@ def test_any_valid_spec_round_trips_toml_and_json(spec):
             spec.to_toml()
     else:
         assert ClusterSpec.from_toml(spec.to_toml()) == spec
+
+
+@pytest.mark.parametrize(
+    "table,field",
+    [
+        ("[recovery.membership]\ninterval_s = nan\n", "interval_s"),
+        ("[recovery.membership]\nhung_after_s = nan\n", "hung_after_s"),
+        ("[recovery.reconnect]\nbase_delay_s = nan\n", "base_delay_s"),
+        ("[recovery.reconnect]\nmax_delay_s = nan\n", "max_delay_s"),
+        ("[elastic]\nrebalance_threshold = nan\n", "rebalance_threshold"),
+        ("[[chaos]]\nat_s = nan\naction = \"kill\"\ntarget = \"daemon:0\"\n", "at_s"),
+    ],
+)
+def test_nan_fails_float_validation(table, field):
+    """NaN fails every comparison, so each float bound is written to fail
+    it too: a NaN value is rejected with the field's name, not loaded."""
+    with pytest.raises(ValueError, match=field):
+        ClusterSpec.from_toml(table)

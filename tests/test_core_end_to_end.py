@@ -209,8 +209,12 @@ def test_receiver_releases_frame_that_fails_to_decode(small_imagenet, config):
     pooled receive buffer."""
     from repro.serialize.msgpack import packb
 
-    retired = packb({"v": 2, "samples": [b"x"], "labels": [1]})  # retired schema
-    _assert_frame_fails_the_pass(small_imagenet, config, retired, "failed to decode.*version 2")
+    # A retired msgpack-map frame: its map marker fails the version byte.
+    retired = packb({"v": 2, "samples": [b"x"], "labels": [1]})
+    _assert_frame_fails_the_pass(
+        small_imagenet, config, retired,
+        f"failed to decode.*unsupported batch payload version {retired[0]} ",
+    )
 
 
 def test_receiver_warm_up_failure_is_logged_and_counted(small_imagenet, config, monkeypatch, caplog):

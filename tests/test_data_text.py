@@ -85,6 +85,18 @@ def test_decode_tokens_batch():
     batch = decode_tokens_batch(samples)
     assert batch.shape == (4, 64)
     assert batch.dtype == np.int64
+    # The one-pass decode is the per-record decode stacked and widened.
+    want = np.stack([tokens_decode(s) for s in samples]).astype(np.int64)
+    assert np.array_equal(batch, want) and batch.flags.c_contiguous
+
+
+def test_decode_tokens_batch_checks_every_record():
+    good = tokens_encode(np.arange(8, dtype=np.uint32))
+    bad_magic = b"TOKX" + good[4:]
+    for bad, match in ((bad_magic, "magic"), (good[:-4], "length"), (good[:5], "short")):
+        with pytest.raises(ValueError, match=match):
+            decode_tokens_batch([good, bad])
+    assert decode_tokens_batch([]).shape == (0, 0)
 
 
 def test_decode_tokens_batch_mixed_lengths_rejected():

@@ -198,6 +198,17 @@ def test_validation():
     pull.close()
 
 
+def test_closed_pull_sockets_leave_no_accept_thread():
+    """Closing the listener wakes its ``chan-accept`` thread out of
+    ``accept()``: a closed socket leaves no thread behind."""
+    before = set(threading.enumerate())
+    for _ in range(5):
+        PullSocket(hwm=4).close()
+    time.sleep(1.0)
+    left = set(threading.enumerate()) - before
+    assert [t for t in left if t.name == "chan-accept"] == []
+
+
 def test_send_after_close_raises(pull):
     push = PushSocket([pull.address], hwm=4)
     push.close()

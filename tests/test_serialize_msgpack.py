@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serialize.msgpack import (
-    SPILL_THRESHOLD,
-    UnpackError,
-    pack_parts,
-    packb,
-    packb_into,
-    unpackb,
-)
+from repro.serialize.msgpack import UnpackError, packb, unpackb
 
 # -- known-answer vectors against the msgpack spec ---------------------------
 
@@ -184,56 +177,7 @@ def test_decoder_never_hangs_on_garbage(data):
         pass  # invalid UTF-8 inside a str field
 
 
-# -- zero-copy encode/decode (pack_parts / packb_into / memoryview bins) ------
-
-
-def test_packb_into_appends_and_returns_length():
-    buf = bytearray(b"prefix")
-    obj = {"a": [1, b"bb"], "c": "str"}
-    n = packb_into(obj, buf)
-    assert bytes(buf[:6]) == b"prefix"
-    assert bytes(buf[6:]) == packb(obj)
-    assert n == len(packb(obj))
-
-
-def test_packb_into_buffer_reuse():
-    buf = bytearray()
-    for obj in (1, "x", [b"abc", None], {"k": 3.5}):
-        buf.clear()
-        assert packb_into(obj, buf) == len(buf)
-        assert bytes(buf) == packb(obj)
-
-
-def test_pack_parts_spills_large_payloads_without_copy():
-    big = b"z" * 2048
-    obj = {"s": big, "k": 1}
-    parts = pack_parts(obj)
-    assert b"".join(parts) == packb(obj)
-    # The spilled segment is a view over the original bytes, not a copy.
-    spilled = [p for p in parts if p.obj is big]
-    assert len(spilled) == 1 and len(spilled[0]) == len(big)
-
-
-def test_pack_parts_small_payloads_stay_in_scratch():
-    obj = {"s": b"tiny"}
-    parts = pack_parts(obj)  # below SPILL_THRESHOLD: one scratch segment
-    assert len(parts) == 1
-    assert b"".join(parts) == packb(obj)
-
-
-def test_pack_parts_empty_bin_at_zero_threshold():
-    # An empty payload has nothing to spill; must not emit an empty segment.
-    parts = pack_parts({"e": b""}, threshold=0)
-    assert all(len(p) for p in parts)
-    assert b"".join(parts) == packb({"e": b""})
-
-
-@settings(max_examples=300, deadline=None)
-@given(json_like, st.sampled_from([0, 16, SPILL_THRESHOLD]))
-def test_pack_parts_byte_identical_to_packb(obj, threshold):
-    """The scatter-gather encode concatenates to exactly packb's output for
-    arbitrary nested payloads at any spill threshold."""
-    assert b"".join(pack_parts(obj, threshold)) == packb(obj)
+# -- zero-copy decode (memoryview bins) ---------------------------------------
 
 
 @settings(max_examples=200, deadline=None)

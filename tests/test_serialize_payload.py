@@ -44,19 +44,18 @@ def test_empty_batch_roundtrip():
 
 
 def test_version_check():
-    data = encode_batch(make_payload())
-    from repro.serialize.msgpack import packb, unpackb
-
-    obj = unpackb(data)
-    obj["v"] = 99
-    with pytest.raises(ValueError, match="version"):
-        decode_batch(packb(obj))
+    data = bytearray(encode_batch(make_payload()))
+    data[0] = 99  # the header's version byte
+    with pytest.raises(ValueError, match="version 99"):
+        decode_batch(bytes(data))
 
 
 def test_non_map_payload_rejected():
+    """A msgpack value is not a batch frame: its first byte is read as the
+    header's version and rejected."""
     from repro.serialize.msgpack import packb
 
-    with pytest.raises(ValueError, match="map"):
+    with pytest.raises(ValueError, match="unsupported batch payload version"):
         decode_batch(packb([1, 2, 3]))
 
 
