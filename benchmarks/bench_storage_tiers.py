@@ -7,7 +7,7 @@ every batch.  Both sides read the *same* planned ranges through the same
 :class:`~repro.storage.backend.StorageBackend` protocol:
 
 * ``cold_remote`` — a fresh :class:`ObjectStoreBackend` (8 ms per request),
-  one range-GET per planned batch, CRC-verified parse.
+  one range-GET per planned batch (``read_region``), CRC-verified parse.
 * ``warm_cache`` — a :class:`CachedBackend` over an identical backend,
   after ``schedule_prefetch(plan)`` has drained; every read is a cache hit,
   checked against the SHA-256 seal its block was admitted with (the
@@ -38,6 +38,7 @@ except ImportError:  # script (smoke) mode — pytest helpers unused
 
 from repro.core.config import EMLIOConfig
 from repro.core.planner import Planner
+from repro.storage.backend import parse_record_block
 from repro.storage.cache import CachedBackend
 from repro.storage.objectstore import ObjectStoreBackend
 
@@ -67,7 +68,10 @@ def _read_all(backend, ranges) -> None:
             handle = handles.get(shard_path)
             if handle is None:
                 handle = handles[shard_path] = backend.open_shard(shard_path)
-            views = handle.read_range_views(offset, count, nbytes=nbytes)
+            region, needs_verify = handle.read_region(offset, count, nbytes)
+            views = parse_record_block(
+                region, count, needs_verify, shard_path=shard_path, offset=offset
+            )
             if len(views) != count:
                 raise RuntimeError(f"short read: {len(views)} != {count}")
     finally:

@@ -376,9 +376,9 @@ class EMLIODaemon:
     def _acquire_reader(self, shard_path: str) -> ShardHandle:
         """Get a handle pinned against LRU eviction until release.
 
-        Pinning only needs to cover the ``read_range_views`` call itself:
-        once record views exist they keep the underlying buffer (mmap or
-        fetched block) alive on their own, so a later LRU close cannot
+        Pinning only needs to cover the ``read_region`` call itself: once
+        the region (a view or a fetched block) exists it keeps the
+        underlying buffer alive on its own, so a later LRU close cannot
         invalidate in-flight batches.
         """
         with self._readers_lock:
@@ -543,27 +543,23 @@ class EMLIODaemon:
         one framing scan — the batch goes out as a
         :class:`~repro.net.buffers.ColumnarSamples` over the region itself,
         so the encoder emits O(1) segments and nothing walks the records in
-        Python.  A layout the scanner rejects is parsed per record from the
-        same region (a handle without ``read_region`` reads per record).
-        Either way the tier is read once, and a CRC failure raises
-        :class:`~repro.tfrecord.reader.TFRecordCorruption` naming the shard
-        and the absolute offset.
+        Python.  A region the scanner rejects is parsed per record: an
+        unknown layout is then decoded record by record, and a CRC failure
+        raises :class:`~repro.tfrecord.reader.TFRecordCorruption` naming
+        the shard and the absolute offset.  Either way the tier is read
+        once.
         """
-        read_region = getattr(reader, "read_region", None)
-        if read_region is None:
-            records = reader.read_range_views(a.offset, a.count, nbytes=a.nbytes)
-        else:
-            region, needs_verify = read_region(a.offset, a.count, a.nbytes)
-            try:
-                offsets, labels = scan_example_spans(region, a.count, verify=needs_verify)
-                return ColumnarSamples(region, offsets), labels
-            except ValueError:
-                # An unknown layout, or a CRC failure: walking the same
-                # region per record parses the one and names the shard and
-                # absolute offset of the other.
-                records = parse_record_block(
-                    region, a.count, needs_verify, shard_path=a.shard_path, offset=a.offset
-                )
+        region, needs_verify = reader.read_region(a.offset, a.count, a.nbytes)
+        try:
+            offsets, labels = scan_example_spans(region, a.count, verify=needs_verify)
+            return ColumnarSamples(region, offsets), labels
+        except ValueError:
+            # An unknown layout, or a CRC failure: walking the same region
+            # per record parses the one and names the shard and absolute
+            # offset of the other.
+            records = parse_record_block(
+                region, a.count, needs_verify, shard_path=a.shard_path, offset=a.offset
+            )
         samples = []
         labels = []
         for record in records:

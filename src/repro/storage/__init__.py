@@ -6,8 +6,9 @@ latency/energy blow-up in Figures 5–9.  EMLIO's daemons instead issue
 contiguous range reads (paper §4.3) — this package provides both sides:
 
 * :class:`~repro.storage.backend.StorageBackend` — the tier protocol the
-  daemon serves through (``open_shard() → ShardHandle`` with CRC-verified
-  range reads, plus ``stat``/``listdir``).
+  daemon serves through (``open_shard() → ShardHandle``, whose one read,
+  ``read_region``, returns a planned range's raw bytes and whether the
+  caller must CRC-check them).
 * :class:`~repro.storage.backend.LocalFSBackend` — mmap fast path.
 * :class:`~repro.storage.backend.NFSBackend` — range reads over the
   from-scratch remote-file protocol (:class:`StorageServer` serves a

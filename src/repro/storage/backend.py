@@ -1,27 +1,31 @@
 """Pluggable storage tiers behind one daemon-facing protocol.
 
 The daemon's serve loop needs exactly one thing from storage: "give me the
-``count`` records in ``[offset, offset + nbytes)`` of this shard, verified".
-:class:`StorageBackend` is that seam — ``open_shard`` returns a
-:class:`ShardHandle` whose ``read_range``/``read_range_views`` mirror
-:class:`~repro.tfrecord.reader.TFRecordReader`, plus ``stat``/``listdir``
-for tooling.  Three tiers implement it:
+raw framed bytes of the ``count`` records in ``[offset, offset + nbytes)``
+of this shard".  :class:`StorageBackend` is that seam — ``open_shard``
+returns a :class:`ShardHandle` whose one read, ``read_region``, returns
+those bytes plus whether the caller must still CRC-check them.  Range
+tiers also serve ``read_bytes`` (one range GET), the primitive a
+:class:`~repro.storage.cache.CachedBackend` wraps.  Three tiers implement
+it:
 
 ``localfs``
-    :class:`LocalFSBackend` — the mmap fast path.  Handles wrap
-    :class:`TFRecordReader` directly, so record views alias the mapped
-    shard and batches go to the wire with zero copies (paper §4.3).
+    :class:`LocalFSBackend` — the mmap fast path.  A region is a view of
+    the mapped shard, so batches go to the wire with zero copies (paper
+    §4.3).
 ``nfs``
     :class:`NFSBackend` — wraps an :class:`~repro.storage.nfs.NFSMount`.
     A batch range is fetched with **one** ``read_at`` round trip (the plan
-    knows ``nbytes``), then parsed and CRC-verified locally.
+    knows ``nbytes``).
 ``objectstore``
     :class:`~repro.storage.objectstore.ObjectStoreBackend` — emulated
     range-GET store with configurable per-request latency.
 
-Every remote fetch is parsed through the same CRC-verifying record walk
-as the mmap path (:func:`parse_record_block`), so a short or corrupt
-range read fails loudly at read time regardless of tier.
+Remote bytes come back flagged for verification, and the daemon checks
+them with the same CRC-verifying record scan as the mmap path (falling
+back to :func:`parse_record_block`, which names the shard and offset), so
+a short or corrupt range read fails loudly at read time regardless of
+tier.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.storage.localfs import LocalStorage, StorageStats
-from repro.tfrecord.reader import _LEN, TFRecordCorruption, TFRecordReader, read_records
-from repro.tfrecord.writer import FOOTER_BYTES, HEADER_BYTES
+from repro.tfrecord.reader import TFRecordCorruption, TFRecordReader, read_records
 
 
 def parse_record_block(
@@ -62,17 +65,6 @@ def parse_record_block(
 class ShardHandle(Protocol):
     """Range-read access to one shard, independent of where its bytes live."""
 
-    @property
-    def nbytes(self) -> int: ...
-
-    def read_range(
-        self, offset: int, count: int, nbytes: int | None = None
-    ) -> list[bytes]: ...
-
-    def read_range_views(
-        self, offset: int, count: int, nbytes: int | None = None
-    ) -> list[memoryview]: ...
-
     def read_region(
         self, offset: int, count: int, nbytes: int
     ) -> tuple[bytes | memoryview, bool]: ...
@@ -84,8 +76,8 @@ class StorageBackend:
     """Base class for storage tiers.
 
     Subclasses set :attr:`tier`, provide :attr:`stats`
-    (:class:`StorageStats`), and implement :meth:`open_shard`,
-    :meth:`stat` and :meth:`listdir`.  The prefetch/cache hooks are
+    (:class:`StorageStats`) and implement :meth:`open_shard`; range tiers
+    also implement :meth:`read_bytes`.  The prefetch/cache hooks are
     no-ops here so the daemon can drive any tier uniformly; only
     :class:`~repro.storage.cache.CachedBackend` overrides them.
     """
@@ -96,11 +88,8 @@ class StorageBackend:
     def open_shard(self, shard_path: str) -> ShardHandle:
         raise NotImplementedError
 
-    def stat(self, shard_path: str) -> int:
-        """Size of the shard in bytes."""
-        raise NotImplementedError
-
-    def listdir(self, relpath: str = ".") -> list[str]:
+    def read_bytes(self, shard_path: str, offset: int, nbytes: int) -> bytes:
+        """One range GET: ``nbytes`` raw bytes of the shard at ``offset``."""
         raise NotImplementedError
 
     def close(self) -> None:  # noqa: B027 — optional hook
@@ -111,9 +100,6 @@ class StorageBackend:
     def schedule_prefetch(self, ranges) -> int:
         """Accept a plan of ``(shard_path, offset, nbytes, count)`` ranges."""
         return 0
-
-    def wait_prefetch(self, timeout: float | None = None) -> bool:
-        return True
 
     def hot_shards(self) -> set[str]:
         """Shard paths with bytes resident in this tier's cache."""
@@ -143,28 +129,6 @@ class LocalFSHandle:
             backend.root / shard_path, verify=backend.verify
         )
 
-    @property
-    def nbytes(self) -> int:
-        return self._reader.nbytes
-
-    def read_range(
-        self, offset: int, count: int, nbytes: int | None = None
-    ) -> list[bytes]:
-        out = self._reader.read_range(offset, count)
-        self._backend.stats.record_read(
-            nbytes if nbytes is not None else sum(len(r) for r in out)
-        )
-        return out
-
-    def read_range_views(
-        self, offset: int, count: int, nbytes: int | None = None
-    ) -> list[memoryview]:
-        out = self._reader.read_range_views(offset, count)
-        self._backend.stats.record_read(
-            nbytes if nbytes is not None else sum(len(r) for r in out)
-        )
-        return out
-
     def read_region(
         self, offset: int, count: int, nbytes: int
     ) -> tuple[memoryview, bool]:
@@ -192,37 +156,27 @@ class LocalFSBackend(StorageBackend):
     def __init__(self, root: str | Path, verify: bool | str = True) -> None:
         self.root = Path(root)
         self.verify = verify
-        self.stats = StorageStats()
+        self._store = LocalStorage(root)
+        self.stats = self._store.stats
 
     def open_shard(self, shard_path: str) -> LocalFSHandle:
         return LocalFSHandle(self, shard_path)
 
-    def stat(self, shard_path: str) -> int:
-        self.stats.record_stat()
-        return (self.root / shard_path).stat().st_size
-
-    def listdir(self, relpath: str = ".") -> list[str]:
-        self.stats.record_listdir()
-        return sorted(p.name for p in (self.root / relpath).iterdir())
-
-    # Range-GET primitive, used when this tier sits under a cache.
     def read_bytes(self, shard_path: str, offset: int, nbytes: int) -> bytes:
-        with open(self.root / shard_path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read(nbytes)
-        self.stats.record_read(len(data))
-        return data
+        """Range GET for a cache over this tier: one ``pread``."""
+        return self._store.read_at(shard_path, offset, nbytes)
+
+    def close(self) -> None:
+        self._store.close()
 
 
 class RemoteShardHandle:
-    """Handle for byte-range tiers (NFS, object store, cached).
+    """Handle for byte-range tiers (NFS, object store).
 
     A planned batch range — the daemon always knows ``nbytes`` from its
     :class:`~repro.core.planner.BatchAssignment` — is fetched with one
-    backend request and parsed locally with per-record CRC verification.
-    Without the ``nbytes`` hint (tooling paths) it falls back to walking
-    record headers, two small requests per record — exactly the
-    round-trip-per-read pattern the plan hint exists to avoid.
+    backend request and handed back unparsed, flagged for the caller's
+    per-record CRC check.
     """
 
     def __init__(self, backend, shard_path: str, verify: bool) -> None:
@@ -231,43 +185,6 @@ class RemoteShardHandle:
         # "open"-at-construction has no meaning when bytes arrive per
         # request: verify every fetched range instead.
         self.verify = bool(verify)
-
-    @property
-    def nbytes(self) -> int:
-        return self._backend.stat(self.shard_path)
-
-    def _fetch(self, offset: int, count: int, nbytes: int | None) -> bytes:
-        if nbytes is not None:
-            return self._backend.read_bytes(self.shard_path, offset, nbytes)
-        chunks: list[bytes] = []
-        pos = offset
-        for _ in range(count):
-            header = self._backend.read_bytes(self.shard_path, pos, HEADER_BYTES)
-            if len(header) < HEADER_BYTES:
-                raise TFRecordCorruption(
-                    f"shard {self.shard_path!r}: truncated header at byte {pos}"
-                )
-            (length,) = _LEN.unpack_from(header)
-            body = self._backend.read_bytes(
-                self.shard_path, pos + HEADER_BYTES, length + FOOTER_BYTES
-            )
-            chunks.append(header)
-            chunks.append(body)
-            pos += HEADER_BYTES + length + FOOTER_BYTES
-        return b"".join(chunks)
-
-    def read_range_views(
-        self, offset: int, count: int, nbytes: int | None = None
-    ) -> list[memoryview]:
-        buf = self._fetch(offset, count, nbytes)
-        return parse_record_block(
-            buf, count, self.verify, shard_path=self.shard_path, offset=offset
-        )
-
-    def read_range(
-        self, offset: int, count: int, nbytes: int | None = None
-    ) -> list[bytes]:
-        return [bytes(v) for v in self.read_range_views(offset, count, nbytes)]
 
     def read_region(
         self, offset: int, count: int, nbytes: int
@@ -304,12 +221,6 @@ class NFSBackend(StorageBackend):
 
     def read_bytes(self, shard_path: str, offset: int, nbytes: int) -> bytes:
         return self.mount.read_at(shard_path, offset, nbytes)
-
-    def stat(self, shard_path: str) -> int:
-        return self.mount.size(shard_path)
-
-    def listdir(self, relpath: str = ".") -> list[str]:
-        return self.mount.listdir(relpath)
 
     def close(self) -> None:
         if self.owns_mount:

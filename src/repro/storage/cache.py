@@ -82,11 +82,7 @@ import time
 from collections import deque
 from typing import Iterable, NamedTuple
 
-from repro.storage.backend import (
-    RemoteShardHandle,
-    StorageBackend,
-    parse_record_block,
-)
+from repro.storage.backend import StorageBackend, parse_record_block
 from repro.tfrecord.reader import TFRecordCorruption
 
 BlockKey = tuple[str, int, int]  # (shard_path, offset, nbytes)
@@ -411,38 +407,6 @@ class CachedShardHandle:
     def __init__(self, backend: "CachedBackend", shard_path: str) -> None:
         self._backend = backend
         self.shard_path = shard_path
-        self._inner: RemoteShardHandle | None = None
-
-    def _inner_handle(self):
-        if self._inner is None:
-            self._inner = self._backend.inner.open_shard(self.shard_path)
-        return self._inner
-
-    @property
-    def nbytes(self) -> int:
-        return self._inner_handle().nbytes
-
-    def read_range_views(
-        self, offset: int, count: int, nbytes: int | None = None
-    ) -> list[memoryview]:
-        if nbytes is None:
-            # No plan hint means no block identity — bypass the cache.
-            return self._inner_handle().read_range_views(offset, count)
-        backend = self._backend
-        key: BlockKey = (self.shard_path, offset, nbytes)
-        block = backend.lookup(key)
-        if block is None:
-            block = backend.fetch_block(PlanRange(self.shard_path, offset, nbytes, count))
-        # Checked as the tier's policy asks: a hit against its seal, a miss
-        # by its fetch's CRC walk.
-        return parse_record_block(
-            block, count, False, shard_path=self.shard_path, offset=offset
-        )
-
-    def read_range(
-        self, offset: int, count: int, nbytes: int | None = None
-    ) -> list[bytes]:
-        return [bytes(v) for v in self.read_range_views(offset, count, nbytes)]
 
     def read_region(
         self, offset: int, count: int, nbytes: int
@@ -462,9 +426,7 @@ class CachedShardHandle:
         return block, False
 
     def close(self) -> None:
-        if self._inner is not None:
-            self._inner.close()
-            self._inner = None
+        pass
 
 
 class _Fetch:
@@ -582,12 +544,6 @@ class CachedBackend(StorageBackend):
             del self._inflight[key]
             self._idle.notify_all()
         fetch.done.set()
-
-    def stat(self, shard_path: str) -> int:
-        return self.inner.stat(shard_path)
-
-    def listdir(self, relpath: str = ".") -> list[str]:
-        return self.inner.listdir(relpath)
 
     # ---- the fetch window ----
 

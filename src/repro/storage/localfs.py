@@ -25,7 +25,6 @@ class StorageStats:
     reads: int = 0
     bytes_read: int = 0
     stats: int = 0
-    listdirs: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_read(self, nbytes: int) -> None:
@@ -37,10 +36,6 @@ class StorageStats:
         with self._lock:
             self.stats += 1
 
-    def record_listdir(self) -> None:
-        with self._lock:
-            self.listdirs += 1
-
     def snapshot(self) -> dict[str, int]:
         """Point-in-time copy of the counters."""
         with self._lock:
@@ -48,7 +43,6 @@ class StorageStats:
                 "reads": self.reads,
                 "bytes_read": self.bytes_read,
                 "stats": self.stats,
-                "listdirs": self.listdirs,
             }
 
 
@@ -129,8 +123,3 @@ class LocalStorage:
         data = self._resolve(relpath).read_bytes()
         self.stats.record_read(len(data))
         return data
-
-    def listdir(self, relpath: str = ".") -> list[str]:
-        self.stats.record_listdir()
-        base = self._resolve(relpath)
-        return sorted(p.name for p in base.iterdir())

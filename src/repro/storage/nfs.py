@@ -85,10 +85,6 @@ class NFSMount:
         size = self.size(relpath)
         return self.read_at(relpath, 0, size)
 
-    def listdir(self, relpath: str = ".") -> list[str]:
-        self.stats.record_listdir()
-        return self._call({"op": "listdir", "path": relpath})["names"]
-
     def ping(self) -> bool:
         return self._call({"op": "ping"})["ok"]
 

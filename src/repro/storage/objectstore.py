@@ -34,7 +34,7 @@ class ObjectStoreBackend(StorageBackend):
     root:
         Directory holding the "bucket" (shard files are the objects).
     request_latency_s:
-        Flat latency charged to every request (GET/HEAD/LIST alike).
+        Flat latency charged to every range GET.
     profile:
         Optional :class:`NetworkProfile`; adds its RTT plus the
         size-dependent transfer time on top of ``request_latency_s``.
@@ -63,7 +63,7 @@ class ObjectStoreBackend(StorageBackend):
         self.stats = self._store.stats
         self.requests = 0
 
-    def _request(self, nbytes: int = 0) -> None:
+    def _request(self, nbytes: int) -> None:
         self.requests += 1
         delay = self.request_latency_s
         if self.profile is not None:
@@ -78,14 +78,6 @@ class ObjectStoreBackend(StorageBackend):
         """One emulated ``GET Range: bytes=offset-`` request."""
         self._request(nbytes)
         return self._store.read_at(shard_path, offset, nbytes)
-
-    def stat(self, shard_path: str) -> int:
-        self._request()
-        return self._store.size(shard_path)
-
-    def listdir(self, relpath: str = ".") -> list[str]:
-        self._request()
-        return self._store.listdir(relpath)
 
     def close(self) -> None:
         self._store.close()

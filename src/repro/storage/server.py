@@ -4,7 +4,6 @@ Protocol (msgpack maps over frames)::
 
     request:  {"op": "read",    "path": str, "offset": int, "nbytes": int}
               {"op": "stat",    "path": str}
-              {"op": "listdir", "path": str}
               {"op": "ping"}
     response: {"ok": true,  ...op-specific fields...}
               {"ok": false, "error": str}
@@ -82,8 +81,6 @@ class StorageServer:
                 return {"ok": True, "data": data}
             if op == "stat":
                 return {"ok": True, "size": self.storage.size(req["path"])}
-            if op == "listdir":
-                return {"ok": True, "names": self.storage.listdir(req.get("path", "."))}
             if op == "ping":
                 return {"ok": True}
             return {"ok": False, "error": f"unknown op {op!r}"}

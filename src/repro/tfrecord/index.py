@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 _INDEX_RE = re.compile(r"mapping_(?P<shard>shard_\d+)\.json$")
 
@@ -33,6 +33,7 @@ class ShardIndex:
     entries: tuple[RecordEntry, ...]
 
     def __post_init__(self) -> None:
+        _validate_path(self.shard, self.path)
         _validate_entries(self.shard, self.entries)
 
     @property
@@ -78,6 +79,17 @@ class ShardIndex:
         out = Path(root) / f"mapping_{self.shard}.json"
         out.write_text(self.to_json())
         return out
+
+
+def _validate_path(shard: str, path: str) -> None:
+    # Index files are outside input, and the localfs tier opens
+    # ``root / path`` as given: the path must name a file under the root.
+    rel = PurePosixPath(path) if isinstance(path, str) else PurePosixPath()
+    if not rel.parts or rel.is_absolute() or ".." in rel.parts:
+        raise ValueError(
+            f"{shard}: shard path {path!r} must be a non-empty path relative "
+            "to the dataset root, without '..'"
+        )
 
 
 def _validate_entries(shard: str, entries: tuple[RecordEntry, ...]) -> None:

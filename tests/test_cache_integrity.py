@@ -1,10 +1,9 @@
 """Integrity of the cache tier and the range-GET descriptors under it.
 
 * A bit flipped in an admitted block's bytes, in cache RAM, is caught on
-  the next hit through both serve-path reads (``read_region`` and
-  ``read_range_views``) with a :class:`TFRecordCorruption` naming the
-  shard and the offset; the block is dropped and the read after that
-  re-fetches good bytes from the tier.
+  the next hit through the serve-path read (``read_region``) with a
+  :class:`TFRecordCorruption` naming the shard and the offset; the block
+  is dropped and the read after that re-fetches good bytes from the tier.
 * A warm hit under ``verify_reads=True`` runs no CRC-32C: bytes are
   CRC-checked once, when they leave the tier.
 * The object store's per-shard descriptors are released by ``close()``,
@@ -34,7 +33,7 @@ from repro.storage.localfs import LocalStorage
 from repro.storage.objectstore import ObjectStoreBackend
 from repro.tfrecord.reader import TFRecordCorruption
 
-READ_PATHS = ("read_region", "read_range_views")
+READ_PATHS = ("read_region",)
 _PROC_FD = Path("/proc/self/fd")
 
 
@@ -45,18 +44,16 @@ def _ranges(dataset, batch_size: int = 4):
 
 
 def _serve(backend, rng, path: str) -> list[bytes]:
-    """One planned read the way the daemon consumes it: ``read_region``
-    output is CRC-checked by the caller iff its flag says so."""
+    """One planned read the way the daemon consumes it: the handle's
+    ``path`` read returns a region, CRC-checked by the caller iff its flag
+    says so."""
     shard_path, offset, nbytes, count = rng
     handle = backend.open_shard(shard_path)
     try:
-        if path == "read_region":
-            region, needs_verify = handle.read_region(offset, count, nbytes)
-            views = parse_record_block(
-                region, count, needs_verify, shard_path=shard_path, offset=offset
-            )
-        else:
-            views = handle.read_range_views(offset, count, nbytes=nbytes)
+        region, needs_verify = getattr(handle, path)(offset, count, nbytes)
+        views = parse_record_block(
+            region, count, needs_verify, shard_path=shard_path, offset=offset
+        )
         return [bytes(v) for v in views]
     finally:
         handle.close()
@@ -148,7 +145,7 @@ def test_warm_hits_run_no_crc_and_fetches_run_it_on_every_block(
             for path in READ_PATHS:
                 _serve(backend, rng, path)
         assert calls == []
-        assert backend.cache.stats.snapshot()["hits"] == 2 * len(ranges)
+        assert backend.cache.stats.snapshot()["hits"] == len(ranges)
         assert inner.requests == len(ranges)
     finally:
         backend.close()

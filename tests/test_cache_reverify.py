@@ -4,8 +4,8 @@
   block is evicted, and a re-fetch whose bytes hash to it is admitted
   with one range-GET and no walk.
 * A shard that changes on the tier after the block's first admission no
-  longer matches the seal, so the re-fetch walks CRC-32C and both read
-  paths raise; the prefetcher never admits the block.
+  longer matches the seal, so the re-fetch walks CRC-32C and the read
+  raises; the prefetcher never admits the block.
 * A bit flipped in cache RAM drops the block; its re-fetch is admitted on
   the kept seal and serves the tier's bytes.
 * A new plan drops the seals of keys it no longer names.

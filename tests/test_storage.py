@@ -35,12 +35,6 @@ def test_local_size_and_exists(tree):
     assert not fs.exists("missing.bin")
 
 
-def test_local_listdir(tree):
-    fs = LocalStorage(tree)
-    assert fs.listdir() == ["a.bin", "sub"]
-    assert fs.listdir("sub") == ["b.bin"]
-
-
 def test_local_stats_accounting(tree):
     fs = LocalStorage(tree)
     fs.read_at("a.bin", 0, 100)
@@ -85,7 +79,6 @@ def test_nfs_roundtrip(server, tree):
     assert mount.size("a.bin") == 1024
     assert mount.read_at("a.bin", 0, 8) == bytes(range(8))
     assert mount.read_all("sub/b.bin") == b"nested"
-    assert mount.listdir() == ["a.bin", "sub"]
     mount.close()
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from test_cache_integrity import _serve
 
 from repro.api import EMLIO, preset
 from repro.core.config import EMLIOConfig
@@ -63,12 +64,7 @@ def _ranges(dataset, epochs: int = 1, batch_size: int = 4):
 
 
 def _read(backend, rng) -> list[bytes]:
-    shard_path, offset, nbytes, count = rng
-    handle = backend.open_shard(shard_path)
-    try:
-        return [bytes(v) for v in handle.read_range_views(offset, count, nbytes=nbytes)]
-    finally:
-        handle.close()
+    return _serve(backend, rng, "read_region")
 
 
 def _prefetch_threads() -> list[threading.Thread]:

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cache_integrity import _serve
 
 from repro.api import EMLIO, preset
 from repro.api.spec import ClusterSpec, SpecError, StorageSpec
@@ -27,12 +28,12 @@ from repro.core.config import EMLIOConfig
 from repro.core.daemon import EMLIODaemon
 from repro.core.planner import Planner
 from repro.core.service import EMLIOService
-from repro.storage.backend import LocalFSBackend, NFSBackend
+from repro.storage.backend import LocalFSBackend, NFSBackend, ShardHandle
 from repro.storage.cache import CachedBackend, HotSetCache, PlanRange
 from repro.storage.nfs import NFSMount
 from repro.storage.objectstore import ObjectStoreBackend
 from repro.storage.server import StorageServer
-from repro.tfrecord.reader import TFRecordCorruption, TFRecordReader
+from repro.tfrecord.reader import TFRecordCorruption
 
 
 def _plan_ranges(dataset, batch_size=4, epochs=1):
@@ -44,48 +45,40 @@ def _plan_ranges(dataset, batch_size=4, epochs=1):
 
 
 def _read_ranges(backend, ranges):
-    out = []
-    for shard_path, offset, nbytes, count in ranges:
-        handle = backend.open_shard(shard_path)
-        try:
-            out.append([bytes(v) for v in
-                        handle.read_range_views(offset, count, nbytes=nbytes)])
-        finally:
-            handle.close()
-    return out
+    return [_serve(backend, rng, "read_region") for rng in ranges]
 
 
 # -- backend parity ------------------------------------------------------------
 
 
 def test_localfs_and_objectstore_serve_identical_records(small_imagenet):
+    # Every tier, the same planned ranges, the same records.
     _, ranges = _plan_ranges(small_imagenet)
-    local = LocalFSBackend(small_imagenet.root)
-    remote = ObjectStoreBackend(small_imagenet.root)
+    root = small_imagenet.root
+    server = StorageServer(str(root))
+    tiers = {
+        "localfs": LocalFSBackend(root),
+        "nfs": NFSBackend(NFSMount("127.0.0.1", server.port, pool_size=1)),
+        "objectstore": ObjectStoreBackend(root),
+        "cached": CachedBackend(ObjectStoreBackend(root), 16 * 1024 * 1024),
+    }
     try:
-        assert _read_ranges(local, ranges) == _read_ranges(remote, ranges)
+        for backend in tiers.values():
+            handle = backend.open_shard(ranges[0][0])
+            assert isinstance(handle, ShardHandle)
+            handle.close()
+        reads = {name: _read_ranges(backend, ranges) for name, backend in tiers.items()}
     finally:
-        local.close()
-        remote.close()
-    assert local.stats.snapshot()["reads"] == len(ranges)
-    assert remote.stats.snapshot()["reads"] == len(ranges)
-
-
-def test_remote_handle_header_walk_without_nbytes_hint(small_imagenet):
-    # Tooling paths have no plan hint: the handle walks record headers.
-    _, ranges = _plan_ranges(small_imagenet)
-    shard_path, offset, nbytes, count = ranges[0]
-    backend = ObjectStoreBackend(small_imagenet.root)
-    reader = TFRecordReader(small_imagenet.root / shard_path)
-    try:
-        handle = backend.open_shard(shard_path)
-        walked = handle.read_range(offset, count)  # no nbytes
-        assert walked == reader.read_range(offset, count)
-        # Two small GETs per record vs one planned-range GET.
-        assert backend.requests == 2 * count
-    finally:
-        reader.close()
-        backend.close()
+        for backend in tiers.values():
+            backend.close()
+        server.close()
+    want = reads.pop("localfs")
+    assert len(want) == len(ranges)
+    for name, got in reads.items():
+        assert got == want, name
+    for backend in tiers.values():
+        # One tier read per planned range (the cache's misses included).
+        assert backend.stats.snapshot()["reads"] == len(ranges)
 
 
 def test_objectstore_charges_latency_per_request(small_imagenet):
@@ -114,25 +107,23 @@ def test_objectstore_short_range_read_raises(small_imagenet):
     shard_path, offset, nbytes, count = ranges[0]
     backend = ObjectStoreBackend(small_imagenet.root)
     try:
-        handle = backend.open_shard(shard_path)
         with pytest.raises(TFRecordCorruption, match="bad range read"):
-            handle.read_range_views(offset, count, nbytes=nbytes - 8)
+            _read_ranges(backend, [(shard_path, offset, nbytes - 8, count)])
     finally:
         backend.close()
 
 
 def test_objectstore_corrupt_range_read_raises(small_imagenet):
     _, ranges = _plan_ranges(small_imagenet)
-    shard_path, offset, nbytes, count = ranges[0]
+    shard_path, offset, _nbytes, _count = ranges[0]
     path = small_imagenet.root / shard_path
     raw = bytearray(path.read_bytes())
     raw[offset + 20] ^= 0xFF  # flip a record-body byte inside the range
     path.write_bytes(bytes(raw))
     backend = ObjectStoreBackend(small_imagenet.root)
     try:
-        handle = backend.open_shard(shard_path)
         with pytest.raises(TFRecordCorruption, match=shard_path):
-            handle.read_range_views(offset, count, nbytes=nbytes)
+            _read_ranges(backend, [ranges[0]])
     finally:
         backend.close()
 
@@ -365,7 +356,7 @@ def test_prefetch_warms_planned_ranges(small_imagenet):
 
 def test_prefetch_never_caches_corrupt_blocks(small_imagenet):
     _, ranges = _plan_ranges(small_imagenet)
-    shard_path, offset, nbytes, count = ranges[0]
+    shard_path, offset, nbytes, _count = ranges[0]
     path = small_imagenet.root / shard_path
     raw = bytearray(path.read_bytes())
     raw[offset + 20] ^= 0xFF
@@ -377,9 +368,8 @@ def test_prefetch_never_caches_corrupt_blocks(small_imagenet):
         assert len(backend.prefetch_errors) == 1
         assert (shard_path, offset, nbytes) not in backend.cache
         # The serve path surfaces the real error on the batch that needs it.
-        handle = backend.open_shard(shard_path)
         with pytest.raises(TFRecordCorruption):
-            handle.read_range_views(offset, count, nbytes=nbytes)
+            _read_ranges(backend, [ranges[0]])
     finally:
         backend.close()
 

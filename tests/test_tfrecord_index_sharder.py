@@ -1,5 +1,7 @@
 """Tests for shard indexes and dataset sharding."""
 
+import json
+
 import pytest
 
 from repro.tfrecord.index import RecordEntry, ShardIndex, load_shard_indexes
@@ -10,6 +12,7 @@ from repro.tfrecord.sharder import (
     unpack_example,
     write_shards,
 )
+from repro.tools.fsck import fsck_dataset
 
 
 def make_samples(n, size=100):
@@ -114,6 +117,21 @@ def test_invalid_index_non_contiguous_rejected():
             path="x.tfrecord",
             entries=(RecordEntry(0, 10, 0), RecordEntry(11, 10, 1)),
         )
+
+
+@pytest.mark.parametrize("bad", ["", "/etc/passwd", "../x.tfrecord", "sub/../../x"])
+def test_index_naming_a_path_outside_the_root_is_rejected(tmp_path, bad):
+    # Index files are outside input: the localfs tier opens the path as
+    # given, so it must name a file under the dataset root.
+    ds = write_shards(make_samples(4), tmp_path, records_per_shard=2)
+    index_file = tmp_path / f"mapping_{ds.indexes[0].shard}.json"
+    obj = json.loads(index_file.read_text())
+    obj["path"] = bad
+    index_file.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="shard path"):
+        ShardedDataset.open(tmp_path)
+    report = fsck_dataset(tmp_path)
+    assert [e for e in report.errors if "index load failed" in e and repr(bad) in e]
 
 
 def test_invalid_records_per_shard(tmp_path):
