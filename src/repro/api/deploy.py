@@ -499,11 +499,12 @@ class Deployment:
             "spans_written": trace["written"] if trace is not None else 0,
             "spans_dropped": trace["dropped"] if trace is not None else 0,
         }
+        pipeline = self.service.stats()
         return {
             "spec": self.spec.name,
             "cluster": self.service.cluster_status(),
-            "pipeline": self.service.stats(),
-            "storage": self.service.storage_stats(),
+            "pipeline": pipeline,
+            "storage": pipeline["storage"],
             "telemetry": telemetry,
             "energy": energy,
         }

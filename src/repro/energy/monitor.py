@@ -205,11 +205,9 @@ class EnergyMonitor:
         out = []
         while True:
             try:
-                item = q.get_nowait()
+                out.append(q.get_nowait())
             except queue.Empty:
                 return out
-            if item is not None:
-                out.append(item)
 
     def __enter__(self) -> "EnergyMonitor":
         self.start()

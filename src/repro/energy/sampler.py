@@ -27,7 +27,7 @@ class SamplerThread:
         self,
         name: str,
         barrier: threading.Barrier,
-        out: "queue.Queue[tuple[float, dict[str, float]] | None]",
+        out: "queue.Queue[tuple[float, dict[str, float]]]",
         interval: float,
         clock: Clock | None = None,
         drop_hook: Callable[[int], bool] | None = None,
@@ -74,10 +74,6 @@ class SamplerThread:
             if self.drop_hook is None or not self.drop_hook(k):
                 self.out.put((t_k, fields))
             k += 1
-
-    def mark_done(self) -> None:
-        """Push the end-of-stream sentinel for the accumulator."""
-        self.out.put(None)
 
 
 class CpuDramSampler(SamplerThread):

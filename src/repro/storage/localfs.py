@@ -1,8 +1,10 @@
 """Instrumented local storage backend.
 
-Counts operations and bytes so experiments can attribute I/O activity to
-energy (the power models consume these counters).  The API is deliberately
-small — exactly the operations the loaders and the NFS protocol need.
+One operation: :meth:`LocalStorage.read_at`, a positional read confined
+to the root, which counts its reads and bytes in :class:`StorageStats`
+(the ``reads``/``bytes_read`` of every tier's storage snapshot).  The
+localfs and object-store tiers, the storage server behind the NFS mount
+and the per-sample loader all read through it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ class StorageStats:
 
     reads: int = 0
     bytes_read: int = 0
-    stats: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_read(self, nbytes: int) -> None:
@@ -32,18 +33,10 @@ class StorageStats:
             self.reads += 1
             self.bytes_read += nbytes
 
-    def record_stat(self) -> None:
-        with self._lock:
-            self.stats += 1
-
     def snapshot(self) -> dict[str, int]:
         """Point-in-time copy of the counters."""
         with self._lock:
-            return {
-                "reads": self.reads,
-                "bytes_read": self.bytes_read,
-                "stats": self.stats,
-            }
+            return {"reads": self.reads, "bytes_read": self.bytes_read}
 
 
 class LocalStorage:
@@ -75,15 +68,6 @@ class LocalStorage:
         if not p.is_relative_to(self.root):
             raise PermissionError(f"path {relpath!r} escapes storage root")
         return p
-
-    def size(self, relpath: str) -> int:
-        """File size in bytes (one ``stat``)."""
-        self.stats.record_stat()
-        return self._resolve(relpath).stat().st_size
-
-    def exists(self, relpath: str) -> bool:
-        self.stats.record_stat()
-        return self._resolve(relpath).exists()
 
     def read_at(self, relpath: str, offset: int, nbytes: int) -> bytes:
         """Positional read (``pread`` semantics): one operation, one count."""
@@ -118,8 +102,3 @@ class LocalStorage:
             self._fds.clear()
             if not self._reading:
                 self._close_retired()
-
-    def read_all(self, relpath: str) -> bytes:
-        data = self._resolve(relpath).read_bytes()
-        self.stats.record_read(len(data))
-        return data

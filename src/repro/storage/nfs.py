@@ -1,10 +1,11 @@
 """NFS-like client mount.
 
 Exposes the same read API as :class:`~repro.storage.localfs.LocalStorage`
-but forwards every operation to a :class:`~repro.storage.server.StorageServer`
-over a (possibly latency-shaped) channel.  A connection pool lets multi-
-worker loaders issue concurrent reads — each worker still pays one RTT per
-read, like real NFS without client caching.
+(``read_at``) but forwards every read to a
+:class:`~repro.storage.server.StorageServer` over a (possibly
+latency-shaped) channel.  A connection pool lets multi-worker loaders
+issue concurrent reads — each worker still pays one RTT per read, like
+real NFS without client caching.
 """
 
 from __future__ import annotations
@@ -70,23 +71,12 @@ class NFSMount:
 
     # -- LocalStorage-compatible API -----------------------------------------
 
-    def size(self, relpath: str) -> int:
-        self.stats.record_stat()
-        return self._call({"op": "stat", "path": relpath})["size"]
-
     def read_at(self, relpath: str, offset: int, nbytes: int) -> bytes:
         data = self._call(
             {"op": "read", "path": relpath, "offset": offset, "nbytes": nbytes}
         )["data"]
         self.stats.record_read(len(data))
         return data
-
-    def read_all(self, relpath: str) -> bytes:
-        size = self.size(relpath)
-        return self.read_at(relpath, 0, size)
-
-    def ping(self) -> bool:
-        return self._call({"op": "ping"})["ok"]
 
     def close(self) -> None:
         """Release resources."""

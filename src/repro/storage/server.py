@@ -1,15 +1,16 @@
 """Storage server: serves a directory over the framed channel protocol.
 
-Protocol (msgpack maps over frames)::
+Protocol (msgpack maps over frames), one operation::
 
-    request:  {"op": "read",    "path": str, "offset": int, "nbytes": int}
-              {"op": "stat",    "path": str}
-              {"op": "ping"}
-    response: {"ok": true,  ...op-specific fields...}
+    request:  {"op": "read", "path": str, "offset": int >= 0, "nbytes": int >= 0}
+    response: {"ok": true,  "data": bytes}
               {"ok": false, "error": str}
 
-Every operation is one request/response exchange — one network round trip —
+Every read is one request/response exchange — one network round trip —
 which is the property that makes per-sample loaders collapse at high RTT.
+A frame that does not decode to such a request (not msgpack, not a map,
+an unknown op, a mistyped field) gets an error response, and the
+connection keeps serving.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from repro.net.emulation import NetworkProfile
 from repro.net.framing import ConnectionClosed
 from repro.serialize.msgpack import packb, unpackb
 from repro.storage.localfs import LocalStorage
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
 
 
 class StorageServer:
@@ -61,10 +66,10 @@ class StorageServer:
         try:
             while True:
                 try:
-                    req = unpackb(chan.recv())
+                    frame = chan.recv()
+                    chan.send(packb(self._handle(frame)))
                 except (ConnectionClosed, ConnectionError, OSError):
                     return
-                chan.send(packb(self._handle(req)))
                 with self._count_lock:
                     self.requests_served += 1
         finally:
@@ -73,18 +78,27 @@ class StorageServer:
                 if chan in self._channels:
                     self._channels.remove(chan)
 
-    def _handle(self, req: dict) -> dict:
+    def _handle(self, frame: bytes) -> dict:
+        # Garbage raises UnpackError or, for a non-UTF-8 str, another
+        # ValueError; deep nesting overflows the recursive decoder.
         try:
-            op = req.get("op")
-            if op == "read":
-                data = self.storage.read_at(req["path"], req["offset"], req["nbytes"])
-                return {"ok": True, "data": data}
-            if op == "stat":
-                return {"ok": True, "size": self.storage.size(req["path"])}
-            if op == "ping":
-                return {"ok": True}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-        except (OSError, ValueError, PermissionError, KeyError) as err:
+            req = unpackb(frame)
+        except (ValueError, RecursionError) as err:
+            return {"ok": False, "error": f"malformed request: {type(err).__name__}: {err}"}
+        if not isinstance(req, dict):
+            return {"ok": False, "error": f"malformed request: {type(req).__name__}, not a map"}
+        if req.get("op") != "read":
+            return {"ok": False, "error": f"unknown op {req.get('op')!r}"}
+        path, offset, nbytes = req.get("path"), req.get("offset"), req.get("nbytes")
+        if not (isinstance(path, str) and _is_count(offset) and _is_count(nbytes)):
+            return {
+                "ok": False,
+                "error": "malformed read: want a str path and non-negative int "
+                f"offset and nbytes, got {path!r}, {offset!r}, {nbytes!r}",
+            }
+        try:
+            return {"ok": True, "data": self.storage.read_at(path, offset, nbytes)}
+        except (OSError, ValueError, OverflowError, MemoryError) as err:
             return {"ok": False, "error": f"{type(err).__name__}: {err}"}
 
     def close(self) -> None:

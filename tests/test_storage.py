@@ -29,21 +29,18 @@ def test_local_read_at(tree):
 
 
 def test_local_size_and_exists(tree):
+    """A file's size and existence, as the one read sees them."""
     fs = LocalStorage(tree)
-    assert fs.size("a.bin") == 1024
-    assert fs.exists("a.bin")
-    assert not fs.exists("missing.bin")
+    assert len(fs.read_at("a.bin", 0, 4096)) == 1024
+    with pytest.raises(FileNotFoundError):
+        fs.read_at("missing.bin", 0, 1)
 
 
 def test_local_stats_accounting(tree):
     fs = LocalStorage(tree)
     fs.read_at("a.bin", 0, 100)
-    fs.read_at("a.bin", 100, 100)
-    fs.size("a.bin")
-    snap = fs.stats.snapshot()
-    assert snap["reads"] == 2
-    assert snap["bytes_read"] == 200
-    assert snap["stats"] == 1
+    fs.read_at("a.bin", 1000, 100)  # a short read counts the bytes it got
+    assert fs.stats.snapshot() == {"reads": 2, "bytes_read": 124}
 
 
 def test_local_escape_rejected(tree):
@@ -75,26 +72,22 @@ def server(tree):
 
 def test_nfs_roundtrip(server, tree):
     mount = NFSMount("127.0.0.1", server.port)
-    assert mount.ping()
-    assert mount.size("a.bin") == 1024
     assert mount.read_at("a.bin", 0, 8) == bytes(range(8))
-    assert mount.read_all("sub/b.bin") == b"nested"
+    assert mount.read_at("sub/b.bin", 0, 64) == b"nested"
     mount.close()
 
 
 def test_nfs_error_propagates(server):
     mount = NFSMount("127.0.0.1", server.port)
     with pytest.raises(NFSError):
-        mount.size("no-such-file.bin")
+        mount.read_at("no-such-file.bin", 0, 1)
     mount.close()
 
 
 def test_nfs_stats(server):
     mount = NFSMount("127.0.0.1", server.port)
     mount.read_at("a.bin", 0, 10)
-    mount.size("a.bin")
-    snap = mount.stats.snapshot()
-    assert snap["reads"] == 1 and snap["stats"] == 1
+    assert mount.stats.snapshot() == {"reads": 1, "bytes_read": 10}
     mount.close()
 
 
@@ -125,7 +118,7 @@ def test_nfs_rtt_cost_per_operation(tree):
     profile = NetworkProfile("test", rtt_s=0.04)
     srv = StorageServer(str(tree), profile=profile)
     mount = NFSMount("127.0.0.1", srv.port, profile=profile, pool_size=1)
-    mount.ping()  # warm up connection
+    mount.read_at("a.bin", 0, 1)  # warm up connection
     start = time.monotonic()
     for i in range(5):
         mount.read_at("a.bin", i, 1)
@@ -140,7 +133,7 @@ def test_nfs_parallel_reads_overlap_rtt(tree):
     profile = NetworkProfile("test", rtt_s=0.05)
     srv = StorageServer(str(tree), profile=profile)
     mount = NFSMount("127.0.0.1", srv.port, profile=profile, pool_size=8)
-    mount.ping()
+    mount.read_at("a.bin", 0, 1)
     start = time.monotonic()
     threads = [
         threading.Thread(target=mount.read_at, args=("a.bin", i, 1)) for i in range(8)
@@ -158,8 +151,8 @@ def test_nfs_parallel_reads_overlap_rtt(tree):
 
 def test_server_request_counter(server):
     mount = NFSMount("127.0.0.1", server.port)
-    mount.ping()
-    mount.size("a.bin")
+    mount.read_at("a.bin", 0, 1)
+    mount.read_at("a.bin", 1, 1)
     deadline = time.monotonic() + 2
     while server.requests_served < 2 and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -176,4 +169,44 @@ def test_mount_closed_rejects_ops(server):
     mount = NFSMount("127.0.0.1", server.port)
     mount.close()
     with pytest.raises(RuntimeError):
-        mount.size("a.bin")
+        mount.read_at("a.bin", 0, 1)
+
+
+def test_server_answers_malformed_requests_and_keeps_serving(server):
+    """Every frame that is not a well-typed ``read`` gets an error reply on
+    the same connection, which then still serves a good read."""
+    from repro.net.channel import connect_channel
+    from repro.serialize.msgpack import packb, unpackb
+
+    def read(**fields):
+        return packb({"op": "read", "path": "a.bin", "offset": 0, "nbytes": 4, **fields})
+
+    malformed = [
+        packb([1, 2]),  # decodes to a list, not a map
+        read(offset="0"),
+        read(path=5),
+        read(nbytes=-1),
+        read(offset=True),
+        read(offset=2**64 - 1),  # well-typed, but past what pread takes
+        read(nbytes=2**62),  # a buffer no allocation can satisfy
+        packb({"op": "read", "path": "a.bin"}),  # fields missing
+        packb({"op": "delete", "path": "a.bin"}),  # read is the only op
+        packb({}),
+        b"\xc1",  # a tag msgpack never uses
+        b"\x81\xa1a",  # truncated map
+        b"\xa2\xff\xfe",  # a str that is not UTF-8
+        b"\x91" * 100_000 + b"\x01",  # nested past the decoder's recursion
+    ]
+    chan = connect_channel("127.0.0.1", server.port)
+    try:
+        for frame in malformed:
+            chan.send(frame)
+            resp = unpackb(chan.recv())
+            assert resp["ok"] is False and resp["error"], frame[:16]
+        chan.send(read())
+        assert unpackb(chan.recv()) == {"ok": True, "data": bytes([0, 1, 2, 3])}
+    finally:
+        chan.close()
+    mount = NFSMount("127.0.0.1", server.port)
+    assert mount.read_at("a.bin", 4, 2) == bytes([4, 5])
+    mount.close()

@@ -1,10 +1,12 @@
-"""Tests for the operational tools: fsck, convert, planview."""
+"""Tests for the operational CLIs: fsck, cluster, benchcheck.
+
+The deploy, trace and resume CLIs are tested alongside their subsystems
+(``test_api_deploy``, ``test_obs_trace``, ``test_recovery``).
+"""
 
 import pytest
 
-from repro.tools.convert import main as convert_main
 from repro.tools.fsck import fsck_dataset, main as fsck_main
-from repro.tools.planview import main as planview_main
 
 
 def test_fsck_clean_dataset(small_imagenet):
@@ -74,33 +76,6 @@ def test_fsck_cli_failure_exit(small_imagenet, capsys):
     shard.write_bytes(bytes(raw))
     assert fsck_main([str(small_imagenet.root)]) == 1
     assert "FAILED" in capsys.readouterr().out
-
-
-def test_convert_cli_imagenet(tmp_path, capsys):
-    rc = convert_main(["imagenet", "8", str(tmp_path / "out"), "--shard-size", "4"])
-    assert rc == 0
-    assert "8 samples / 2 shards" in capsys.readouterr().out
-    assert fsck_dataset(tmp_path / "out").ok
-
-
-def test_convert_cli_text(tmp_path, capsys):
-    rc = convert_main(
-        ["text", "6", str(tmp_path / "llm"), "--shard-size", "3", "--context-len", "32"]
-    )
-    assert rc == 0
-    assert "6 samples / 2 shards" in capsys.readouterr().out
-    # Token records don't use pack_example framing; skip label verification.
-    report = fsck_dataset(tmp_path / "llm", verify_labels=False)
-    assert report.ok
-
-
-def test_planview_cli(small_imagenet, capsys):
-    rc = planview_main(
-        [str(small_imagenet.root), "--nodes", "2", "--batch-size", "4", "--threads", "2"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "coverage" in out and "OK" in out
 
 
 # -- cluster status CLI --------------------------------------------------------
