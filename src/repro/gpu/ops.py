@@ -70,7 +70,7 @@ def decode_tokens_batch(samples: list[bytes]) -> np.ndarray:
 
 def _bilinear_taps(h: int, w: int, out_h: int, out_w: int):
     """The sample grid of a bilinear ``h×w → out_h×out_w`` resize: top and
-    bottom tap rows, left and right tap columns, and the float64 weights of
+    bottom tap rows, left and right tap columns, and the float32 weights of
     the bottom row / right column."""
     ys = np.linspace(0, h - 1, out_h)
     xs = np.linspace(0, w - 1, out_w)
@@ -78,7 +78,7 @@ def _bilinear_taps(h: int, w: int, out_h: int, out_w: int):
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    return y0, y1, x0, x1, ys - y0, xs - x0
+    return y0, y1, x0, x1, (ys - y0).astype(np.float32), (xs - x0).astype(np.float32)
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -94,7 +94,8 @@ def resize_bilinear_batch(batch: np.ndarray, out_h: int, out_w: int) -> np.ndarr
     All images in a training batch share one geometry, so the sample
     grid and interpolation weights are computed once and broadcast over
     the batch axis — one set of numpy dispatches for N images instead of
-    N sets.
+    N sets.  The arithmetic is float32, as in DALI's GPU resize: every
+    result is rounded to a byte, which float32 resolves except at near-ties.
     """
     if batch.ndim != 4:
         raise ValueError(f"expected NHWC batch, got shape {batch.shape}")
@@ -150,6 +151,10 @@ def _fused_plan(n: int, h: int, w: int, c: int, out_h: int, out_w: int) -> dict:
     that stays under :data:`_FULL_BYTES`, so the arithmetic runs as
     same-shape ufuncs (no broadcasting, no iterator buffers: ~25% faster);
     past it they stay broadcast views, so a plan's memory stays bounded.
+
+    ``pinned``: the crop covers the whole image, so it cannot move.  Then
+    ``index`` holds each tap's absolute index into the planes (under the
+    same bound; else ``None``, and the kernel adds ``plane`` per batch).
     """
     crop_h, crop_w = min(h, out_h * 2), min(w, out_w * 2)
     y0, y1, x0, x1, wy, wx = _bilinear_taps(crop_h, crop_w, out_h, out_w)
@@ -165,11 +170,20 @@ def _fused_plan(n: int, h: int, w: int, c: int, out_h: int, out_w: int) -> dict:
         a.setflags(write=False)
         return a
 
+    plane = (np.arange(n)[:, None] * c + channel)[:, :, None] * (-(-h // 8) * 8 * stride)
+    taps = [(ty[:, None] * stride + tx).ravel() for ty in (y0, y1) for tx in (x0, x1)]
+    pinned = (crop_h, crop_w) == (h, w)
+    index = None
+    if pinned and n * 3 * out_h * out_w * np.dtype(np.intp).itemsize <= _FULL_BYTES:
+        # Left writable: ndarray.take copies a read-only index array.
+        index = [plane + tap for tap in taps]
     return {
         "crop": (crop_h, crop_w),
         "stride": stride,
-        "plane": (np.arange(n)[:, None] * c + channel)[:, :, None] * (-(-h // 8) * 8 * stride),
-        "taps": [(ty[:, None] * stride + tx).ravel() for ty in (y0, y1) for tx in (x0, x1)],
+        "plane": plane,
+        "taps": taps,
+        "pinned": pinned,
+        "index": index,
         "wx": (full(np.tile(1 - wx, out_h)), full(np.tile(wx, out_h))),
         "wy": (full(np.repeat(1 - wy, out_w)), full(np.repeat(wy, out_w))),
         "mean": full(IMAGENET_MEAN[:, None]),
@@ -181,29 +195,38 @@ def _preprocess_sjpg(samples, h: int, w: int, c: int, out_h: int, out_w: int, rn
     """The fused kernel: decode → crop → resize → normalize, one pass per batch."""
     n = len(samples)
     plan = _fused_plan(n, h, w, c, out_h, out_w)
-    crop_h, crop_w = plan["crop"]
     out = np.empty((n, 3, out_h, out_w), dtype=np.float32)
+    res = out.reshape(n, 3, -1)
     with scratch_arena() as arena:
         _heads, pixels = sjpg_decode_planes(samples, arena)
-        # random_crop's draws, image by image, in its order.
-        offsets = np.array(
-            [(rng.integers(0, h - crop_h + 1), rng.integers(0, w - crop_w + 1)) for _ in range(n)]
-        )
         # A tap of output (i, k, y, x) sits at its crop's top-left corner
         # in the planes plus the tap's offset within the crop.
-        corner = plan["plane"] + (offsets[:, :1] * plan["stride"] + offsets[:, 1:])[:, :, None]
-        idx = arena.get("resize.idx", out.size, np.intp).reshape(n, 3, -1)
-        tap = arena.get("resize.tap", out.size, np.uint8).reshape(idx.shape)
+        if plan["pinned"]:
+            # random_crop's draws would all be rng.integers(0, 1): each
+            # returns 0 and leaves the generator as it was.
+            corner = plan["plane"]
+        else:
+            # random_crop's draws, image by image, in its order.
+            crop_h, crop_w = plan["crop"]
+            offsets = np.array(
+                [(rng.integers(0, h - crop_h + 1), rng.integers(0, w - crop_w + 1)) for _ in range(n)]
+            )
+            corner = plan["plane"] + (offsets[:, :1] * plan["stride"] + offsets[:, 1:])[:, :, None]
+        idx = arena.get("resize.idx", out.size, np.intp).reshape(res.shape)
+        tap = arena.get("resize.tap", out.size, np.uint8).reshape(res.shape)
         top, bot, tmp = (
-            arena.get(f"resize.f{i}", out.size, np.float64).reshape(idx.shape) for i in range(3)
+            arena.get(f"resize.f{i}", out.size, np.float32).reshape(res.shape) for i in range(3)
         )
 
         def gather(which: int, into: np.ndarray) -> None:
-            np.add(corner, plan["taps"][which], out=idx)
-            pixels.take(idx, out=tap, mode="wrap")  # in range by construction
+            if plan["index"] is not None:
+                at = plan["index"][which]
+            else:
+                at = np.add(corner, plan["taps"][which], out=idx)
+            pixels.take(at, out=tap, mode="wrap")  # in range by construction
             np.copyto(into, tap)
 
-        # resize_bilinear_batch's float64 arithmetic, operation for operation.
+        # resize_bilinear_batch's float32 arithmetic, operation for operation.
         (wx0, wx1), (wy0, wy1) = plan["wx"], plan["wy"]
         gather(0, top)
         np.multiply(top, wx0, out=top)
@@ -222,9 +245,7 @@ def _preprocess_sjpg(samples, h: int, w: int, c: int, out_h: int, out_w: int, rn
         # unfused path is a no-op here.
         np.rint(top, out=top)
         # normalize_batch's float32 arithmetic, written NCHW.
-        res = out.reshape(idx.shape)
-        np.copyto(res, top, casting="same_kind")
-        np.divide(res, 255.0, out=res)
+        np.divide(top, 255.0, out=res)
         np.subtract(res, plan["mean"], out=res)
         np.divide(res, plan["std"], out=res)
     return out
@@ -250,8 +271,8 @@ def preprocess_batch(
     image → :func:`resize_bilinear_batch` → :func:`normalize_batch`): the
     crop offsets are ``rng.integers`` draws made image by image in
     :func:`random_crop`'s order (after a successful decode), so ``rng``
-    ends in the same state, and the float64 resize and float32 normalize
-    arithmetic is the same operation for operation.
+    ends in the same state, and the float32 resize and normalize arithmetic
+    is the same operation for operation.
 
     Every temporary lives in a :func:`~repro.util.arena.scratch_arena` —
     one per concurrent caller, reused across calls — so in steady state a

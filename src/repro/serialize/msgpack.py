@@ -41,6 +41,11 @@ class UnpackError(ValueError):
     """Raised on malformed or truncated MessagePack input."""
 
 
+#: Deepest container nesting :func:`unpackb` accepts.  The decoder recurses
+#: per level, so without a bound garbage can overflow the stack.
+_MAX_DEPTH = 128
+
+
 def _byte_view(buf) -> memoryview:
     """A flat byte view of any C-contiguous buffer (typed arrays → bytes)."""
     view = memoryview(buf)
@@ -200,13 +205,14 @@ _unpack_f64 = struct.Struct(">d").unpack_from
 
 
 class _Decoder:
-    __slots__ = ("buf", "pos", "n", "zero_copy")
+    __slots__ = ("buf", "pos", "n", "zero_copy", "depth")
 
     def __init__(self, data: bytes | bytearray | memoryview, zero_copy: bool = False) -> None:
         self.buf = memoryview(data)
         self.pos = 0
         self.n = len(self.buf)
         self.zero_copy = zero_copy
+        self.depth = 0
 
     def _bin(self, k: int) -> bytes | memoryview:
         if self.zero_copy:
@@ -225,6 +231,25 @@ class _Decoder:
         self.pos += k
         return mv
 
+    def _str(self, k: int) -> str:
+        try:
+            return str(self._take(k), "utf-8")
+        except UnicodeDecodeError as err:
+            raise UnpackError(f"str at offset {self.pos - k} is not UTF-8: {err.reason}") from None
+
+    def _nest(self) -> None:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise UnpackError(
+                f"msgpack object nests too deeply: over {_MAX_DEPTH} levels at offset {self.pos}"
+            )
+
+    def _decode_array(self, count: int) -> list:
+        self._nest()
+        out = [self.decode() for _ in range(count)]
+        self.depth -= 1
+        return out
+
     def decode(self) -> Any:
         self._need(1)
         tag = self.buf[self.pos]
@@ -235,9 +260,9 @@ class _Decoder:
         if tag >= 0xE0:  # negative fixint
             return tag - 0x100
         if 0xA0 <= tag <= 0xBF:  # fixstr
-            return bytes(self._take(tag & 0x1F)).decode("utf-8")
+            return self._str(tag & 0x1F)
         if 0x90 <= tag <= 0x9F:  # fixarray
-            return [self.decode() for _ in range(tag & 0x0F)]
+            return self._decode_array(tag & 0x0F)
         if 0x80 <= tag <= 0x8F:  # fixmap
             return self._decode_map(tag & 0x0F)
 
@@ -274,15 +299,15 @@ class _Decoder:
         if tag == 0xC6:
             return self._bin(_unpack_u32(self._take(4))[0])
         if tag == 0xD9:
-            return bytes(self._take(self._take(1)[0])).decode("utf-8")
+            return self._str(self._take(1)[0])
         if tag == 0xDA:
-            return bytes(self._take(_unpack_u16(self._take(2))[0])).decode("utf-8")
+            return self._str(_unpack_u16(self._take(2))[0])
         if tag == 0xDB:
-            return bytes(self._take(_unpack_u32(self._take(4))[0])).decode("utf-8")
+            return self._str(_unpack_u32(self._take(4))[0])
         if tag == 0xDC:
-            return [self.decode() for _ in range(_unpack_u16(self._take(2))[0])]
+            return self._decode_array(_unpack_u16(self._take(2))[0])
         if tag == 0xDD:
-            return [self.decode() for _ in range(_unpack_u32(self._take(4))[0])]
+            return self._decode_array(_unpack_u32(self._take(4))[0])
         if tag == 0xDE:
             return self._decode_map(_unpack_u16(self._take(2))[0])
         if tag == 0xDF:
@@ -296,6 +321,7 @@ class _Decoder:
         Python; garbage input can produce one, and it must surface as a
         controlled :class:`UnpackError`, not a ``TypeError``.
         """
+        self._nest()
         out = {}
         for _ in range(count):
             key = self.decode()
@@ -306,11 +332,16 @@ class _Decoder:
                 raise UnpackError(
                     f"unhashable msgpack map key of type {type(key).__name__}"
                 ) from None
+        self.depth -= 1
         return out
 
 
 def unpackb(data: bytes | bytearray | memoryview, zero_copy: bool = False) -> Any:
     """Deserialize one MessagePack object; reject trailing garbage.
+
+    Malformed input of any kind — truncated, an unknown tag, a str that is
+    not UTF-8, containers nested past :data:`_MAX_DEPTH` — raises
+    :class:`UnpackError`.
 
     With ``zero_copy=True``, bin payloads come back as ``memoryview``
     slices of ``data`` instead of ``bytes`` copies.  The caller must keep

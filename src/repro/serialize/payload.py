@@ -252,10 +252,7 @@ def decode_batch(
         raise ValueError("batch shard name is not UTF-8") from None
     meta = {}
     if meta_len:
-        try:
-            meta = unpackb(view[shard_end:meta_end])
-        except RecursionError:
-            raise ValueError("batch meta nests too deeply") from None
+        meta = unpackb(view[shard_end:meta_end])
         if not isinstance(meta, dict):
             raise ValueError(f"batch meta must be a map, got {type(meta).__name__}")
     # Both vectors are copied once: aligned, the bounds check below runs

@@ -20,7 +20,7 @@ import threading
 from repro.net.channel import Channel, Listener
 from repro.net.emulation import NetworkProfile
 from repro.net.framing import ConnectionClosed
-from repro.serialize.msgpack import packb, unpackb
+from repro.serialize.msgpack import UnpackError, packb, unpackb
 from repro.storage.localfs import LocalStorage
 
 
@@ -79,11 +79,9 @@ class StorageServer:
                     self._channels.remove(chan)
 
     def _handle(self, frame: bytes) -> dict:
-        # Garbage raises UnpackError or, for a non-UTF-8 str, another
-        # ValueError; deep nesting overflows the recursive decoder.
         try:
             req = unpackb(frame)
-        except (ValueError, RecursionError) as err:
+        except UnpackError as err:
             return {"ok": False, "error": f"malformed request: {type(err).__name__}: {err}"}
         if not isinstance(req, dict):
             return {"ok": False, "error": f"malformed request: {type(req).__name__}, not a map"}

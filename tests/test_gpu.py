@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codec.raw import raw_encode
 from repro.codec.sjpg import sjpg_decode_batch, sjpg_encode
@@ -194,6 +196,48 @@ def test_fused_preprocess_is_bitwise_the_unfused_composition(hw, channels, out_h
     assert np.array_equal(fused, unfused)
     # Same draws in the same order: the generators end in the same state.
     assert fused_rng.bit_generator.state == unfused_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.integers(1, 90),
+    w=st.integers(1, 90),
+    channels=st.sampled_from([1, 3]),
+    quality=st.integers(1, 100),
+    n=st.integers(1, 5),
+    out_hw=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_preprocess_is_the_unfused_composition_at_any_geometry(h, w, channels, quality, n, out_hw, seed):
+    """Pinned crops (image at most twice the output), moving crops and
+    upscales alike: the fused kernel's tensor is bitwise the unfused one, and
+    it leaves the generator where random_crop's draws leave it."""
+    enc = np.random.default_rng(seed)
+    samples = [sjpg_encode(smooth_image(enc, h, w, channels=channels), quality=quality) for _ in range(n)]
+    fused_rng, unfused_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fused = preprocess_batch(samples, out_hw, fused_rng)
+    assert np.array_equal(fused, _unfused_preprocess(samples, out_hw, unfused_rng))
+    assert fused_rng.bit_generator.state == unfused_rng.bit_generator.state
+
+
+def test_bench_geometry_resize_is_the_exact_integer_bilinear(rng):
+    """64 -> 32 samples at 63k/31, so every weight is j/31 and each output is
+    round(N / 961) for an integer N; 961 is odd, so no N/961 is a tie and the
+    byte is (N + 480) // 961, whatever float width the resize runs in."""
+    samples = [sjpg_encode(smooth_image(rng, 64, 64), quality=75) for _ in range(8)]
+    images = np.stack(sjpg_decode_batch(samples)).astype(np.int64)
+    k = np.arange(32)
+    t0, j = 63 * k // 31, 63 * k % 31
+    t1 = np.minimum(t0 + 1, 63)
+    wx0, wx1 = (31 - j)[None, None, :, None], j[None, None, :, None]
+    wy0, wy1 = (31 - j)[None, :, None, None], j[None, :, None, None]
+    top = images[:, t0][:, :, t0] * wx0 + images[:, t0][:, :, t1] * wx1
+    bot = images[:, t1][:, :, t0] * wx0 + images[:, t1][:, :, t1] * wx1
+    expected = (top * wy0 + bot * wy1 + 480) // 961
+    assert np.array_equal(resize_bilinear_batch(images.astype(np.uint8), 32, 32), expected)
+    assert np.array_equal(
+        preprocess_batch(samples, (32, 32), rng), normalize_batch(expected.astype(np.uint8))
+    )
 
 
 def test_preprocess_batch_steady_state_allocates_only_its_output(rng):

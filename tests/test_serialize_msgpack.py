@@ -1,5 +1,6 @@
 """Tests for the from-scratch MessagePack codec, including property tests."""
 
+import functools
 import math
 import struct
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serialize.msgpack import UnpackError, packb, unpackb
+from repro.tfrecord.sharder import unpack_example
 
 # -- known-answer vectors against the msgpack spec ---------------------------
 
@@ -131,6 +133,28 @@ def test_unknown_tag_rejected():
         unpackb(b"\xc1")  # never-used tag per spec
 
 
+@pytest.mark.parametrize("decode", [unpackb, unpack_example], ids=["unpackb", "unpack_example"])
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (b"\x91" * 100_000 + b"\x01", "nests too deeply"),  # past the interpreter's recursion
+        (b"\x81\xa1x" * 200 + b"\x01", "nests too deeply"),  # maps nest too
+        (b"\xa2\xff\xfe", "not UTF-8"),  # fixstr
+        (b"\xd9\x02\xff\xfe", "not UTF-8"),  # str8
+    ],
+    ids=["deep-array", "deep-map", "fixstr-not-utf8", "str8-not-utf8"],
+)
+def test_malformed_input_is_an_unpack_error(decode, data, match):
+    """Garbage of any shape is the one documented error, also through the
+    daemon's per-record fallback, not a RecursionError or UnicodeDecodeError."""
+    with pytest.raises(UnpackError, match=match):
+        decode(data)
+
+
+def test_nesting_up_to_the_bound_decodes():
+    assert unpackb(b"\x91" * 128 + b"\x01") == functools.reduce(lambda x, _: [x], range(128), 1)
+
+
 # -- property-based roundtrip --------------------------------------------------
 
 scalars = st.one_of(
@@ -173,8 +197,6 @@ def test_decoder_never_hangs_on_garbage(data):
         unpackb(data)
     except UnpackError:
         pass
-    except UnicodeDecodeError:
-        pass  # invalid UTF-8 inside a str field
 
 
 # -- zero-copy decode (memoryview bins) ---------------------------------------
